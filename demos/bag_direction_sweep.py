@@ -19,7 +19,7 @@ LABELS = [
 ]
 
 cfg = load_scenario(scenario_path("peanut_bag"))
-records, metrics = run_scenario(cfg)
+_, metrics = run_scenario(cfg)
 
 print(f"completed: {metrics.completed}   completion time: {metrics.t_c:.2f} s\n")
 print("direction            window         mean alpha   mean |F|")

@@ -20,7 +20,7 @@ def main():
     path = scenario_path("rigid_rod")
 
     cfg = load_scenario(path)
-    records, metrics = run_scenario(cfg)
+    _, metrics = run_scenario(cfg)
     print("adaptive interface on the rigid rod")
     print(f"  completed waypoints : {metrics.completed}")
     print(f"  completion time     : {metrics.t_c:.2f} s")
@@ -31,14 +31,13 @@ def main():
     # same scenario, same hand script, but pure displacement teleoperation;
     # give it twice the adaptive completion time and then some
     cfg_t = load_scenario(path, overrides={"mode": "teleop", "duration": 24.0})
-    records_t, metrics_t = run_scenario(cfg_t)
+    trace_t, metrics_t = run_scenario(cfg_t)
     ee0 = forward_kinematics(cfg_t.model, cfg_t.q0).position
     script = cfg_t.script
     commanded = np.linalg.norm(script.target(script.duration).position - cfg_t.hand0)
     window = script.first_motion_time() + 2.0 * metrics.t_c
-    creep = max(
-        np.linalg.norm(r.ee_pose.position - ee0) for r in records_t if r.t <= window
-    )
+    ee_p = trace_t[["ee_px", "ee_py", "ee_pz"]][trace_t["t"] <= window]
+    creep = np.linalg.norm(ee_p - ee0, axis=1).max()
     print("\ndisplacement teleoperation on the same rod")
     print(f"  commanded hand travel        : {commanded:.3f} m")
     print(f"  end-effector travel by {window:.1f} s : {creep:.3f} m "

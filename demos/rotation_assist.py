@@ -12,38 +12,35 @@ Run:  python3 demos/rotation_assist.py
 import numpy as np
 
 from cocarry import Pose, load_scenario, run_scenario, scenario_path
-from cocarry.geometry import quat_from_yaw, wrap_angle
+from cocarry.geometry import quat_from_yaw, wrap_angle, yaw_from_quat
 from cocarry.kinematics import forward_kinematics
-
-
-def first(records, pred):
-    return next(r for r in records if pred(r))
 
 
 def main():
     cfg = load_scenario(scenario_path("rotation_showcase"))
-    records, _ = run_scenario(cfg)
+    trace, _ = run_scenario(cfg)
 
-    fired = first(records, lambda r: r.zeta == 1)
-    print(f"torso turn of {abs(fired.torso_yaw):.2f} rad detected at t = {fired.t:.2f} s")
+    fired = np.flatnonzero(trace["zeta"] == 1)[0]
+    turn = trace["torso_yaw"][fired]
+    print(f"torso turn of {abs(turn):.2f} rad detected at t = {trace['t'][fired]:.2f} s")
 
     # where the end effector should end up: same pose relative to the torso
     # as before the turn
     ee0 = forward_kinematics(cfg.model, cfg.q0)
     torso_before = Pose(cfg.torso0, quat_from_yaw(cfg.torso_yaw0))
-    torso_after = Pose(cfg.torso0, quat_from_yaw(fired.torso_yaw))
+    torso_after = Pose(cfg.torso0, quat_from_yaw(turn))
     goal = torso_after.compose(torso_before.inverse().compose(ee0))
 
-    end = records[-1]
-    pos_err = np.linalg.norm(end.ee_pose.position - goal.position)
-    yaw_err = abs(wrap_angle(end.ee_pose.yaw() - goal.yaw()))
-    print(f"assist trajectory finished by t = {end.t:.2f} s")
+    pos_err = np.linalg.norm(trace[["ee_px", "ee_py", "ee_pz"]][-1] - goal.position)
+    ee_yaw = yaw_from_quat(trace[["ee_qw", "ee_qx", "ee_qy", "ee_qz"]][-1])
+    yaw_err = abs(wrap_angle(ee_yaw - goal.yaw()))
+    print(f"assist trajectory finished by t = {trace['t'][-1]:.2f} s")
     print(f"  position error to the re-seated pose : {pos_err * 1000:.2f} mm")
     print(f"  yaw error                            : {yaw_err * 1000:.2f} mrad")
 
     cfg_null = load_scenario(scenario_path("hand_rotation_null"))
-    null_records, _ = run_scenario(cfg_null)
-    fires = sum(r.zeta for r in null_records)
+    null_trace, _ = run_scenario(cfg_null)
+    fires = int(null_trace["zeta"].sum())
     print(f"\nhand-only rotation of 0.5 rad: detector fired {fires} times (wrist "
           "action is not a carry intention)")
 

@@ -17,16 +17,16 @@ from cocarry.kinematics import forward_kinematics
 path = scenario_path("slack_rope")
 
 cfg_adm = load_scenario(path, overrides={"mode": "admittance"})
-records, _ = run_scenario(cfg_adm)
+trace, _ = run_scenario(cfg_adm)
 ee0 = forward_kinematics(cfg_adm.model, cfg_adm.q0).position
-moved = max(np.linalg.norm(r.ee_pose.position - ee0) for r in records)
-peak_force = max(np.linalg.norm(r.force) for r in records)
+moved = np.linalg.norm(trace[["ee_px", "ee_py", "ee_pz"]] - ee0, axis=1).max()
+peak_force = np.linalg.norm(trace[["fx", "fy", "fz"]], axis=1).max()
 print("admittance only, slack rope")
 print(f"  peak coupling force      : {peak_force:.4f} N")
 print(f"  end-effector travel      : {moved * 100:.2f} cm  (the robot never hears the human)")
 
 cfg = load_scenario(path)
-records, metrics = run_scenario(cfg)
+_, metrics = run_scenario(cfg)
 print("\nadaptive interface, same rope")
 print(f"  completed waypoints      : {metrics.completed}")
 print(f"  completion time          : {metrics.t_c:.2f} s")

@@ -26,9 +26,9 @@ with tempfile.TemporaryDirectory() as td:
     print(f"columns ({len(trace_columns(cfg.model.n_joints))}):")
     print("  " + " ".join(trace_columns(cfg.model.n_joints)[:8]) + " ...")
 
-    cols = read_trace(a)
-    print(f"rows: {len(cols['t'])}   (duration {cfg.duration} s at dt {cfg.dt} s)")
-    print(f"first tick t = {cols['t'][0]}, last tick t = {cols['t'][-1]}")
+    trace = read_trace(a)
+    print(f"rows: {len(trace)}   (duration {cfg.duration} s at dt {cfg.dt} s)")
+    print(f"first tick t = {trace['t'][0]}, last tick t = {trace['t'][-1]}")
 
     same = filecmp.cmp(a, b, shallow=False)
     print(f"\nsecond run byte-identical: {same}")

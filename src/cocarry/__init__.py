@@ -50,7 +50,7 @@ from .sim import (
     Metrics,
     Simulation,
     SimulationError,
-    TraceRecord,
+    Trace,
     alignment_metric,
     interval_stats,
     read_trace,

@@ -4,12 +4,13 @@ One tick advances the world in a fixed order: the human moves under the
 previous object reaction, the coupling wrench is evaluated once from the
 fresh states, the collaborative interface turns force and human motion into
 an EE reference, the whole-body controller resolves it to saturated joint
-velocities, and the robot integrates.  Every tick appends one trace record.
+velocities, and the robot integrates.  Every tick appends one trace row.
 The whole pipeline is deterministic: identical configuration and seed give
 bitwise-identical traces.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,72 +28,80 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass
-class TraceRecord:
-    """Snapshot after one tick; fields appear in file column order."""
-
-    t: float
-    q: np.ndarray
-    ee_pose: Pose
-    ee_twist: Twist
-    force: np.ndarray
-    v_adm: np.ndarray
-    v_h: np.ndarray
-    alpha: float
-    zeta: int
-    x_d: Pose
-    hand_pose: Pose
-    torso_yaw: float
-
-    def row(self) -> list:
-        return [
-            self.t,
-            *self.q,
-            *self.ee_pose.as_vector(),
-            *self.ee_twist.as_vector(),
-            *self.force,
-            *self.v_adm,
-            *self.v_h,
-            self.alpha,
-            float(self.zeta),
-            *self.x_d.as_vector(),
-            *self.hand_pose.as_vector(),
-            self.torso_yaw,
-        ]
+def _pose_columns(prefix: str) -> list:
+    return [f"{prefix}_{c}" for c in ("px", "py", "pz", "qw", "qx", "qy", "qz")]
 
 
 def trace_columns(n_joints: int) -> list:
     cols = ["t"]
     cols += [f"q{i}" for i in range(n_joints)]
-    cols += ["ee_px", "ee_py", "ee_pz", "ee_qw", "ee_qx", "ee_qy", "ee_qz"]
+    cols += _pose_columns("ee")
     cols += ["ee_vx", "ee_vy", "ee_vz", "ee_wx", "ee_wy", "ee_wz"]
     cols += ["fx", "fy", "fz"]
     cols += ["vadm_x", "vadm_y", "vadm_z"]
     cols += ["vh_x", "vh_y", "vh_z"]
     cols += ["alpha", "zeta"]
-    cols += ["xd_px", "xd_py", "xd_pz", "xd_qw", "xd_qx", "xd_qy", "xd_qz"]
-    cols += ["hand_px", "hand_py", "hand_pz", "hand_qw", "hand_qx", "hand_qy", "hand_qz"]
+    cols += _pose_columns("xd")
+    cols += _pose_columns("hand")
     cols += ["torso_yaw"]
     return cols
 
 
-def write_trace(path: str, records: list, n_joints: int):
-    """Delimited text, one row per record, full float precision."""
+class Trace:
+    """Per-tick trace: one float64 row of `columns` per tick.
+
+    `len(trace)` is the number of ticks, `trace["ee_px"]` one column (a view)
+    and `trace[["ee_px", "ee_py", "ee_pz"]]` a C-ordered (n x 3) copy.  Runs
+    return a trace and `read_trace` loads one, so a file and an in-memory run
+    share one format.
+    """
+
+    def __init__(self, data: np.ndarray, columns: list):
+        if data.ndim != 2 or data.shape[1] != len(columns):
+            raise ValueError(
+                f"trace data of shape {data.shape} does not fit {len(columns)} columns"
+            )
+        self.data = data
+        self.columns = list(columns)
+        self._index = {name: i for i, name in enumerate(self.columns)}
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, str):
+            return self.data[:, self._index[key]]
+        return self.data.take([self._index[name] for name in key], axis=1)
+
+
+# Rows formatted per write: bounds the text held in memory at once.
+_WRITE_CHUNK = 512
+
+
+def write_trace(path: str, trace: Trace):
+    """Delimited text, one row per tick, full float precision.
+
+    Each row is one `%` operation; "%.17g" prints a float exactly as
+    format(v, ".17g") does.
+    """
+    line = ",".join(["%.17g"] * len(trace.columns)) + "\n"
+    data = trace.data
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(trace_columns(n_joints)) + "\n")
-            for rec in records:
-                fh.write(",".join(format(v, ".17g") for v in rec.row()) + "\n")
+            fh.write(",".join(trace.columns) + "\n")
+            for i in range(0, len(data), _WRITE_CHUNK):
+                rows = data[i : i + _WRITE_CHUNK].tolist()
+                fh.write("".join([line % tuple(row) for row in rows]))
     except OSError as exc:
         raise SimulationError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def read_trace(path: str) -> dict:
-    """Load a trace file back into a dict of named numpy columns."""
+def read_trace(path: str) -> Trace:
+    """Load a trace file written by `write_trace`."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}
+    return Trace(data, header)
 
 
 @dataclass
@@ -165,14 +174,28 @@ class Simulation:
         )
         self.wbc_params = config.wbc
         self.wrench_on_hand = np.zeros(3)
-        self.records: list = []
+        self._columns = trace_columns(self.model.n_joints)
+        # The trace rows, flat in column order; it grows by one row per tick.
+        self._rows = array("d")
         self.waypoint_times: list = []
         self._next_waypoint = 0
 
+    @property
+    def trace(self) -> Trace:
+        """The rows recorded so far.
+
+        The trace views the simulation's own store; a tick taken after it was
+        handed out goes on in a copy, so the trace keeps what it showed.
+        """
+        width = len(self._columns)
+        data = np.frombuffer(self._rows).reshape(len(self._rows) // width, width)
+        data.flags.writeable = False
+        return Trace(data, self._columns)
+
     # -- single tick ------------------------------------------------------
 
-    def step(self) -> TraceRecord:
-        """Advance one tick and append (and return) the resulting record."""
+    def step(self):
+        """Advance one tick and append its row to the trace."""
         dt = self.dt
         human_state = self.human.step(self.wrench_on_hand, dt)
 
@@ -196,45 +219,52 @@ class Simulation:
             self.model, self.q, out.x_d, out.xdot_d, self.wbc_params, chain=chain
         )
         qdot_d = _wbc.clamp_velocities(qdot_d, self.wbc_params)
-        ee_twist = Twist.from_vector(J.dot(qdot_d))
+        ee_twist = J.dot(qdot_d)
         self.q = self.q + qdot_d * dt
         self.qdot = qdot_d
         self.t = t_new
         self._chain = chain_state(self.model, self.q)
 
-        record = TraceRecord(
-            t=t_new,
-            q=self.q.copy(),
-            ee_pose=self._chain.pose,
-            ee_twist=ee_twist,
-            force=on_ee.force.copy(),
-            v_adm=out.v_adm,
-            v_h=human_state.hand_twist.linear.copy(),
-            alpha=out.alpha,
-            zeta=out.zeta,
-            x_d=out.x_d,
-            hand_pose=human_state.hand_pose,
-            torso_yaw=human_state.theta_t_w,
-        )
-        self.records.append(record)
-        self._check_waypoints(record)
-        return record
+        # One row in `trace_columns` order, each vector copied in as bytes.
+        rows = self._rows
+        try:
+            rows.append(t_new)
+        except BufferError:  # a handed-out trace views the store
+            rows = self._rows = array("d", rows)
+            rows.append(t_new)
+        ee = self._chain.pose
+        hand = human_state.hand_pose
+        rows.frombytes(self.q.tobytes())
+        rows.frombytes(ee.position.tobytes())
+        rows.frombytes(ee.orientation.tobytes())
+        rows.frombytes(ee_twist.tobytes())
+        rows.frombytes(on_ee.force.tobytes())
+        rows.frombytes(out.v_adm.tobytes())
+        rows.frombytes(human_state.hand_twist.linear.tobytes())
+        rows.append(out.alpha)
+        rows.append(out.zeta)
+        rows.frombytes(out.x_d.position.tobytes())
+        rows.frombytes(out.x_d.orientation.tobytes())
+        rows.frombytes(hand.position.tobytes())
+        rows.frombytes(hand.orientation.tobytes())
+        rows.append(human_state.theta_t_w)
+        self._check_waypoints(ee.position, ee_twist[:3])
 
-    def _check_waypoints(self, record: TraceRecord):
+    def _check_waypoints(self, ee_position: np.ndarray, ee_linear: np.ndarray):
         wps = self.config.waypoints
         if self._next_waypoint >= len(wps):
             return
         wp = wps[self._next_waypoint]
         target = self.ee0.position + wp.offset
-        near = _norm(record.ee_pose.position - target) <= wp.tolerance
-        slow = _norm(record.ee_twist.linear) < self.config.waypoint_speed
+        near = _norm(ee_position - target) <= wp.tolerance
+        slow = _norm(ee_linear) < self.config.waypoint_speed
         if near and slow:
-            self.waypoint_times.append(record.t)
+            self.waypoint_times.append(self.t)
             self._next_waypoint += 1
 
     # -- full run ---------------------------------------------------------
 
-    def run(self) -> tuple[list, Metrics]:
+    def run(self) -> tuple[Trace, Metrics]:
         """Execute until the duration elapses or every waypoint is achieved."""
         n_steps = int(round(self.config.duration / self.dt))
         have_waypoints = bool(self.config.waypoints)
@@ -245,33 +275,27 @@ class Simulation:
                 raise SimulationError(f"aborted at step {i}: {exc}") from exc
             if have_waypoints and self._next_waypoint >= len(self.config.waypoints):
                 break
-        metrics = self._metrics()
+        trace = self.trace
+        metrics = self._metrics(trace)
         if self.config.trace_path:
-            write_trace(self.config.trace_path, self.records, self.model.n_joints)
+            write_trace(self.config.trace_path, trace)
         if self.config.metrics_path:
             write_metrics(self.config.metrics_path, metrics)
-        return self.records, metrics
+        return trace, metrics
 
-    def _metrics(self) -> Metrics:
+    def _metrics(self, trace: Trace) -> Metrics:
         completed = self._next_waypoint >= len(self.config.waypoints)
         if self.config.waypoints and completed:
             t_c = self.waypoint_times[-1] - self.config.script.first_motion_time()
         else:
             t_c = math.nan
-        alphas = np.array([r.alpha for r in self.records]) if self.records else np.zeros(0)
-        mean_alpha = float(alphas.mean()) if alphas.size else math.nan
-        d_am = alignment_metric(self.records) if len(self.records) >= 2 else math.nan
+        mean_alpha = float(trace["alpha"].mean()) if len(trace) else math.nan
+        d_am = alignment_metric(trace) if len(trace) >= 2 else math.nan
         # Intervals the run never reached (early stop) degrade to nan instead
         # of aborting the metric pass.
-        interval_alpha: list = []
-        interval_force: list = []
-        for iv in self.config.intervals:
-            try:
-                a, f = interval_stats(self.records, [iv])
-            except ValueError:
-                a, f = [math.nan], [math.nan]
-            interval_alpha += a
-            interval_force += f
+        interval_alpha, interval_force = interval_stats(
+            trace, self.config.intervals, empty=math.nan
+        )
         return Metrics(
             completed=completed,
             t_c=t_c,
@@ -283,12 +307,12 @@ class Simulation:
         )
 
 
-def run_scenario(config: ScenarioConfig) -> tuple[list, Metrics]:
+def run_scenario(config: ScenarioConfig) -> tuple[Trace, Metrics]:
     return Simulation(config).run()
 
 
 def alignment_metric(
-    records: list,
+    trace: Trace,
     attachment_offsets: tuple = None,
     reference: np.ndarray | None = None,
     t_start: float | None = None,
@@ -309,18 +333,17 @@ def alignment_metric(
     off_h = np.zeros(3) if attachment_offsets is None else np.asarray(
         attachment_offsets[1], dtype=float
     )
-    t = np.fromiter((r.t for r in records), dtype=float, count=len(records))
+    t = trace["t"]
     keep = np.ones(t.shape, dtype=bool)
     if t_start is not None:
         keep &= t >= t_start
     if t_end is not None:
         keep &= t <= t_end
-    sel = [r for r, k in zip(records, keep.tolist()) if k]
-    if len(sel) < 2:
+    if np.count_nonzero(keep) < 2:
         raise ValueError("alignment metric needs at least two samples in the span")
     t = t[keep]
-    ee = _attachment_points([r.ee_pose for r in sel], off_r)
-    hand = _attachment_points([r.hand_pose for r in sel], off_h)
+    ee = _attachment_points(trace, "ee", keep, off_r)
+    hand = _attachment_points(trace, "hand", keep, off_h)
     rel = ee - hand
     if reference is None:
         reference = rel[0]
@@ -331,40 +354,49 @@ def alignment_metric(
     return float(np.trapezoid(dev, t) / span)
 
 
-def _attachment_points(poses: list, offset: np.ndarray) -> np.ndarray:
-    """World positions (n x 3) of a body-frame offset on each pose.
+def _attachment_points(
+    trace: Trace, prefix: str, keep: np.ndarray, offset: np.ndarray
+) -> np.ndarray:
+    """World positions (n x 3) of a body-frame offset on the kept rows' poses.
 
     Row-wise `Pose.transform_point`.  A zero offset leaves the frame origins:
     rotating it adds only signed zeros, which cannot change the metric.
     """
-    p = np.array([pose.position for pose in poses])
+    cols = _pose_columns(prefix)
+    p = trace[cols[:3]][keep]
     if not offset.any():
         return p
-    q = np.array([pose.orientation for pose in poses])
+    q = trace[cols[3:]][keep]
     w, u = q[:, :1], q[:, 1:]
     return p + (offset + 2.0 * np.cross(u, np.cross(u, offset) + w * offset))
 
 
-def interval_stats(records: list, intervals: list) -> tuple[list, list]:
+def interval_stats(
+    trace: Trace, intervals: list, empty: float | None = None
+) -> tuple[list, list]:
     """Per-interval arithmetic means of alpha and of the force magnitude.
 
-    Intervals are (start, end) pairs over half-open spans [start, end); an
-    interval containing no samples raises.
+    Intervals are (start, end) pairs over half-open spans [start, end).  An
+    interval containing no samples raises, unless `empty` is given: then it
+    stands for both of that interval's means.
     """
     if not intervals:
         return [], []
-    n = len(records)
-    t = np.fromiter((r.t for r in records), dtype=float, count=n)
-    alphas = np.fromiter((r.alpha for r in records), dtype=float, count=n)
-    f = np.array([r.force for r in records]).reshape(n, 1, 3)
-    # Row by row f . f through the BLAS dot that np.linalg.norm(r.force)
-    # uses; np.linalg.norm(axis=1) sums differently in the last bit.
+    t = trace["t"]
+    alphas = trace["alpha"]
+    f = trace[["fx", "fy", "fz"]].reshape(len(trace), 1, 3)
+    # Row by row f . f through the BLAS dot that np.linalg.norm(force) uses;
+    # np.linalg.norm(axis=1) sums differently in the last bit.
     forces = np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0])
     mean_a, mean_f = [], []
     for lo, hi in intervals:
         mask = (t >= lo) & (t < hi)
         if not mask.any():
-            raise ValueError(f"interval [{lo}, {hi}) contains no samples")
+            if empty is None:
+                raise ValueError(f"interval [{lo}, {hi}) contains no samples")
+            mean_a.append(empty)
+            mean_f.append(empty)
+            continue
         mean_a.append(float(alphas[mask].mean()))
         mean_f.append(float(forces[mask].mean()))
     return mean_a, mean_f

@@ -29,12 +29,16 @@ from cocarry.geometry import (
     quat_from_yaw,
     quat_normalize,
     wrap_angle,
+    yaw_from_quat,
 )
 from cocarry.kinematics import chain_state, default_model
 from cocarry.objects import ObjectModel, object_wrench
 from cocarry.scenario import load_scenario, scenario_path
 from cocarry.sim import run_scenario
 from cocarry.wbc import WbcParams, nullspace_projector, solve_primary
+
+EE_P = ["ee_px", "ee_py", "ee_pz"]
+EE_Q = ["ee_qw", "ee_qx", "ee_qy", "ee_qz"]
 
 
 def verdict(n, checks):
@@ -47,9 +51,9 @@ def verdict(n, checks):
 def _run(name, **overrides):
     cfg = load_scenario(scenario_path(name), overrides=overrides or None)
     start = time.perf_counter()
-    records, metrics = run_scenario(cfg)
+    trace, metrics = run_scenario(cfg)
     wall = time.perf_counter() - start
-    return SimpleNamespace(cfg=cfg, records=records, metrics=metrics, wall=wall)
+    return SimpleNamespace(cfg=cfg, trace=trace, metrics=metrics, wall=wall)
 
 
 def initial_ee(cfg) -> Pose:
@@ -95,11 +99,8 @@ def test_criterion_01_rigid_regime(rigid_aci, rigid_teleop):
         script.target(script.duration).position - rigid_teleop.cfg.hand0
     )
     window = script.first_motion_time() + 2.0 * m.t_c
-    disp = max(
-        np.linalg.norm(r.ee_pose.position - ee0)
-        for r in rigid_teleop.records
-        if r.t <= window
-    )
+    trace = rigid_teleop.trace
+    disp = np.linalg.norm(trace[EE_P][trace["t"] <= window] - ee0, axis=1).max()
     verdict(
         1,
         [
@@ -117,9 +118,7 @@ def test_criterion_01_rigid_regime(rigid_aci, rigid_teleop):
 
 def test_criterion_02_deformable_regime(rope_aci, rope_adm):
     ee0 = initial_ee(rope_adm.cfg).position
-    max_disp = max(
-        np.linalg.norm(r.ee_pose.position - ee0) for r in rope_adm.records
-    )
+    max_disp = np.linalg.norm(rope_adm.trace[EE_P] - ee0, axis=1).max()
     verdict(
         2,
         [
@@ -167,16 +166,16 @@ def test_criterion_05_rotation_intention():
     rot = _run("rotation_showcase")
     null = _run("hand_rotation_null")
     cfg = rot.cfg
-    recs = rot.records
-    t = np.array([r.t for r in recs])
-    zeta = np.array([r.zeta for r in recs])
-    torso_yaw = np.array([r.torso_yaw for r in recs])
+    trace = rot.trace
+    t = trace["t"]
+    zeta = trace["zeta"]
+    torso_yaw = trace["torso_yaw"]
 
     # re-apply the causal first-order filter the partner model uses on its
     # torso yaw rate, from the recorded yaw stream alone
     tau = 1.0 / (2.0 * math.pi * cfg.human.yaw_filter_cutoff)
     beta = cfg.dt / (tau + cfg.dt)
-    filt = np.zeros(len(recs))
+    filt = np.zeros(len(trace))
     prev = cfg.torso_yaw0
     level = 0.0
     for i, yaw in enumerate(torso_yaw):
@@ -195,11 +194,11 @@ def test_criterion_05_rotation_intention():
     torso_ref = Pose(cfg.torso0, quat_from_yaw(cfg.torso_yaw0))
     torso_det = Pose(cfg.torso0, quat_from_yaw(torso_yaw[fire[0]]))
     goal = torso_det.compose(torso_ref.inverse().compose(ee0))
-    end = recs[fire[-1]]
-    pos_err = np.linalg.norm(end.ee_pose.position - goal.position)
-    yaw_err = abs(wrap_angle(end.ee_pose.yaw() - goal.yaw()))
+    end = fire[-1]
+    pos_err = np.linalg.norm(trace[EE_P][end] - goal.position)
+    yaw_err = abs(wrap_angle(yaw_from_quat(trace[EE_Q][end]) - goal.yaw()))
 
-    max_null_zeta = max(r.zeta for r in null.records)
+    max_null_zeta = null.trace["zeta"].max()
     verdict(
         5,
         [

@@ -1,7 +1,8 @@
 """Closed-loop simulation: tick ordering, metrics, traces, determinism."""
 
-import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ import yaml
 
 import cocarry.sim as sim_mod
 import cocarry.wbc
-from cocarry.geometry import Pose, Twist, quat_identity, quat_normalize
+from cocarry.geometry import Pose, quat_identity, quat_normalize
 from cocarry.scenario import load_scenario, scenario_path
 from cocarry.sim import (
     Metrics,
     Simulation,
     SimulationError,
-    TraceRecord,
+    Trace,
     alignment_metric,
     interval_stats,
     read_trace,
@@ -48,23 +49,34 @@ def make_config(tmp_path, **patch):
     return load_scenario(str(path))
 
 
-def rec(t, ee_p, hand_p, alpha=0.0, force=(0.0, 0.0, 0.0)):
-    """Synthetic trace record; only the metric-relevant fields vary."""
-    ee_p = np.asarray(ee_p, dtype=float)
-    return TraceRecord(
-        t=t,
-        q=np.zeros(9),
-        ee_pose=Pose(ee_p, quat_identity()),
-        ee_twist=Twist(np.zeros(3), np.zeros(3)),
-        force=np.asarray(force, dtype=float),
-        v_adm=np.zeros(3),
-        v_h=np.zeros(3),
-        alpha=alpha,
-        zeta=0,
-        x_d=Pose(ee_p, quat_identity()),
-        hand_pose=Pose(np.asarray(hand_p, dtype=float), quat_identity()),
-        torso_yaw=0.0,
+COLUMNS = trace_columns(9)
+EE_P = ["ee_px", "ee_py", "ee_pz"]
+
+
+def set_pose(row, prefix, pose):
+    names = [f"{prefix}_{c}" for c in ("px", "py", "pz", "qw", "qx", "qy", "qz")]
+    row.update(zip(names, [*pose.position, *pose.orientation]))
+
+
+def pose_of(row, prefix):
+    return Pose(
+        [row[f"{prefix}_p{c}"] for c in "xyz"], [row[f"{prefix}_q{c}"] for c in "wxyz"]
     )
+
+
+def rec(t, ee_p, hand_p, alpha=0.0, force=(0.0, 0.0, 0.0)):
+    """Synthetic trace row {column: value}; only the metric-relevant fields vary."""
+    row = dict.fromkeys(COLUMNS, 0.0)
+    row.update(t=t, alpha=alpha, fx=force[0], fy=force[1], fz=force[2])
+    set_pose(row, "ee", Pose(ee_p, quat_identity()))
+    set_pose(row, "xd", Pose(ee_p, quat_identity()))
+    set_pose(row, "hand", Pose(hand_p, quat_identity()))
+    return row
+
+
+def trace_of(rows) -> Trace:
+    data = np.array([[r[c] for c in COLUMNS] for r in rows], dtype=float)
+    return Trace(data.reshape(len(rows), len(COLUMNS)), COLUMNS)
 
 
 # -- alignment metric ------------------------------------------------------
@@ -72,20 +84,20 @@ def rec(t, ee_p, hand_p, alpha=0.0, force=(0.0, 0.0, 0.0)):
 
 def test_alignment_constant_deviation_against_explicit_reference():
     recs = [rec(0.1 * i, [0.05, 0, 0], [0, 0, 0]) for i in range(11)]
-    out = alignment_metric(recs, reference=np.zeros(3))
+    out = alignment_metric(trace_of(recs), reference=np.zeros(3))
     assert out == pytest.approx(0.05, abs=1e-15)
 
 
 def test_alignment_linear_ramp_default_reference():
     # rel grows linearly 0 -> 0.1; trapezoid is exact on a linear integrand
     recs = [rec(t, [0.1 * t, 0, 0], [0, 0, 0]) for t in np.linspace(0, 1, 21)]
-    assert alignment_metric(recs) == pytest.approx(0.05, abs=1e-12)
+    assert alignment_metric(trace_of(recs)) == pytest.approx(0.05, abs=1e-12)
 
 
 def test_alignment_attachment_offsets_shift_the_arrangement():
     recs = [rec(0.0, [0.3, 0, 0], [0, 0.2, 0]), rec(1.0, [0.3, 0, 0], [0, 0.2, 0])]
     off = ([0.0, 0.0, 0.1], [0.0, 0.1, 0.0])
-    out = alignment_metric(recs, attachment_offsets=off, reference=np.zeros(3))
+    out = alignment_metric(trace_of(recs), attachment_offsets=off, reference=np.zeros(3))
     expected = np.linalg.norm([0.3, -0.3, 0.1])
     assert out == pytest.approx(expected, rel=1e-12)
 
@@ -95,28 +107,28 @@ def test_alignment_offsets_match_per_record_transform():
     # attachment offsets from a right one.
     rng = np.random.default_rng(31)
     t = np.sort(rng.uniform(0, 3, 60))
-    recs = [
-        dataclasses.replace(
-            rec(ti, rng.normal(size=3), rng.normal(size=3)),
-            ee_pose=Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))),
-            hand_pose=Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))),
-        )
-        for ti in t
-    ]
+    recs = []
+    for ti in t:
+        row = rec(ti, rng.normal(size=3), rng.normal(size=3))
+        set_pose(row, "ee", Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))))
+        set_pose(row, "hand", Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))))
+        recs.append(row)
     off = ([0.05, -0.1, 0.2], [-0.15, 0.03, 0.07])
     t_start, t_end = 0.5, 2.5
-    sel = [r for r in recs if t_start <= r.t <= t_end]
+    sel = [r for r in recs if t_start <= r["t"] <= t_end]
     rel = [
-        r.ee_pose.transform_point(off[0]) - r.hand_pose.transform_point(off[1])
+        pose_of(r, "ee").transform_point(off[0]) - pose_of(r, "hand").transform_point(off[1])
         for r in sel
     ]
     dev = [float(np.linalg.norm(x - rel[0])) for x in rel]
     area = sum(
-        0.5 * (b.t - a.t) * (da + db)
+        0.5 * (b["t"] - a["t"]) * (da + db)
         for a, b, da, db in zip(sel, sel[1:], dev, dev[1:])
     )
-    expected = area / (sel[-1].t - sel[0].t)
-    out = alignment_metric(recs, attachment_offsets=off, t_start=t_start, t_end=t_end)
+    expected = area / (sel[-1]["t"] - sel[0]["t"])
+    out = alignment_metric(
+        trace_of(recs), attachment_offsets=off, t_start=t_start, t_end=t_end
+    )
     assert out == pytest.approx(expected, rel=1e-12)
 
 
@@ -128,31 +140,31 @@ def test_alignment_time_reversal_invariance():
     fwd = [rec(ti, ri, [0, 0, 0]) for ti, ri in zip(t, rels)]
     t_rev = t[-1] - t[::-1]
     rev = [rec(ti, ri, [0, 0, 0]) for ti, ri in zip(t_rev, rels[::-1])]
-    a = alignment_metric(fwd, reference=ref)
-    b = alignment_metric(rev, reference=ref)
+    a = alignment_metric(trace_of(fwd), reference=ref)
+    b = alignment_metric(trace_of(rev), reference=ref)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_alignment_window_selection():
     recs = [rec(t, [0.1 * t, 0, 0], [0, 0, 0]) for t in np.linspace(0, 1, 101)]
     # restricted to the second half the ramp still averages its own midpoint
-    out = alignment_metric(recs, reference=np.zeros(3), t_start=0.5, t_end=1.0)
+    out = alignment_metric(trace_of(recs), reference=np.zeros(3), t_start=0.5, t_end=1.0)
     assert out == pytest.approx(0.075, abs=1e-12)
 
 
 def test_alignment_needs_two_samples():
     with pytest.raises(ValueError, match="at least two samples"):
-        alignment_metric([])
+        alignment_metric(trace_of([]))
     with pytest.raises(ValueError, match="at least two samples"):
-        alignment_metric([rec(0.0, [0, 0, 0], [0, 0, 0])])
+        alignment_metric(trace_of([rec(0.0, [0, 0, 0], [0, 0, 0])]))
     recs = [rec(0.0, [0, 0, 0], [0, 0, 0]), rec(1.0, [0, 0, 0], [0, 0, 0])]
     with pytest.raises(ValueError, match="at least two samples"):
-        alignment_metric(recs, t_start=0.5, t_end=0.9)
+        alignment_metric(trace_of(recs), t_start=0.5, t_end=0.9)
 
 
 def test_alignment_zero_span():
     recs = [rec(1.0, [0.2, 0, 0], [0, 0, 0]), rec(1.0, [0.4, 0, 0], [0, 0, 0])]
-    assert alignment_metric(recs) == 0.0
+    assert alignment_metric(trace_of(recs)) == 0.0
 
 
 # -- interval stats --------------------------------------------------------
@@ -160,7 +172,7 @@ def test_alignment_zero_span():
 
 def test_interval_stats_constant():
     recs = [rec(0.01 * i, [0, 0, 0], [0, 0, 0], alpha=0.6, force=[3, 4, 0]) for i in range(100)]
-    mean_a, mean_f = interval_stats(recs, [(0.0, 1.0)])
+    mean_a, mean_f = interval_stats(trace_of(recs), [(0.0, 1.0)])
     assert mean_a == [pytest.approx(0.6)]
     assert mean_f == [pytest.approx(5.0)]
 
@@ -170,7 +182,7 @@ def test_interval_stats_half_open_split():
         rec(0.1 * i, [0, 0, 0], [0, 0, 0], alpha=0.0 if 0.1 * i < 0.5 else 1.0)
         for i in range(10)
     ]
-    mean_a, _ = interval_stats(recs, [(0.0, 0.5), (0.5, 1.0)])
+    mean_a, _ = interval_stats(trace_of(recs), [(0.0, 0.5), (0.5, 1.0)])
     assert mean_a[0] == 0.0
     assert mean_a[1] == 1.0
 
@@ -182,7 +194,7 @@ def test_interval_stats_matches_streaming_oracle():
     forces = rng.normal(size=(400, 3))
     recs = [rec(ti, [0, 0, 0], [0, 0, 0], alpha=a, force=f) for ti, a, f in zip(t, alphas, forces)]
     intervals = [(1.0, 3.0), (2.5, 7.0), (8.0, 10.0)]
-    mean_a, mean_f = interval_stats(recs, intervals)
+    mean_a, mean_f = interval_stats(trace_of(recs), intervals)
     for (lo, hi), got_a, got_f in zip(intervals, mean_a, mean_f):
         acc_a = acc_f = 0.0
         n = 0
@@ -197,10 +209,10 @@ def test_interval_stats_matches_streaming_oracle():
 
 
 def test_interval_stats_empty_interval_raises():
-    recs = [rec(0.1 * i, [0, 0, 0], [0, 0, 0]) for i in range(10)]
+    trace = trace_of([rec(0.1 * i, [0, 0, 0], [0, 0, 0]) for i in range(10)])
     with pytest.raises(ValueError, match="contains no samples"):
-        interval_stats(recs, [(5.0, 6.0)])
-    assert interval_stats(recs, []) == ([], [])
+        interval_stats(trace, [(5.0, 6.0)])
+    assert interval_stats(trace, []) == ([], [])
 
 
 # -- closed loop -----------------------------------------------------------
@@ -209,14 +221,14 @@ def test_interval_stats_empty_interval_raises():
 def test_hold_script_is_a_fixed_point(tmp_path):
     cfg = make_config(tmp_path)
     sim = Simulation(cfg)
-    records, metrics = sim.run()
-    assert len(records) == 1000
+    trace, metrics = sim.run()
+    assert len(trace) == 1000
     q0 = np.array(RIGID_Q0)
-    for r in records:
-        np.testing.assert_array_equal(r.q, q0)
-        np.testing.assert_array_equal(r.force, np.zeros(3))
-        assert r.alpha == 0.0 and r.zeta == 0
-        np.testing.assert_array_equal(r.ee_pose.position, sim.ee0.position)
+    n = len(trace)
+    np.testing.assert_array_equal(trace[[f"q{i}" for i in range(9)]], np.tile(q0, (n, 1)))
+    np.testing.assert_array_equal(trace[["fx", "fy", "fz"]], np.zeros((n, 3)))
+    assert (trace["alpha"] == 0.0).all() and (trace["zeta"] == 0).all()
+    np.testing.assert_array_equal(trace[EE_P], np.tile(sim.ee0.position, (n, 1)))
     assert metrics.completed  # no waypoints declared
     assert math.isnan(metrics.t_c)
     assert metrics.mean_alpha == 0.0
@@ -245,8 +257,8 @@ def test_timestep_refinement_first_order(tmp_path):
             script=[{"hold": 0.1}, {"translate": [0.3, 0, 0], "duration": 1.0}, {"hold": 0.1}],
             human={"velocity_deadband": 0.0},
         )
-        records, _ = run_scenario(cfg)
-        finals.append(records[-1].ee_pose.position.copy())
+        trace, _ = run_scenario(cfg)
+        finals.append(trace[EE_P][-1].copy())
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
     assert e1 > 1e-8  # the refinement must actually move the answer
@@ -331,13 +343,44 @@ def test_early_stop_degrades_unreached_intervals(tmp_path):
         waypoints=[{"offset": [0.1, 0, 0], "tolerance": 0.03}],
         intervals=[[0.2, 0.9], [4.0, 4.5]],
     )
-    records, metrics = run_scenario(cfg)
+    trace, metrics = run_scenario(cfg)
     assert metrics.completed
-    assert len(records) < int(round(cfg.duration / cfg.dt))  # stopped early
-    assert records[-1].t == metrics.waypoint_times[-1]
+    assert len(trace) < int(round(cfg.duration / cfg.dt))  # stopped early
+    assert trace["t"][-1] == metrics.waypoint_times[-1]
     assert math.isfinite(metrics.interval_alpha[0])
     assert math.isnan(metrics.interval_alpha[1])
     assert math.isnan(metrics.interval_force[1])
+
+
+def test_trace_memory_per_tick():
+    # A row of 49 float64 is 392 B; per-tick snapshot objects cost several
+    # times that.
+    sim = Simulation(load_scenario(scenario_path("rigid_rod")))
+    for _ in range(500):  # past the adaptive index's window fill-up
+        sim.step()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            sim.step()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sim.trace) == 2500
+    assert retained / 2000 < 1024
+
+
+def test_trace_handed_out_is_a_snapshot(tmp_path):
+    sim = Simulation(make_config(tmp_path, duration=0.01))
+    trace, _ = sim.run()
+    before = trace.data.copy()
+    sim.step()
+    assert len(trace) == 10
+    assert len(sim.trace) == 11
+    np.testing.assert_array_equal(trace.data, before)
+    np.testing.assert_array_equal(sim.trace.data[:10], before)
 
 
 def test_step_failure_is_wrapped(tmp_path):
@@ -351,51 +394,68 @@ def test_step_failure_is_wrapped(tmp_path):
 # -- trace and metrics files ----------------------------------------------
 
 
-def random_records(n, seed=5):
+def random_trace(n, seed=5):
     rng = np.random.default_rng(seed)
-    out = []
+    rows = []
     for i in range(n):
-        r = TraceRecord(
-            t=0.001 * (i + 1),
-            q=rng.normal(size=9),
-            ee_pose=Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))),
-            ee_twist=Twist(rng.normal(size=3), rng.normal(size=3)),
-            force=rng.normal(size=3),
-            v_adm=rng.normal(size=3),
-            v_h=rng.normal(size=3),
-            alpha=rng.uniform(),
-            zeta=int(rng.integers(0, 2)),
-            x_d=Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))),
-            hand_pose=Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))),
-            torso_yaw=rng.normal(),
-        )
-        out.append(r)
-    return out
+        # drawn field by field in column order
+        rows.append([
+            0.001 * (i + 1),
+            *rng.normal(size=9),
+            *rng.normal(size=3), *quat_normalize(rng.normal(size=4)),
+            *rng.normal(size=3), *rng.normal(size=3),
+            *rng.normal(size=3),
+            *rng.normal(size=3),
+            *rng.normal(size=3),
+            rng.uniform(),
+            float(rng.integers(0, 2)),
+            *rng.normal(size=3), *quat_normalize(rng.normal(size=4)),
+            *rng.normal(size=3), *quat_normalize(rng.normal(size=4)),
+            rng.normal(),
+        ])
+    return Trace(np.array(rows), COLUMNS)
 
 
 def test_trace_round_trip(tmp_path):
-    records = random_records(7)
+    trace = random_trace(7)
     path = str(tmp_path / "trace.csv")
-    write_trace(path, records, n_joints=9)
+    write_trace(path, trace)
     cols = read_trace(path)
     names = trace_columns(9)
-    assert list(cols.keys()) == names
+    assert cols.columns == names
     assert len(names) == 49
-    table = np.array([r.row() for r in records])
-    for i, name in enumerate(names):
-        np.testing.assert_array_equal(cols[name], table[:, i])
+    for name in names:
+        np.testing.assert_array_equal(cols[name], trace[name])
+
+
+def test_trace_column_blocks():
+    trace = random_trace(5)
+    assert trace[EE_P].shape == (5, 3)
+    np.testing.assert_array_equal(trace[EE_P][:, 2], trace["ee_pz"])
+    np.testing.assert_array_equal(trace[["fz", "fx"]][:, 0], trace["fz"])
+    np.testing.assert_array_equal(trace[["fz", "fx"]][:, 1], trace["fx"])
+
+
+def test_run_trace_equals_its_file_bitwise(tmp_path):
+    path = str(tmp_path / "smoke.csv")
+    cfg = load_scenario(scenario_path("smoke"), overrides={"trace_path": path})
+    trace, _ = run_scenario(cfg)
+    loaded = read_trace(path)
+    assert loaded.columns == trace.columns
+    assert loaded.data.shape == trace.data.shape == (1200, 49)
+    assert loaded.data.tobytes() == trace.data.tobytes()
 
 
 def test_trace_single_row_keeps_2d_shape(tmp_path):
     path = str(tmp_path / "one.csv")
-    write_trace(path, random_records(1), n_joints=9)
+    write_trace(path, random_trace(1))
     cols = read_trace(path)
     assert cols["t"].shape == (1,)
 
 
 def test_trace_write_failure(tmp_path):
     with pytest.raises(SimulationError, match="cannot write trace"):
-        write_trace(str(tmp_path / "no_dir" / "t.csv"), random_records(1), 9)
+        write_trace(str(tmp_path / "no_dir" / "t.csv"), random_trace(1))
 
 
 def test_metrics_file_format(tmp_path):
