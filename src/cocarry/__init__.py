@@ -27,22 +27,16 @@ from .human import (
     HumanParams,
     HumanState,
     MotionScript,
-    ReplayHuman,
     SimulatedHuman,
     TorsoYaw,
     Translate,
-    load_trace,
-    save_trace,
 )
 from .kinematics import (
     ArmJoint,
-    JointState,
     KinematicModel,
     damping_factor,
     default_model,
     forward_kinematics,
-    manipulability,
-    whole_body_jacobian,
 )
 from .objects import ObjectModel, elastic_energy, object_wrench, preset, presets
 from .scenario import ConfigError, ScenarioConfig, Waypoint, load_scenario, scenario_path

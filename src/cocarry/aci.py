@@ -67,8 +67,9 @@ class AciParams:
     min_rotation_duration: float = 2.0
 
     def __post_init__(self):
-        if self.window_length <= 0.0:
-            raise ValueError("window_length must be positive")
+        for name in ("window_length", "epsilon", "rotation_rate"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.lower_angle < self.upper_angle:
             raise ValueError("angle thresholds must satisfy 0 < lower < upper")
 
@@ -281,40 +282,25 @@ class CubicTrajectory:
 
 
 class ReferenceGenerator:
-    """Integrates the commanded EE reference from the blended velocity streams.
+    """Integrates the commanded EE reference from the controller's twist.
 
     The emitted twist is the rotation-trajectory twist while a rotation is
-    active (zeta = 1) and the translational blend otherwise; the reference
+    active (zeta = 1) and the translational command otherwise; the reference
     pose is its running integral, started at the initial EE pose.
     """
 
-    def __init__(self, initial_pose: Pose, mode: Mode = Mode.ACI):
-        self.mode = mode
+    def __init__(self, initial_pose: Pose):
         self.x_d = initial_pose.copy()
 
     def step(
-        self,
-        zeta: int,
-        xdot_rot: Twist | None,
-        v_adm: np.ndarray,
-        v_h: np.ndarray,
-        alpha: float,
-        dt: float,
+        self, zeta: int, xdot_rot: Twist | None, v_trans: np.ndarray, dt: float
     ) -> tuple[Pose, Twist]:
-        if self.mode is Mode.ADMITTANCE:
-            v_trans = np.asarray(v_adm, dtype=float)
-            zeta = 0
-        elif self.mode is Mode.TELEOP:
-            v_trans = np.asarray(v_h, dtype=float)
-            zeta = 0
-        else:
-            v_trans = object_translation(v_adm, v_h, alpha)
         if zeta and xdot_rot is not None:
-            xdot_d = Twist(xdot_rot.linear.copy(), xdot_rot.angular.copy())
+            xdot_d = xdot_rot
         else:
             xdot_d = Twist(v_trans, np.zeros(3))
         self.x_d = integrate_pose(self.x_d, xdot_d, dt)
-        return self.x_d.copy(), xdot_d
+        return self.x_d, xdot_d
 
 
 @dataclass
@@ -332,9 +318,9 @@ class AciOutput:
 class AciController:
     """Composes admittance, adaptive blending, and rotation handling per tick.
 
-    The rotation unit is active only in full ACI mode; the admittance-only and
-    teleoperation variants run the same pipeline with the blend pinned by the
-    mode and zeta forced to zero.
+    The mode picks the translational command once per tick: the admittance
+    velocity, the hand velocity, or (full ACI) their blend.  The rotation unit
+    is active only in full ACI mode; the other variants keep zeta at zero.
     """
 
     def __init__(
@@ -351,7 +337,7 @@ class AciController:
         self.mode = mode
         self.index = AdaptiveIndex(params, alpha0=alpha0)
         self.detector = IntentionDetector(params)
-        self.reference = ReferenceGenerator(initial_ee_pose, mode)
+        self.reference = ReferenceGenerator(initial_ee_pose)
         self.ee_in_torso = initial_torso_pose.inverse().compose(initial_ee_pose)
         self.v_adm = np.zeros(3)
         self.trajectory: CubicTrajectory | None = None
@@ -361,6 +347,12 @@ class AciController:
         self.v_adm = admittance_step(force, self.v_adm, dt, self.admittance)
         v_h = human.hand_twist.linear
         alpha = self.index.update(t, self.v_adm, v_h)
+        if self.mode is Mode.ADMITTANCE:
+            v_trans = self.v_adm
+        elif self.mode is Mode.TELEOP:
+            v_trans = v_h
+        else:
+            v_trans = object_translation(self.v_adm, v_h, alpha)
 
         zeta = 0
         xdot_rot = None
@@ -391,11 +383,5 @@ class AciController:
                     zeta = 1
                     _, xdot_rot = self.trajectory.sample(t)
 
-        x_d, xdot_d = self.reference.step(zeta, xdot_rot, self.v_adm, v_h, alpha, dt)
-        if self.mode is Mode.ADMITTANCE:
-            v_trans = self.v_adm.copy()
-        elif self.mode is Mode.TELEOP:
-            v_trans = np.array(v_h, dtype=float)
-        else:
-            v_trans = object_translation(self.v_adm, v_h, alpha)
-        return AciOutput(x_d, xdot_d, self.v_adm.copy(), v_trans, alpha, zeta)
+        x_d, xdot_d = self.reference.step(zeta, xdot_rot, v_trans, dt)
+        return AciOutput(x_d, xdot_d, self.v_adm, v_trans, alpha, zeta)

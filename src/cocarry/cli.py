@@ -8,8 +8,6 @@ import argparse
 import math
 import sys
 
-import yaml
-
 from .aci import Mode
 from .objects import presets
 from .scenario import ConfigError, load_scenario

@@ -221,7 +221,7 @@ class Pose:
         return cls(v[:3], quat_normalize(v[3:7]))
 
     @classmethod
-    def from_xyz_rpy(cls, xyz, rpy=(0.0, 0.0, 0.0)) -> "Pose":
+    def from_xyz_rpy(cls, xyz=(0.0, 0.0, 0.0), rpy=(0.0, 0.0, 0.0)) -> "Pose":
         roll, pitch, yaw = rpy
         q = quat_multiply(
             quat_from_yaw(yaw),

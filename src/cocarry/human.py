@@ -1,4 +1,4 @@
-"""Scripted human partner: impedance-held hand, kinematic torso yaw, trace I/O.
+"""Scripted human partner: impedance-held hand, kinematic torso yaw.
 
 The hand follows a scripted target through a mass-spring-damper law and feels
 the object reaction force, so it yields realistically when the coupling loads
@@ -17,27 +17,6 @@ import numpy as np
 
 from .geometry import Pose, Twist, _norm, quat_from_yaw
 
-TRACE_COLUMNS = [
-    "t",
-    "hand_px",
-    "hand_py",
-    "hand_pz",
-    "hand_qw",
-    "hand_qx",
-    "hand_qy",
-    "hand_qz",
-    "hand_vx",
-    "hand_vy",
-    "hand_vz",
-    "torso_yaw",
-    "torso_yaw_rate",
-    "hand_yaw",
-]
-
-
-class TraceError(ValueError):
-    pass
-
 
 @dataclass
 class HumanParams:
@@ -53,6 +32,8 @@ class HumanParams:
             raise ValueError("hand mass must be positive")
         if self.hand_stiffness < 0.0 or self.hand_damping < 0.0:
             raise ValueError("hand stiffness and damping must be non-negative")
+        if self.yaw_filter_cutoff <= 0.0:
+            raise ValueError("yaw filter cutoff must be positive")
 
 
 @dataclass
@@ -275,87 +256,3 @@ class SimulatedHuman:
             theta_h_t=theta_h - theta_t,
             thetadot_t_w=self._torso_rate_filt,
         )
-
-
-class ReplayHuman:
-    """Replays a recorded measurement stream instead of simulating dynamics.
-
-    The recorded schema carries no torso position, so a fixed torso location
-    must be supplied for rotation geometry.
-    """
-
-    def __init__(self, samples, torso_position):
-        if not samples:
-            raise TraceError("cannot replay an empty trace")
-        self.samples = samples
-        self.torso_position = np.asarray(torso_position, dtype=float).reshape(3)
-        self._i = 0
-
-    def step(self, force_on_hand, dt: float) -> HumanState:
-        row = self.samples[min(self._i, len(self.samples) - 1)]
-        self._i += 1
-        _, hand_pose, hand_vel, torso_yaw, torso_rate, hand_yaw = row
-        return HumanState(
-            hand_pose=hand_pose,
-            hand_twist=Twist(hand_vel, np.zeros(3)),
-            torso_pose=Pose(self.torso_position, quat_from_yaw(torso_yaw)),
-            theta_h_w=hand_yaw,
-            theta_t_w=torso_yaw,
-            theta_h_t=hand_yaw - torso_yaw,
-            thetadot_t_w=torso_rate,
-        )
-
-
-def save_trace(path, rows):
-    """Write measurement rows as delimited text with a header.
-
-    Each row is (t, hand Pose, hand velocity (3,), torso_yaw, torso_yaw_rate,
-    hand_yaw), matching TRACE_COLUMNS.
-    """
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for t, pose, vel, tyaw, trate, hyaw in rows:
-            values = [t, *pose.position, *pose.orientation, *vel, tyaw, trate, hyaw]
-            fh.write(",".join(format(v, ".17g") for v in values) + "\n")
-
-
-def load_trace(path):
-    """Parse a recorded measurement file back into replayable rows.
-
-    Rejects malformed rows (with their line number) and non-monotonic
-    timestamps; an empty file yields an empty list.
-    """
-    rows = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    start = 0
-    if lines and not _is_number(lines[0].split(",")[0]):
-        start = 1  # header row
-    prev_t = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(TRACE_COLUMNS):
-            raise TraceError(
-                f"line {lineno}: expected {len(TRACE_COLUMNS)} fields, got {len(parts)}"
-            )
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError:
-            raise TraceError(f"line {lineno}: non-numeric field") from None
-        t = vals[0]
-        if prev_t is not None and t <= prev_t:
-            raise TraceError(f"line {lineno}: non-monotonic timestamp {t}")
-        prev_t = t
-        pose = Pose(vals[1:4], vals[4:8])
-        rows.append((t, pose, np.array(vals[8:11]), vals[11], vals[12], vals[13]))
-    return rows
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False

@@ -71,23 +71,6 @@ class KinematicModel:
         return BASE_DOFS + len(self.arm)
 
 
-@dataclass
-class JointState:
-    """Generalized position and last commanded velocity, base joints first."""
-
-    q: np.ndarray
-    qdot: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(-1)
-        if self.qdot is None:
-            self.qdot = np.zeros_like(self.q)
-        else:
-            self.qdot = np.asarray(self.qdot, dtype=float).reshape(-1)
-            if self.qdot.shape != self.q.shape:
-                raise KinematicsError("q and qdot must have matching shapes")
-
-
 def _check_q(model: KinematicModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != model.n_joints:
@@ -148,7 +131,12 @@ class ChainState:
 
 
 def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
-    """Evaluate pose, whole-body Jacobian, and manipulability in one pass."""
+    """Evaluate pose, whole-body Jacobian, and manipulability in one pass.
+
+    The Jacobian is 6 x m and maps qdot to the world-frame EE twist.  The
+    manipulability w = sqrt(det(Ja Ja^T)) uses only the arm columns Ja, so it
+    depends on the arm configuration, not on where the base happens to be.
+    """
     q = _check_q(model, q)
     origins, axes, R_ee, p_ee = _chain(model, q)
     ex, ey, ez = p_ee
@@ -188,25 +176,6 @@ def forward_kinematics(model: KinematicModel, q: np.ndarray) -> Pose:
     return Pose(np.array(p_ee), quat_from_matrix(R_ee))
 
 
-def whole_body_jacobian(model: KinematicModel, q: np.ndarray) -> np.ndarray:
-    """6 x m geometric Jacobian mapping qdot to the world-frame EE twist."""
-    return chain_state(model, q).jacobian
-
-
-def arm_jacobian(model: KinematicModel, q: np.ndarray) -> np.ndarray:
-    """Arm-only columns of the whole-body Jacobian (6 x n_arm)."""
-    return whole_body_jacobian(model, q)[:, BASE_DOFS:]
-
-
-def manipulability(model: KinematicModel, q: np.ndarray) -> float:
-    """w = sqrt(det(Ja Ja^T)) of the arm-only Jacobian.
-
-    Base columns are excluded so the measure depends only on the arm
-    configuration, not on where the base happens to be.
-    """
-    return chain_state(model, q).manipulability
-
-
 def damping_factor(w: float, model: KinematicModel) -> float:
     """Singularity-avoidance damping: zero above the manipulability threshold,
     rising quadratically to k_max as w falls to zero."""
@@ -216,8 +185,9 @@ def damping_factor(w: float, model: KinematicModel) -> float:
     return model.k_max * ratio * ratio
 
 
-def default_model(w_threshold: float = 0.05, k_max: float = 0.1) -> KinematicModel:
-    """Six-axis arm with UR16e-like link offsets on a planar base."""
+def default_model(**limits) -> KinematicModel:
+    """Six-axis arm with UR16e-like link offsets on a planar base; `limits`
+    (w_threshold, k_max) go to the KinematicModel."""
     arm = [
         ArmJoint(axis=[0.0, 0.0, 1.0], offset=Pose([0.20, 0.0, 0.681])),
         ArmJoint(axis=[0.0, 1.0, 0.0], offset=Pose([0.0, 0.176, 0.0])),
@@ -229,6 +199,5 @@ def default_model(w_threshold: float = 0.05, k_max: float = 0.1) -> KinematicMod
     return KinematicModel(
         arm=arm,
         ee_offset=Pose([0.0, 0.0, 0.0925]),
-        w_threshold=w_threshold,
-        k_max=k_max,
+        **limits,
     )

@@ -29,11 +29,11 @@ class ObjectModel:
     tension does not engage.
     """
 
-    rest_vector: np.ndarray
-    axial_stiffness_tension: float
-    axial_stiffness_compression: float
-    lateral_stiffness: float
-    damping: float
+    rest_vector: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    axial_stiffness_tension: float = 0.0
+    axial_stiffness_compression: float = 0.0
+    lateral_stiffness: float = 0.0
+    damping: float = 0.0
     slack_length: float = 0.0
     ref_yaw: float = 0.0
     label: str = ""
@@ -129,16 +129,13 @@ def elastic_energy(model: ObjectModel, hand_pose: Pose, ee_pose: Pose) -> float:
 
 _PRESETS = {
     "rigid_rod": ObjectModel(
-        rest_vector=np.zeros(3),
         axial_stiffness_tension=1e4,
         axial_stiffness_compression=1e4,
         lateral_stiffness=1e4,
         damping=50.0,
-        slack_length=0.0,
         label="rigid_rod",
     ),
     "slack_rope": ObjectModel(
-        rest_vector=np.zeros(3),
         axial_stiffness_tension=1e4,
         axial_stiffness_compression=0.0,
         lateral_stiffness=0.0,
@@ -147,21 +144,17 @@ _PRESETS = {
         label="slack_rope",
     ),
     "peanut_bag": ObjectModel(
-        rest_vector=np.zeros(3),
         axial_stiffness_tension=5e3,
         axial_stiffness_compression=300.0,
         lateral_stiffness=150.0,
         damping=20.0,
-        slack_length=0.0,
         label="peanut_bag",
     ),
     "wrapped_manikin": ObjectModel(
-        rest_vector=np.zeros(3),
         axial_stiffness_tension=5e3,
         axial_stiffness_compression=300.0,
         lateral_stiffness=150.0,
         damping=60.0,
-        slack_length=0.0,
         label="wrapped_manikin",
     ),
 }

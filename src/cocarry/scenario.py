@@ -1,12 +1,16 @@
-"""Scenario configuration: parsing, validation, and component construction.
+"""Scenario configuration: one schema that both validates and builds.
 
-A scenario file is a YAML document mirroring ScenarioConfig.  Validation
-aggregates every problem it can find instead of stopping at the first, so a
-bad file is reported in one pass.
+A scenario file is a YAML document mirroring ScenarioConfig.  Each key is
+declared once (end of module) with its type or shape, its range rule and the
+argument it fills.  An absent or null key leaves the dataclass default; an
+undeclared key is an error.  One pass collects every problem, including what
+the built objects' own checks raise, or returns the ScenarioConfig.
 """
 
 import importlib.resources
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -14,9 +18,9 @@ import yaml
 from .aci import AciParams, AdmittanceParams, Mode
 from .geometry import Pose
 from .human import HandYaw, Hold, HumanParams, MotionScript, TorsoYaw, Translate
-from .kinematics import ArmJoint, KinematicModel, KinematicsError, default_model
-from .objects import ObjectModel, preset
-from .wbc import WbcParams
+from .kinematics import ArmJoint, KinematicModel, default_model
+from .objects import ObjectModel, presets
+from .wbc import WbcError, WbcParams
 
 
 class ConfigError(ValueError):
@@ -32,14 +36,14 @@ class Waypoint:
         self.offset = np.asarray(self.offset, dtype=float).reshape(3)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
     """Everything a run needs; field names match the YAML schema."""
 
-    name: str
+    name: str = "scenario"
     model: KinematicModel
-    q0: np.ndarray
-    mode: Mode
+    q0: np.ndarray | None = None  # None: every joint at zero
+    mode: Mode = Mode.ACI
     wbc: WbcParams
     admittance: AdmittanceParams
     aci: AciParams
@@ -59,11 +63,14 @@ class ScenarioConfig:
     trace_path: str | None = None
     metrics_path: str | None = None
 
+    def __post_init__(self):
+        if self.q0 is None:
+            self.q0 = np.zeros(self.model.n_joints)
+
 
 def scenario_path(name: str) -> str:
     """Filesystem path of a packaged scenario file (without the .yaml suffix)."""
-    res = importlib.resources.files("cocarry") / "scenarios" / f"{name}.yaml"
-    return str(res)
+    return str(importlib.resources.files("cocarry") / "scenarios" / f"{name}.yaml")
 
 
 def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
@@ -79,301 +86,293 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     if overrides:
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-    errors = validate_config(raw)
+    config, errors = _read(raw)
     if errors:
         raise ConfigError(
             f"invalid scenario {path}:\n" + "\n".join(f"  - {e}" for e in errors)
         )
-    return _build_config(raw)
+    return config
 
 
 def validate_config(raw: dict) -> list:
     """Collect human-readable diagnostics; empty list means the config is good."""
-    errors = []
+    return _read(raw)[1]
 
-    def _num(key, default=None, positive=False, non_negative=False):
-        val = raw.get(key, default)
-        if val is None:
-            errors.append(f"missing required field '{key}'")
-            return None
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            errors.append(f"field '{key}' must be a number, got {val!r}")
-            return None
-        if positive and val <= 0:
-            errors.append(f"field '{key}' must be positive, got {val}")
-        if non_negative and val < 0:
-            errors.append(f"field '{key}' must be non-negative, got {val}")
-        return val
 
-    _num("dt", default=1e-3, positive=True)
-    _num("duration", positive=True)
+def _read(raw: dict) -> tuple:
+    """The one pass: (ScenarioConfig, []) or (None, every problem found)."""
+    top = {}
+    try:
+        return ScenarioConfig(**_fields(raw, "", _SCENARIO, top, top)), []
+    except _Invalid as exc:
+        return None, list(exc.args)
 
-    mode = raw.get("mode", "aci")
-    if mode not in {m.value for m in Mode}:
-        errors.append(
-            f"unknown mode {mode!r}; expected one of {sorted(m.value for m in Mode)}"
-        )
 
-    obj = raw.get("object")
-    if obj is None:
-        errors.append("missing required field 'object'")
-    elif isinstance(obj, str):
-        try:
-            preset(obj)
-        except KeyError as exc:
-            errors.append(str(exc).strip('"'))
-    elif isinstance(obj, dict):
-        for key in (
-            "axial_stiffness_tension",
-            "axial_stiffness_compression",
-            "lateral_stiffness",
-            "damping",
-            "slack_length",
-        ):
-            if key in obj and (not isinstance(obj[key], (int, float)) or obj[key] < 0):
-                errors.append(f"object.{key} must be a non-negative number")
-        if "preset" in obj:
+class _Invalid(Exception):
+    """Problems under one key, one message each (none: reported elsewhere)."""
+
+
+class _Key(NamedTuple):
+    """How a key's value is read, the argument it fills (default: the key)
+    and what an absent key reads as (None: nothing, the default stays).  A
+    bare reader declares a key with neither."""
+
+    read: Callable  # (value, path, top) -> value; raises _Invalid
+    to: str | None = None
+    absent: object = None
+
+
+REQUIRED = object()  # as `absent`: a missing key is an error
+POSITIVE = ("positive", lambda v: v > 0)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+
+
+def _fields(raw, path: str, keys: dict, top: dict, out: dict) -> dict:
+    """Read a mapping of declared keys into `out` as {argument: value};
+    `top` holds the top-level arguments read so far (a key may need one)."""
+    if not isinstance(raw, dict):
+        raise _Invalid(f"field '{path}' must be a mapping, got {raw!r}")
+    errors = [f"unknown field '{_sub(path, k)}'" for k in raw if k not in keys]
+    for key, decl in keys.items():
+        read, to, absent = decl if isinstance(decl, _Key) else (decl, None, None)
+        val = absent if raw.get(key) is None else raw[key]
+        if val is REQUIRED:
+            errors.append(f"missing required field '{_sub(path, key)}'")
+        elif val is not None:
             try:
-                preset(obj["preset"])
-            except KeyError as exc:
-                errors.append(str(exc).strip('"'))
-    else:
-        errors.append("'object' must be a preset name or a mapping")
-
-    script = raw.get("script")
-    if not isinstance(script, list) or not script:
-        errors.append("'script' must be a non-empty list of segments")
-    else:
-        for i, seg in enumerate(script):
-            if not isinstance(seg, dict):
-                errors.append(f"script[{i}] must be a mapping")
-                continue
-            kinds = {"hold", "translate", "torso_yaw", "hand_yaw"} & seg.keys()
-            if len(kinds) != 1:
-                errors.append(
-                    f"script[{i}] must contain exactly one of hold/translate/"
-                    f"torso_yaw/hand_yaw"
-                )
-                continue
-            kind = kinds.pop()
-            if kind == "hold":
-                if not isinstance(seg["hold"], (int, float)) or seg["hold"] <= 0:
-                    errors.append(f"script[{i}].hold must be a positive duration")
-            else:
-                dur = seg.get("duration")
-                if not isinstance(dur, (int, float)) or dur <= 0:
-                    errors.append(f"script[{i}].duration must be positive")
-                if kind == "translate" and (
-                    not isinstance(seg["translate"], list)
-                    or len(seg["translate"]) != 3
-                ):
-                    errors.append(f"script[{i}].translate must be a 3-vector")
-
-    for i, wp in enumerate(raw.get("waypoints", []) or []):
-        if not isinstance(wp, dict) or "offset" not in wp:
-            errors.append(f"waypoints[{i}] must be a mapping with an 'offset'")
-            continue
-        if not isinstance(wp["offset"], list) or len(wp["offset"]) != 3:
-            errors.append(f"waypoints[{i}].offset must be a 3-vector")
-        tol = wp.get("tolerance", 0.02)
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            errors.append(f"waypoints[{i}].tolerance must be positive")
-
-    duration = raw.get("duration")
-    for i, iv in enumerate(raw.get("intervals", []) or []):
-        if not isinstance(iv, list) or len(iv) != 2:
-            errors.append(f"intervals[{i}] must be a [start, end] pair")
-            continue
-        lo, hi = iv
-        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))):
-            errors.append(f"intervals[{i}] entries must be numbers")
-        elif lo < 0 or hi <= lo:
-            errors.append(f"intervals[{i}] must satisfy 0 <= start < end")
-        elif isinstance(duration, (int, float)) and hi > duration:
-            errors.append(f"intervals[{i}] ends after the configured duration")
-
-    human = raw.get("human", {})
-    if isinstance(human, dict):
-        for key in ("mass", "stiffness", "damping"):
-            if key in human and (
-                not isinstance(human[key], (int, float)) or human[key] <= 0
-            ):
-                errors.append(f"human.{key} must be positive")
-    else:
-        errors.append("'human' must be a mapping")
-
-    adm = raw.get("admittance", {})
-    if isinstance(adm, dict):
-        for key in ("mass", "damping"):
-            val = adm.get(key)
-            if val is not None and (
-                not isinstance(val, list)
-                or len(val) != 3
-                or any(v <= 0 for v in val)
-            ):
-                errors.append(f"admittance.{key} must be a 3-vector of positives")
-    else:
-        errors.append("'admittance' must be a mapping")
-
-    if "hand0" not in raw:
-        errors.append("missing required field 'hand0' (initial hand position)")
-    if "torso0" not in raw:
-        errors.append("missing required field 'torso0' (initial torso position)")
-    return errors
+                out[to or key] = read(val, _sub(path, key), top)
+            except _Invalid as exc:
+                errors.extend(exc.args)
+    if errors:
+        raise _Invalid(*errors)
+    return out
 
 
-def _build_model(raw: dict) -> KinematicModel:
-    spec = raw.get("model")
-    if spec is None:
-        return default_model()
-    if isinstance(spec, dict) and "arm" in spec:
-        arm = [
-            ArmJoint(
-                axis=j["axis"],
-                offset=Pose.from_xyz_rpy(j.get("xyz", [0, 0, 0]), j.get("rpy", [0, 0, 0])),
-            )
-            for j in spec["arm"]
-        ]
-        ee = spec.get("ee_offset", {})
-        return KinematicModel(
-            arm=arm,
-            ee_offset=Pose.from_xyz_rpy(ee.get("xyz", [0, 0, 0]), ee.get("rpy", [0, 0, 0])),
-            w_threshold=spec.get("w_threshold", 0.05),
-            k_max=spec.get("k_max", 0.1),
-        )
-    kwargs = spec if isinstance(spec, dict) else {}
-    return default_model(
-        w_threshold=kwargs.get("w_threshold", 0.05), k_max=kwargs.get("k_max", 0.1)
-    )
+def _sub(path: str, key) -> str:
+    """The path of `key` under `path`: a.b, or a[i] for an entry of a list."""
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}".lstrip(".")
 
 
-def _build_object(raw: dict) -> ObjectModel:
-    obj = raw["object"]
-    if isinstance(obj, str):
-        return preset(obj)
-    base = preset(obj["preset"]) if "preset" in obj else ObjectModel(
-        rest_vector=np.zeros(3),
-        axial_stiffness_tension=0.0,
-        axial_stiffness_compression=0.0,
-        lateral_stiffness=0.0,
-        damping=0.0,
-    )
-    for key in (
-        "axial_stiffness_tension",
-        "axial_stiffness_compression",
-        "lateral_stiffness",
-        "damping",
-        "slack_length",
-        "label",
-    ):
-        if key in obj:
-            setattr(base, key, obj[key])
-    return base
-
-
-def _build_script(raw: dict, hand0, torso_yaw0, hand_yaw0) -> MotionScript:
-    segments = []
-    for seg in raw["script"]:
-        if "hold" in seg:
-            segments.append(Hold(float(seg["hold"])))
-        elif "translate" in seg:
-            segments.append(Translate(seg["translate"], float(seg["duration"])))
-        elif "torso_yaw" in seg:
-            segments.append(TorsoYaw(float(seg["torso_yaw"]), float(seg["duration"])))
-        elif "hand_yaw" in seg:
-            segments.append(HandYaw(float(seg["hand_yaw"]), float(seg["duration"])))
-    return MotionScript(segments, hand0, torso_yaw0=torso_yaw0, hand_yaw0=hand_yaw0)
-
-
-def _build_config(raw: dict) -> ScenarioConfig:
+def _build(path: str, make: Callable, *args, **kwargs):
+    """Construct one object; a problem its own checks raise names the key."""
     try:
-        model = _build_model(raw)
-    except (KinematicsError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
-    m = model.n_joints
-    q0 = np.asarray(raw.get("q0", np.zeros(m)), dtype=float)
-    if q0.shape != (m,):
-        raise ConfigError(f"q0 must have {m} entries, got {q0.shape[0]}")
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, WbcError) as exc:
+        raise _Invalid(f"{path}: {exc}") from None
 
-    wbc_raw = raw.get("wbc", {})
-    params = WbcParams.defaults(
-        model,
-        q_def=np.asarray(wbc_raw.get("q_def", q0), dtype=float),
-        base_lin_limit=wbc_raw.get("base_lin_limit", 1.0),
-        base_ang_limit=wbc_raw.get("base_ang_limit", 1.0),
-        arm_limit=wbc_raw.get("arm_limit", 1.5),
-    )
-    if "k_gain" in wbc_raw:
-        params.k_gain = np.asarray(wbc_raw["k_gain"], dtype=float)
-    if "w_task" in wbc_raw:
-        params.w_task = np.asarray(wbc_raw["w_task"], dtype=float)
-    if "posture_gain" in wbc_raw:
-        params.posture_gain = float(wbc_raw["posture_gain"])
 
-    adm_raw = raw.get("admittance", {})
-    admittance = AdmittanceParams(
-        mass=adm_raw.get("mass", [6.0, 6.0, 6.0]),
-        damping=adm_raw.get("damping", [30.0, 30.0, 30.0]),
-    )
+def _block(make: Callable, keys: dict) -> Callable:
+    """A mapping of declared keys, built into make(**arguments)."""
+    def read(val, path, top):
+        return _build(path, make, **_fields(val, path, keys, top, {}))
+    return read
 
-    aci_raw = raw.get("aci", {})
-    aci = AciParams(
-        window_length=aci_raw.get("window_length", 0.25),
-        epsilon=aci_raw.get("epsilon", 1e-4),
-        deadband=aci_raw.get("deadband", 1e-4),
-        lower_angle=aci_raw.get("lower_angle", 0.2),
-        upper_angle=aci_raw.get("upper_angle", 0.4),
-        velocity_threshold=aci_raw.get("velocity_threshold", 0.05),
-        rotation_rate=aci_raw.get("rotation_rate", 0.3),
-        min_rotation_duration=aci_raw.get("min_rotation_duration", 2.0),
-    )
 
-    human_raw = raw.get("human", {})
-    human = HumanParams(
-        hand_mass=human_raw.get("mass", 2.0),
-        hand_stiffness=human_raw.get("stiffness", 600.0),
-        hand_damping=human_raw.get("damping", 40.0),
-        velocity_deadband=human_raw.get("velocity_deadband", 0.02),
-        yaw_filter_cutoff=human_raw.get("yaw_filter_cutoff", 5.0),
-        noise=human_raw.get("noise", {}) or {},
-    )
+def _list(read_entry: Callable) -> Callable:
+    """A list, read as the mapping from each index to its entry."""
+    def read(val, path, top):
+        if not isinstance(val, list):
+            raise _Invalid(f"field '{path}' must be a list, got {val!r}")
+        keys = dict.fromkeys(range(len(val)), _Key(read_entry, absent=REQUIRED))
+        return list(_fields(dict(enumerate(val)), path, keys, top, {}).values())
+    return read
 
-    hand0 = np.asarray(raw["hand0"], dtype=float).reshape(3)
-    torso0 = np.asarray(raw["torso0"], dtype=float).reshape(3)
-    torso_yaw0 = float(raw.get("torso_yaw0", 0.0))
-    hand_yaw0 = raw.get("hand_yaw0")
-    script = _build_script(raw, hand0, torso_yaw0, hand_yaw0)
 
-    waypoints = [
-        Waypoint(wp["offset"], wp.get("tolerance", 0.02))
-        for wp in (raw.get("waypoints") or [])
-    ]
-    intervals = [tuple(iv) for iv in (raw.get("intervals") or [])]
+def _number(rule=None, whole=False) -> Callable:
+    def read(val, path, top):
+        kinds = int if whole else (int, float)
+        if not isinstance(val, kinds) or isinstance(val, bool):
+            what = "an integer" if whole else "a number"
+            raise _Invalid(f"field '{path}' must be {what}, got {val!r}")
+        if rule and not rule[1](val):
+            raise _Invalid(f"field '{path}' must be {rule[0]}, got {val}")
+        return val if whole else float(val)
+    return read
 
-    try:
-        return ScenarioConfig(
-            name=str(raw.get("name", "scenario")),
-            model=model,
-            q0=q0,
-            mode=Mode(raw.get("mode", "aci")),
-            wbc=params,
-            admittance=admittance,
-            aci=aci,
-            human=human,
-            object_model=_build_object(raw),
-            script=script,
-            hand0=hand0,
-            torso0=torso0,
-            torso_yaw0=torso_yaw0,
-            hand_yaw0=None if hand_yaw0 is None else float(hand_yaw0),
-            waypoints=waypoints,
-            intervals=intervals,
-            waypoint_speed=float(raw.get("waypoint_speed", 0.05)),
-            dt=float(raw.get("dt", 1e-3)),
-            duration=float(raw["duration"]),
-            seed=int(raw.get("seed", 0)),
-            trace_path=raw.get("trace_path"),
-            metrics_path=raw.get("metrics_path"),
-        )
-    except (KinematicsError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+
+def _vector(size, rule=None) -> Callable:
+    """A list of numbers; `size` is a count or "joints" (the model's)."""
+    entry = _number(rule)
+    def read(val, path, top):
+        n = size
+        if size == "joints":
+            if "model" not in top:
+                raise _Invalid()  # reported under 'model'
+            n = top["model"].n_joints
+        if not isinstance(val, list) or len(val) != n:
+            raise _Invalid(f"field '{path}' must be a {n}-vector, got {val!r}")
+        return np.array([entry(v, _sub(path, i), top) for i, v in enumerate(val)])
+    return read
+
+
+def _string(what: str = "", options: dict | None = None) -> Callable:
+    """A string; with `options`, one of their names, read as its value."""
+    def read(val, path, top):
+        if not isinstance(val, str):
+            raise _Invalid(f"field '{path}' must be a string, got {val!r}")
+        if options is None:
+            return val
+        if val not in options:
+            raise _Invalid(f"unknown {what} {val!r}; expected one of {sorted(options)}")
+        return options[val]
+    return read
+
+
+def _object(val, path, top):
+    if isinstance(val, str):  # a preset name alone
+        val = {"preset": val}
+    if not isinstance(val, dict):
+        raise _Invalid(f"field '{path}' must be a preset name or a mapping")
+    return _OBJECT(val, path, top)
+
+
+def _model(arm=None, **kwargs) -> KinematicModel:
+    """The block's own arm and tool offset, or else the default arm and tool."""
+    if arm is None and "ee_offset" in kwargs:
+        raise ValueError("ee_offset needs the arm it ends")
+    return default_model(**kwargs) if arm is None else KinematicModel(arm, **kwargs)
+
+
+def _wbc(val, path, top):
+    kwargs = _fields(val, path, _WBC, top, {})
+    if "model" not in top:
+        raise _Invalid()  # reported under 'model'
+    kwargs.setdefault("q_def", top.get("q0"))
+    return _build(path, WbcParams.defaults, top["model"], **kwargs)
+
+
+def _segment(val, path, top):
+    kinds = [k for k in _SEGMENTS if isinstance(val, dict) and val.get(k) is not None]
+    if len(kinds) != 1:
+        one_of = "/".join(_SEGMENTS)
+        raise _Invalid(f"{path} must be a mapping with exactly one of {one_of}")
+    return _SEGMENTS[kinds[0]](val, path, top)
+
+
+def _script(val, path, top):
+    segments = _list(_segment)(val, path, top)
+    if not segments:
+        raise _Invalid(f"field '{path}' must be a non-empty list of segments")
+    if "hand0" not in top:
+        raise _Invalid()  # reported under 'hand0'
+    start = {k: top[k] for k in ("torso_yaw0", "hand_yaw0") if k in top}
+    return _build(path, MotionScript, segments, top["hand0"], **start)
+
+
+def _interval(val, path, top):
+    lo, hi = _vector(2)(val, path, top).tolist()
+    if lo < 0 or hi <= lo:
+        raise _Invalid(f"{path} must satisfy 0 <= start < end")
+    if hi > top.get("duration", math.inf):
+        raise _Invalid(f"{path} ends after the configured duration")
+    return (lo, hi)
+
+
+# -- the schema: one declaration per YAML key -------------------------------
+
+_POSE = {"xyz": _vector(3), "rpy": _vector(3)}
+
+_JOINT = _block(
+    lambda axis, **xyz_rpy: ArmJoint(axis, Pose.from_xyz_rpy(**xyz_rpy)),
+    {"axis": _Key(_vector(3), absent=REQUIRED), **_POSE},
+)
+
+_MODEL = {
+    "arm": _list(_JOINT),
+    "ee_offset": _block(Pose.from_xyz_rpy, _POSE),
+    "w_threshold": _number(POSITIVE),
+    "k_max": _number(NON_NEGATIVE),
+}
+
+_WBC = {
+    "q_def": _vector("joints"),
+    "base_lin_limit": _number(POSITIVE),
+    "base_ang_limit": _number(POSITIVE),
+    "arm_limit": _number(POSITIVE),
+    "k_gain": _vector(6),
+    "w_task": _vector(6, POSITIVE),
+    "posture_gain": _number(),
+}
+
+_ADMITTANCE = {"mass": _vector(3, POSITIVE), "damping": _vector(3, POSITIVE)}
+
+_ACI = {
+    "window_length": _number(POSITIVE),
+    "epsilon": _number(POSITIVE),
+    "deadband": _number(),
+    "lower_angle": _number(),  # 0 < lower < upper: AciParams checks it
+    "upper_angle": _number(),
+    "velocity_threshold": _number(),
+    "rotation_rate": _number(POSITIVE),
+    "min_rotation_duration": _number(),
+}
+
+_NOISE = {  # standard deviation of each measured channel
+    channel: _number(NON_NEGATIVE)
+    for channel in ("hand_position", "hand_velocity", "torso_yaw", "hand_yaw")
+}
+
+_HUMAN = {
+    "mass": _Key(_number(POSITIVE), "hand_mass"),
+    "stiffness": _Key(_number(NON_NEGATIVE), "hand_stiffness"),
+    "damping": _Key(_number(NON_NEGATIVE), "hand_damping"),
+    "velocity_deadband": _number(),
+    "yaw_filter_cutoff": _number(POSITIVE),
+    "noise": _block(dict, _NOISE),
+}
+
+_OBJECT = _block(  # over a preset, or over ObjectModel's defaults
+    lambda base=None, **kwargs: replace(base or ObjectModel(), **kwargs),
+    {
+        "preset": _Key(_string("object preset", presets()), "base"),
+        "axial_stiffness_tension": _number(NON_NEGATIVE),
+        "axial_stiffness_compression": _number(NON_NEGATIVE),
+        "lateral_stiffness": _number(NON_NEGATIVE),
+        "damping": _number(NON_NEGATIVE),
+        "slack_length": _number(NON_NEGATIVE),
+        "label": _string(),
+    },
+)
+
+# A segment's kind is the key that holds its main value.
+_DURATION = _Key(_number(POSITIVE), "duration", REQUIRED)
+_TIMED = {"duration": _DURATION}
+_SEGMENTS = {
+    "hold": _block(Hold, {"hold": _DURATION}),
+    "translate": _block(Translate, {"translate": _Key(_vector(3), "offset"), **_TIMED}),
+    "torso_yaw": _block(TorsoYaw, {"torso_yaw": _Key(_number(), "target"), **_TIMED}),
+    "hand_yaw": _block(HandYaw, {"hand_yaw": _Key(_number(), "target"), **_TIMED}),
+}
+
+_WAYPOINT = {
+    "offset": _Key(_vector(3), absent=REQUIRED),
+    "tolerance": _number(POSITIVE),
+}
+
+# In reading order: `model` before the joint vectors, `duration` before
+# `intervals`, the start pose before `script`.  An absent parameter block
+# reads as an empty one, which builds its dataclass defaults.
+_SCENARIO = {
+    "name": _string(),
+    "mode": _string("mode", {m.value: m for m in Mode}),
+    "duration": _DURATION,
+    "dt": _number(POSITIVE),
+    "seed": _number(NON_NEGATIVE, whole=True),
+    "model": _Key(_block(_model, _MODEL), absent={}),
+    "q0": _vector("joints"),
+    "wbc": _Key(_wbc, absent={}),
+    "admittance": _Key(_block(AdmittanceParams, _ADMITTANCE), absent={}),
+    "aci": _Key(_block(AciParams, _ACI), absent={}),
+    "human": _Key(_block(HumanParams, _HUMAN), absent={}),
+    "object": _Key(_object, "object_model", REQUIRED),
+    "hand0": _Key(_vector(3), absent=REQUIRED),
+    "torso0": _Key(_vector(3), absent=REQUIRED),
+    "torso_yaw0": _number(),
+    "hand_yaw0": _number(),
+    "script": _Key(_script, absent=REQUIRED),
+    "waypoints": _list(_block(Waypoint, _WAYPOINT)),
+    "waypoint_speed": _number(POSITIVE),
+    "intervals": _list(_interval),
+    "trace_path": _string(),
+    "metrics_path": _string(),
+}

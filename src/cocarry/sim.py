@@ -9,6 +9,7 @@ The whole pipeline is deterministic: identical configuration and seed give
 bitwise-identical traces.
 """
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -97,10 +98,14 @@ def write_trace(path: str, trace: Trace):
 
 
 def read_trace(path: str) -> Trace:
-    """Load a trace file written by `write_trace`."""
+    """Load a trace file written by `write_trace`; a header-only file (from a
+    run shorter than half a tick) loads as a trace with no rows."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        first = fh.readline()
+        if not first:
+            return Trace(np.empty((0, len(header))), header)
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
     return Trace(data, header)
 
 

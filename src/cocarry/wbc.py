@@ -7,7 +7,7 @@ nullspace of the primary Jacobian so it cannot disturb tracking.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class WbcParams:
             raise WbcError("task and damping weights must be positive")
         if np.any(self.w_posture < 0.0):
             raise WbcError("posture weights must be non-negative")
+        if self.qdot_limits is not None and np.any(self.qdot_limits <= 0.0):
+            raise WbcError("velocity limits must be positive")
 
     @classmethod
     def defaults(
@@ -60,7 +62,10 @@ class WbcParams:
         base_lin_limit: float = 1.0,
         base_ang_limit: float = 1.0,
         arm_limit: float = 1.5,
+        **fields,
     ) -> "WbcParams":
+        """The standard gains and weights for `model`; keyword `fields`
+        (k_gain, w_task, posture_gain, ...) replace single entries."""
         m = model.n_joints
         if q_def is None:
             q_def = np.zeros(m)
@@ -68,15 +73,15 @@ class WbcParams:
             [base_lin_limit, base_lin_limit, base_ang_limit],
             np.full(model.n_arm, arm_limit),
         ])
-        return cls(
+        standard = dict(
             k_gain=np.array([1.0, 1.0, 1.0, 0.1, 0.1, 0.1]),
             w_task=100.0 * np.array([10.0, 10.0, 10.0, 5.0, 5.0, 5.0]),
             w_damp=np.full(m, 3.0),
             w_posture=np.concatenate([np.zeros(BASE_DOFS), np.ones(model.n_arm)]),
             q_def=np.asarray(q_def, dtype=float),
-            posture_gain=0.5,
             qdot_limits=limits,
         )
+        return cls(**{**standard, **fields})
 
 
 def tracking_objective(

@@ -474,42 +474,30 @@ def test_cubic_trajectory_clamps_outside_span():
 
 
 def test_reference_integrates_constant_velocity():
-    ref = ReferenceGenerator(Pose(), Mode.ACI)
+    ref = ReferenceGenerator(Pose())
     v = np.array([0.1, 0.0, 0.0])
     for _ in range(2000):
-        pose, twist = ref.step(0, None, v, np.zeros(3), 0.0, 1e-3)
+        pose, twist = ref.step(0, None, v, 1e-3)
     np.testing.assert_allclose(pose.position, [0.2, 0, 0], atol=1e-12)
     np.testing.assert_allclose(twist.as_vector(), [0.1, 0, 0, 0, 0, 0])
 
 
 def test_reference_rotation_branch_overrides_translation():
-    ref = ReferenceGenerator(Pose(), Mode.ACI)
+    ref = ReferenceGenerator(Pose())
     rot = Twist([0.0, 0.0, 0.0], [0.0, 0.0, 0.5])
-    _, twist = ref.step(1, rot, np.array([9.0, 9.0, 9.0]), np.zeros(3), 1.0, 1e-3)
+    _, twist = ref.step(1, rot, np.array([9.0, 9.0, 9.0]), 1e-3)
     np.testing.assert_allclose(twist.as_vector(), rot.as_vector())
-
-
-def test_reference_mode_pins_blend():
-    v_adm = np.array([0.1, 0, 0])
-    adm = ReferenceGenerator(Pose(), Mode.ADMITTANCE)
-    for v_h in ([0, 0, 0], [5, 5, 5]):  # hand input must be invisible
-        _, twist = adm.step(0, None, v_adm, np.array(v_h, dtype=float), 1.0, 1e-3)
-        np.testing.assert_allclose(twist.linear, v_adm)
-    tel = ReferenceGenerator(Pose(), Mode.TELEOP)
-    for va in ([0, 0, 0], [5, 5, 5]):  # force channel must be invisible
-        _, twist = tel.step(0, None, np.array(va, dtype=float), v_adm, 1.0, 1e-3)
-        np.testing.assert_allclose(twist.linear, v_adm)
 
 
 def test_reference_derivative_consistency():
     rng = np.random.default_rng(59)
-    ref = ReferenceGenerator(Pose(), Mode.ACI)
+    ref = ReferenceGenerator(Pose())
     dt = 1e-3
     prev = ref.x_d.copy()
     for _ in range(500):
         v_adm = rng.normal(scale=0.2, size=3)
         v_h = rng.normal(scale=0.2, size=3)
-        pose, twist = ref.step(0, None, v_adm, v_h, 0.5, dt)
+        pose, twist = ref.step(0, None, object_translation(v_adm, v_h, 0.5), dt)
         fd = (pose.position - prev.position) / dt
         np.testing.assert_allclose(fd, twist.linear, atol=1e-9)
         prev = pose.copy()
@@ -542,23 +530,36 @@ def make_controller(mode, ee=None, torso=None):
 
 def test_controller_mode_outputs():
     dt = 1e-3
-    force = np.array([12.0, 0, 0])
-    v_h = (0.0, 0.3, 0.0)
-    for mode in (Mode.ACI, Mode.ADMITTANCE, Mode.TELEOP):
+
+    def run(mode, force, v_h):
         ctrl = make_controller(mode)
         out = None
         t = 0.0
         for _ in range(300):
             t += dt
-            out = ctrl.step(t, force, human_sample(v=v_h), dt)
+            out = ctrl.step(t, np.array(force, dtype=float), human_sample(v=v_h), dt)
+        return out
+
+    force = (12.0, 0.0, 0.0)
+    v_h = (0.0, 0.3, 0.0)
+    for mode in (Mode.ACI, Mode.ADMITTANCE, Mode.TELEOP):
+        out = run(mode, force, v_h)
         if mode is Mode.ADMITTANCE:
             np.testing.assert_allclose(out.v_trans, out.v_adm)
+            # the hand channel is invisible
+            other = run(mode, force, (5.0, 5.0, 5.0))
+            np.testing.assert_allclose(other.xdot_d.linear, out.xdot_d.linear)
         elif mode is Mode.TELEOP:
             np.testing.assert_allclose(out.v_trans, v_h)
+            # the force channel is invisible
+            other = run(mode, (5.0, 5.0, 5.0), v_h)
+            np.testing.assert_allclose(other.xdot_d.linear, out.xdot_d.linear)
         else:
             np.testing.assert_allclose(
                 out.v_trans, out.v_adm + out.alpha * np.array(v_h)
             )
+        # the reference moves with the mode's translational command
+        np.testing.assert_allclose(out.xdot_d.linear, out.v_trans)
         assert out.zeta == 0
 
 
@@ -614,5 +615,9 @@ def test_controller_no_rotation_outside_aci_mode():
 def test_aci_params_validation():
     with pytest.raises(ValueError):
         AciParams(window_length=0.0)
+    with pytest.raises(ValueError):  # the index divides by it
+        AciParams(epsilon=0.0)
+    with pytest.raises(ValueError):  # the rotation duration divides by it
+        AciParams(rotation_rate=0.0)
     with pytest.raises(ValueError):
         AciParams(lower_angle=0.5, upper_angle=0.4)

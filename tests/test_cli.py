@@ -88,6 +88,16 @@ def test_validate_ok_and_invalid(tmp_path, capsys):
     assert "invalid scenario" in err
     assert "duration" in err
 
+    # a bad parameter block is a configuration error too, not a traceback
+    with open(SMOKE) as fh:
+        raw = yaml.safe_load(fh)
+    raw["aci"] = {"window_length": 0}
+    bad.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", "--scenario", str(bad)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario")
+    assert "aci.window_length" in err
+
 
 def test_presets_listing(capsys):
     assert cli.main(["presets"]) == cli.EXIT_OK

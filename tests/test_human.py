@@ -1,21 +1,16 @@
-"""Scripted partner: impedance hand, yaw channels, and trace replay."""
+"""Scripted partner: impedance hand and yaw channels."""
 
 import numpy as np
 import pytest
 
-from cocarry.geometry import Pose
 from cocarry.human import (
     HandYaw,
     Hold,
     HumanParams,
     MotionScript,
-    ReplayHuman,
     SimulatedHuman,
     TorsoYaw,
-    TraceError,
     Translate,
-    load_trace,
-    save_trace,
 )
 
 DT = 1e-3
@@ -191,91 +186,11 @@ def test_params_validation():
         HumanParams(hand_mass=0.0)
     with pytest.raises(ValueError):
         HumanParams(hand_damping=-1.0)
+    with pytest.raises(ValueError):
+        HumanParams(yaw_filter_cutoff=0.0)
 
 
 def test_rejects_non_finite_force():
     human = make_human([Hold(1.0)])
     with pytest.raises(ValueError):
         human.step(np.array([np.inf, 0, 0]), DT)
-
-
-# -- trace I/O ------------------------------------------------------------
-
-
-def sample_rows(n=50):
-    rng = np.random.default_rng(65)
-    rows = []
-    for i in range(n):
-        pose = Pose(rng.normal(size=3), [1.0, 0.0, 0.0, 0.0])
-        rows.append(
-            (
-                0.01 * (i + 1),
-                pose,
-                rng.normal(size=3),
-                rng.normal(),
-                rng.normal(),
-                rng.normal(),
-            )
-        )
-    return rows
-
-
-def test_trace_round_trip(tmp_path):
-    path = tmp_path / "hand.csv"
-    rows = sample_rows()
-    save_trace(path, rows)
-    back = load_trace(path)
-    assert len(back) == len(rows)
-    for orig, got in zip(rows, back):
-        assert got[0] == pytest.approx(orig[0], abs=1e-9)
-        np.testing.assert_allclose(got[1].position, orig[1].position, atol=1e-9)
-        np.testing.assert_allclose(got[2], orig[2], atol=1e-9)
-        assert got[3] == pytest.approx(orig[3], abs=1e-9)
-
-
-def test_trace_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    assert load_trace(path) == []
-    save_trace(tmp_path / "header_only.csv", [])
-    assert load_trace(tmp_path / "header_only.csv") == []
-
-
-def test_trace_rejects_non_monotonic(tmp_path):
-    path = tmp_path / "bad.csv"
-    rows = sample_rows(3)
-    rows[2] = (rows[1][0],) + rows[2][1:]  # duplicate timestamp
-    save_trace(path, rows)
-    with pytest.raises(TraceError, match="non-monotonic"):
-        load_trace(path)
-
-
-def test_trace_rejects_malformed_rows(tmp_path):
-    path = tmp_path / "short.csv"
-    save_trace(path, sample_rows(2))
-    with open(path, "a") as fh:
-        fh.write("1,2,3\n")
-    with pytest.raises(TraceError, match="line 4"):
-        load_trace(path)
-    path2 = tmp_path / "text.csv"
-    save_trace(path2, sample_rows(1))
-    with open(path2, "a") as fh:
-        fh.write(",".join(["x"] * 14) + "\n")
-    with pytest.raises(TraceError, match="line 3"):
-        load_trace(path2)
-
-
-def test_replay_returns_recorded_stream(tmp_path):
-    path = tmp_path / "rec.csv"
-    rows = sample_rows(10)
-    save_trace(path, rows)
-    replay = ReplayHuman(load_trace(path), torso_position=[1.5, 0, 1.0])
-    for orig in rows:
-        state = replay.step(np.zeros(3), DT)
-        np.testing.assert_allclose(state.hand_pose.position, orig[1].position, atol=1e-9)
-        assert state.theta_t_w == pytest.approx(orig[3], abs=1e-9)
-    # past the end the last sample repeats
-    state = replay.step(np.zeros(3), DT)
-    np.testing.assert_allclose(state.hand_pose.position, rows[-1][1].position, atol=1e-9)
-    with pytest.raises(TraceError):
-        ReplayHuman([], torso_position=[0, 0, 0])

@@ -12,16 +12,12 @@ from cocarry.geometry import Pose, quat_conjugate, quat_multiply, quat_to_rotvec
 from cocarry.kinematics import (
     BASE_DOFS,
     ArmJoint,
-    JointState,
     KinematicModel,
     KinematicsError,
-    arm_jacobian,
     chain_state,
     damping_factor,
     default_model,
     forward_kinematics,
-    manipulability,
-    whole_body_jacobian,
 )
 
 HOME = np.array([0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0])
@@ -92,7 +88,7 @@ def test_jacobian_base_columns():
     model = default_model()
     rng = np.random.default_rng(32)
     for _ in range(20):
-        J = whole_body_jacobian(model, random_q(rng, model))
+        J = chain_state(model, random_q(rng, model)).jacobian
         np.testing.assert_allclose(J[:, 0], [1, 0, 0, 0, 0, 0], atol=1e-15)
         np.testing.assert_allclose(J[:, 1], [0, 1, 0, 0, 0, 0], atol=1e-15)
         np.testing.assert_allclose(J[3:, 2], [0, 0, 1], atol=1e-15)
@@ -104,7 +100,7 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(30):
         q = random_q(rng, model)
-        J = whole_body_jacobian(model, q)
+        J = chain_state(model, q).jacobian
         for j in range(model.n_joints):
             dq = np.zeros(model.n_joints)
             dq[j] = h
@@ -122,7 +118,7 @@ def test_jacobian_fk_consistency_is_second_order():
     model = default_model()
     rng = np.random.default_rng(34)
     q = HOME.copy()
-    J = whole_body_jacobian(model, q)
+    J = chain_state(model, q).jacobian
     base = forward_kinematics(model, q)
     dq = rng.normal(size=model.n_joints)
     dq *= 1e-4 / np.linalg.norm(dq)
@@ -133,7 +129,7 @@ def test_jacobian_fk_consistency_is_second_order():
 
 def test_zero_qdot_zero_twist():
     model = default_model()
-    J = whole_body_jacobian(model, HOME)
+    J = chain_state(model, HOME).jacobian
     np.testing.assert_allclose(J @ np.zeros(model.n_joints), np.zeros(6))
 
 
@@ -146,11 +142,6 @@ def test_chain_state_consistent_with_pieces():
         pose = forward_kinematics(model, q)
         np.testing.assert_allclose(st.pose.position, pose.position)
         np.testing.assert_allclose(st.pose.orientation, pose.orientation)
-        np.testing.assert_allclose(st.jacobian, whole_body_jacobian(model, q))
-        assert st.manipulability == manipulability(model, q)
-        np.testing.assert_allclose(
-            arm_jacobian(model, q), st.jacobian[:, BASE_DOFS:]
-        )
 
 
 def test_manipulability_base_invariant():
@@ -158,19 +149,19 @@ def test_manipulability_base_invariant():
     rng = np.random.default_rng(36)
     for _ in range(50):
         q = random_q(rng, model)
-        w0 = manipulability(model, q)
+        w0 = chain_state(model, q).manipulability
         q2 = q.copy()
         q2[:3] = rng.uniform([-5, -5, -np.pi], [5, 5, np.pi])
-        assert abs(manipulability(model, q2) - w0) < 1e-9
+        assert abs(chain_state(model, q2).manipulability - w0) < 1e-9
 
 
 def test_manipulability_home_and_singular():
     model = default_model()
-    assert manipulability(model, HOME) == pytest.approx(0.146, abs=5e-3)
+    assert chain_state(model, HOME).manipulability == pytest.approx(0.146, abs=5e-3)
     # fully stretched arm is rank deficient
-    assert manipulability(model, np.zeros(model.n_joints)) < 1e-9
+    assert chain_state(model, np.zeros(model.n_joints)).manipulability < 1e-9
     rng = np.random.default_rng(37)
-    assert manipulability(model, random_q(rng, model)) >= 0.0
+    assert chain_state(model, random_q(rng, model)).manipulability >= 0.0
 
 
 def test_damping_factor_schedule():
@@ -193,7 +184,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(KinematicsError):
         forward_kinematics(model, np.zeros(5))
     with pytest.raises(KinematicsError):
-        whole_body_jacobian(model, np.zeros(model.n_joints + 1))
+        chain_state(model, np.zeros(model.n_joints + 1))
 
 
 def test_model_validation():
@@ -203,13 +194,6 @@ def test_model_validation():
         KinematicModel(arm=[ArmJoint(axis=[0, 0, 1.0]) for _ in range(3)])
     with pytest.raises(KinematicsError):
         default_model(w_threshold=0.0)
-
-
-def test_joint_state_carrier():
-    st = JointState(q=np.zeros(9))
-    assert st.qdot.shape == (9,)
-    with pytest.raises(KinematicsError):
-        JointState(q=np.zeros(9), qdot=np.zeros(8))
 
 
 def test_non_identity_offset_rotation():

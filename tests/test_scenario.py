@@ -1,5 +1,7 @@
 """Scenario parsing, validation aggregation, and overrides."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -47,6 +49,8 @@ def test_good_config_builds(tmp_path):
 
 def test_validation_passes_good_config():
     assert validate_config(dict(GOOD)) == []
+    # a hand without stiffness or damping is valid, as HumanParams allows
+    assert validate_config({**GOOD, "human": {"stiffness": 0, "damping": 0}}) == []
 
 
 @pytest.mark.parametrize(
@@ -73,14 +77,30 @@ def test_validation_passes_good_config():
         ({"human": {"mass": 0}}, "human.mass"),
         ({"admittance": {"mass": [1, 1]}}, "admittance.mass"),
         ({"admittance": {"damping": [1, 1, 0]}}, "admittance.damping"),
+        ({"aci": {"window_length": 0}}, "aci.window_length"),
+        ({"aci": {"lower_angle": 0.5, "upper_angle": 0.4}}, "0 < lower < upper"),
+        ({"aci": "x"}, "'aci' must be a mapping"),
+        ({"wbc": {"w_task": [0, 0, 0, 0, 0, 0]}}, "wbc.w_task"),
+        ({"wbc": {"k_gain": [1.0, 1.0]}}, "wbc.k_gain"),
+        ({"wbc": {"arm_limit": -1}}, "wbc.arm_limit"),
+        ({"human": {"yaw_filter_cutoff": 0}}, "human.yaw_filter_cutoff"),
+        ({"human": {"noise": {"hand_position": "loud"}}}, "human.noise.hand_position"),
+        ({"waypoint_speed": -1}, "waypoint_speed"),
+        ({"duraton": 2.0}, "unknown field 'duraton'"),
+        ({"aci": {"window_lenght": 1.0}}, "unknown field 'aci.window_lenght'"),
+        ({"aci": {"epsilon": 0}}, "aci.epsilon"),
+        ({"aci": {"rotation_rate": 0}}, "aci.rotation_rate"),
     ],
 )
-def test_validation_flags_each_problem(patch, needle):
+def test_validation_flags_each_problem(patch, needle, tmp_path):
     raw = dict(GOOD)
     raw.update(patch)
     raw = {k: v for k, v in raw.items() if v is not None}
     errors = validate_config(raw)
     assert any(needle in e for e in errors), errors
+    # the same pass refuses the file at load time
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        load_scenario(write(tmp_path, raw))
 
 
 def test_validation_aggregates_multiple_errors():

@@ -453,6 +453,25 @@ def test_trace_single_row_keeps_2d_shape(tmp_path):
     assert cols["t"].shape == (1,)
 
 
+def test_header_only_trace_reads_back_empty(tmp_path):
+    # a run shorter than half a tick records no row: its file is the header
+    path = str(tmp_path / "short.csv")
+    cfg = load_scenario(
+        scenario_path("smoke"),
+        overrides={"duration": 0.0004, "intervals": [], "trace_path": path},
+    )
+    trace, _ = run_scenario(cfg)
+    loaded = read_trace(path)
+    assert len(trace) == len(loaded) == 0
+    assert loaded.columns == trace.columns
+    assert loaded.data.shape == (0, 49)
+    # a malformed file still raises
+    with open(path, "a") as fh:
+        fh.write("1,2,3\n")
+    with pytest.raises(ValueError):
+        read_trace(path)
+
+
 def test_trace_write_failure(tmp_path):
     with pytest.raises(SimulationError, match="cannot write trace"):
         write_trace(str(tmp_path / "no_dir" / "t.csv"), random_trace(1))

@@ -10,7 +10,7 @@ import pytest
 
 from cocarry import wbc
 from cocarry.geometry import Pose, Twist, pose_error, quat_from_yaw, quat_multiply, quat_normalize
-from cocarry.kinematics import chain_state, damping_factor, default_model, manipulability
+from cocarry.kinematics import chain_state, damping_factor, default_model
 
 HOME = np.array([0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0])
 
@@ -64,6 +64,10 @@ def test_params_validation():
             w_posture=-np.ones(9),
             q_def=np.zeros(9),
         )
+    with pytest.raises(wbc.WbcError):
+        wbc.WbcParams.defaults(default_model(), arm_limit=-1.0)
+    with pytest.raises(wbc.WbcError):  # an override is checked too
+        wbc.WbcParams.defaults(default_model(), w_task=np.zeros(6))
 
 
 def test_solve_tracking_matches_stacked_oracle():
@@ -223,7 +227,7 @@ def test_posture_drifts_without_disturbing_tracking():
     q_def = HOME + np.concatenate([np.zeros(3), [0.4, -0.3, 0.2, 0.3, -0.2, 0.4]])
     params = default_params(model, q_def=q_def)
     st = chain_state(model, q)
-    assert manipulability(model, q) > model.w_threshold  # so k = 0
+    assert chain_state(model, q).manipulability > model.w_threshold  # so k = 0
     x_d = st.pose
     out = wbc.compute(model, q, x_d, Twist(), params)
     prim = wbc.solve_primary(model, q, x_d, Twist(), params)
