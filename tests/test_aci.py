@@ -528,32 +528,39 @@ def make_controller(mode, ee=None, torso=None):
     )
 
 
+def run_controller(mode, force, v_h, ticks=300, dt=1e-3):
+    ctrl = make_controller(mode)
+    out = None
+    t = 0.0
+    for _ in range(ticks):
+        t += dt
+        out = ctrl.step(t, np.array(force, dtype=float), human_sample(v=v_h), dt)
+    return out
+
+
+def test_reference_mode_pins_blend():
+    force = (12.0, 0.0, 0.0)
+    v_h = (0.0, 0.3, 0.0)
+    adm = run_controller(Mode.ADMITTANCE, force, v_h)
+    for other_v_h in ((0.0, 0.0, 0.0), (5.0, 5.0, 5.0)):  # hand input must be invisible
+        other = run_controller(Mode.ADMITTANCE, force, other_v_h)
+        np.testing.assert_allclose(other.xdot_d.linear, adm.xdot_d.linear)
+    tel = run_controller(Mode.TELEOP, force, v_h)
+    for other_force in ((0.0, 0.0, 0.0), (5.0, 5.0, 5.0)):  # force channel must be invisible
+        other = run_controller(Mode.TELEOP, other_force, v_h)
+        np.testing.assert_allclose(other.xdot_d.linear, tel.xdot_d.linear)
+        np.testing.assert_allclose(other.xdot_d.linear, v_h)
+
+
 def test_controller_mode_outputs():
-    dt = 1e-3
-
-    def run(mode, force, v_h):
-        ctrl = make_controller(mode)
-        out = None
-        t = 0.0
-        for _ in range(300):
-            t += dt
-            out = ctrl.step(t, np.array(force, dtype=float), human_sample(v=v_h), dt)
-        return out
-
     force = (12.0, 0.0, 0.0)
     v_h = (0.0, 0.3, 0.0)
     for mode in (Mode.ACI, Mode.ADMITTANCE, Mode.TELEOP):
-        out = run(mode, force, v_h)
+        out = run_controller(mode, force, v_h)
         if mode is Mode.ADMITTANCE:
             np.testing.assert_allclose(out.v_trans, out.v_adm)
-            # the hand channel is invisible
-            other = run(mode, force, (5.0, 5.0, 5.0))
-            np.testing.assert_allclose(other.xdot_d.linear, out.xdot_d.linear)
         elif mode is Mode.TELEOP:
             np.testing.assert_allclose(out.v_trans, v_h)
-            # the force channel is invisible
-            other = run(mode, (5.0, 5.0, 5.0), v_h)
-            np.testing.assert_allclose(other.xdot_d.linear, out.xdot_d.linear)
         else:
             np.testing.assert_allclose(
                 out.v_trans, out.v_adm + out.alpha * np.array(v_h)
