@@ -51,6 +51,6 @@ from .sim import (
     run_scenario,
     write_trace,
 )
-from .wbc import WbcParams, compute, nullspace_projector, solve_primary, solve_secondary
+from .wbc import WbcParams, compute, solve_secondary
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
-"""Dense float64 solve, inverse and determinant for the per-tick hot path.
+"""Dense float64 solve and determinant for the per-tick hot path.
 
-`numpy.linalg.solve`, `inv` and `det` spend most of a call on a 6x6 matrix
+`numpy.linalg.solve` and `det` spend most of a call on a 6x6 matrix
 in argument checks and type dispatch before they reach LAPACK.  These call
 the same LAPACK gufuncs with the same signatures under the same
 floating-point error state, so their results are bitwise identical and a
@@ -30,12 +30,6 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a x = b, as `numpy.linalg.solve(a, b)` for a 1-D b."""
     with _singular_raises():
         return _umath_linalg.solve1(a, b, signature="dd->d")
-
-
-def inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of a, as `numpy.linalg.inv(a)`."""
-    with _singular_raises():
-        return _umath_linalg.inv(a, signature="d->d")
 
 
 def det(a: np.ndarray) -> float:

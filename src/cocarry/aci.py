@@ -330,12 +330,11 @@ class AciController:
         mode: Mode,
         initial_ee_pose: Pose,
         initial_torso_pose: Pose,
-        alpha0: float = 0.0,
     ):
         self.params = params
         self.admittance = admittance
         self.mode = mode
-        self.index = AdaptiveIndex(params, alpha0=alpha0)
+        self.index = AdaptiveIndex(params)
         self.detector = IntentionDetector(params)
         self.reference = ReferenceGenerator(initial_ee_pose)
         self.ee_in_torso = initial_torso_pose.inverse().compose(initial_ee_pose)

@@ -160,18 +160,6 @@ def rotz(yaw: float) -> np.ndarray:
     return np.array([c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
 
 
-def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation matrix about a unit axis (Rodrigues formula)."""
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
-    C = 1.0 - c
-    return np.array([
-        [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
-        [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
-        [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
-    ])
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi]."""
     return float(np.pi - np.mod(np.pi - a, 2.0 * np.pi))

@@ -188,6 +188,8 @@ class SimulatedHuman:
         self.script = script
         self.torso_position0 = np.asarray(torso_position, dtype=float).reshape(3)
         self.rng = np.random.default_rng(seed)
+        # Time is the step count times dt, never a running sum of dt.
+        self.steps = 0
         self.t = 0.0
         self.hand_position = script.hand0.copy()
         self.hand_velocity = np.zeros(3)
@@ -199,7 +201,8 @@ class SimulatedHuman:
         if not all(map(math.isfinite, f)):
             raise ValueError("non-finite force applied to the human hand")
         p = self.params
-        self.t += dt
+        self.steps += 1
+        self.t = self.steps * dt
         target = self.script.target(self.t)
 
         # Component-wise float arithmetic in the same order as the vector form.

@@ -160,7 +160,7 @@ class Simulation:
         self.config = config
         self.model = config.model
         self.dt = config.dt
-        self.t = 0.0
+        self.ticks = 0
         self.q = np.array(config.q0, dtype=float)
         self.qdot = np.zeros_like(self.q)
         self.human = SimulatedHuman(
@@ -184,6 +184,11 @@ class Simulation:
         self._rows = array("d")
         self.waypoint_times: list = []
         self._next_waypoint = 0
+
+    @property
+    def t(self) -> float:
+        """Simulated time: the tick count times dt, never a running sum of dt."""
+        return self.ticks * self.dt
 
     @property
     def trace(self) -> Trace:
@@ -217,7 +222,7 @@ class Simulation:
         )
         self.wrench_on_hand = on_hand.force
 
-        t_new = self.t + dt
+        t_new = (self.ticks + 1) * dt
         out = self.aci.step(t_new, on_ee.force, human_state, dt)
 
         qdot_d = _wbc.compute(
@@ -227,7 +232,7 @@ class Simulation:
         ee_twist = J.dot(qdot_d)
         self.q = self.q + qdot_d * dt
         self.qdot = qdot_d
-        self.t = t_new
+        self.ticks += 1
         self._chain = chain_state(self.model, self.q)
 
         # One row in `trace_columns` order, each vector copied in as bytes.

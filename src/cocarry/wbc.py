@@ -1,11 +1,17 @@
 """Hierarchical velocity-level whole-body control.
 
-The primary task tracks a 6-D end-effector reference; a secondary posture task
-keeps the arm near a default configuration and is projected through the damped
-nullspace of the primary Jacobian so it cannot disturb tracking.
+The primary task tracks a 6-D end-effector reference b; a secondary posture
+task s keeps the arm near a default configuration.  Both go through one
+weighted damped pseudoinverse of the task Jacobian,
+
+    J# = W2^-1 J^T (J W2^-1 J^T + k^2 W1^-1)^-1
+
+(Nakamura & Hanafusa 1986; Chiaverini 1997): the command is
+J# b + (I - J# J) s, so the posture task moves only in the damped nullspace of
+the primary task, and both use the same task weights W1, joint weights W2 and
+manipulability-scheduled damping factor k.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +25,6 @@ from .kinematics import (
     KinematicModel,
     chain_state,
     damping_factor,
-    forward_kinematics,
 )
 
 
@@ -85,22 +90,16 @@ class WbcParams:
 
 
 def tracking_objective(
-    model: KinematicModel,
-    q: np.ndarray,
-    x_d: Pose,
-    xdot_d: Twist,
-    params: WbcParams,
-    pose: Pose | None = None,
+    pose: Pose, x_d: Pose, xdot_d: Twist, params: WbcParams
 ) -> np.ndarray:
-    """Reference twist b = xdot_d + K * (x_d minus current pose)."""
-    x = forward_kinematics(model, q) if pose is None else pose
+    """Reference twist b = xdot_d + K * (x_d minus the current pose)."""
     return np.array(
         [
             v + k * e
             for v, k, e in zip(
                 xdot_d.linear.tolist() + xdot_d.angular.tolist(),
                 params.k_gain.tolist(),
-                pose_error(x_d, x).tolist(),
+                pose_error(x_d, pose).tolist(),
             )
         ]
     )
@@ -109,17 +108,19 @@ def tracking_objective(
 def solve_tracking(
     J: np.ndarray, b: np.ndarray, k: float, w_task: np.ndarray, w_damp: np.ndarray
 ) -> np.ndarray:
-    """Minimize ||b - J qdot||^2_W1 + k^2 ||qdot||^2_W2 for diagonal weights.
+    """J# b: the qdot minimizing ||b - J qdot||^2_W1 + k^2 ||qdot||^2_W2.
 
-    With k > 0 the regularized normal equations have a unique solution.  With
-    k = 0 the task is solved exactly through the row space, which requires J to
-    have full row rank; the minimum-norm solution is returned.
+    W1 = diag(w_task) and W2 = diag(w_damp).  One task-space system
+    (J W2^-1 J^T + k^2 W1^-1) y = b is solved and W2^-1 J^T y returned.  This
+    is the minimizer for every k >= 0, and its k -> 0 limit is the
+    W2-weighted minimum-norm exact solution, so the command does not jump
+    when damping switches off.  With k = 0 the system is singular unless J
+    has full row rank.
     """
+    JW = J / w_damp
+    G = JW.dot(J.T)
     if k > 0.0:
-        JtW = J.T * w_task
-        A = JtW.dot(J) + (k * k) * np.diag(w_damp)
-        return _linalg.solve(A, JtW.dot(b))
-    G = J.dot(J.T)
+        G += np.diag((k * k) / w_task)
     try:
         y = _linalg.solve(G, b)
     except np.linalg.LinAlgError as exc:
@@ -132,45 +133,7 @@ def solve_tracking(
         raise WbcError(
             "primary task is singular with zero damping; use a nonzero damping factor"
         )
-    return J.T.dot(y)
-
-
-def solve_primary(
-    model: KinematicModel,
-    q: np.ndarray,
-    x_d: Pose,
-    xdot_d: Twist,
-    params: WbcParams,
-    k: float | None = None,
-    chain: ChainState | None = None,
-) -> np.ndarray:
-    """Primary-task joint velocities for tracking the EE reference.
-
-    The damping factor is derived from the current arm manipulability unless
-    an explicit k is supplied.  A precomputed chain evaluation may be passed
-    to avoid redundant kinematics.
-    """
-    if chain is None:
-        chain = chain_state(model, q)
-    if k is None:
-        k = damping_factor(chain.manipulability, model)
-    b = tracking_objective(model, q, x_d, xdot_d, params, pose=chain.pose)
-    return solve_tracking(chain.jacobian, b, k, params.w_task, params.w_damp)
-
-
-def nullspace_projector(J: np.ndarray, k: float) -> np.ndarray:
-    """N = I - J# J with the damped pseudoinverse J# = J^T (J J^T + k^2 I)^-1."""
-    G = J.dot(J.T) + (k * k) * _identity(J.shape[0])
-    J_pinv = J.T.dot(_linalg.inv(G))
-    return _identity(J.shape[1]) - J_pinv.dot(J)
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """Read-only n x n identity, built once per size."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+    return JW.T.dot(y)
 
 
 def solve_secondary(q: np.ndarray, params: WbcParams) -> np.ndarray:
@@ -186,15 +149,17 @@ def compute(
     params: WbcParams,
     chain: ChainState | None = None,
 ) -> np.ndarray:
-    """Full hierarchical command: primary tracking plus projected posture task."""
+    """Full hierarchical command J# b + (I - J# J) s for the posture velocity s.
+
+    It is formed as s + J# (b - J s), which needs one solve and no projector.
+    """
     if chain is None:
         chain = chain_state(model, q)
     k = damping_factor(chain.manipulability, model)
     J = chain.jacobian
-    b = tracking_objective(model, q, x_d, xdot_d, params, pose=chain.pose)
-    qdot1 = solve_tracking(J, b, k, params.w_task, params.w_damp)
-    N = nullspace_projector(J, k)
-    return qdot1 + N.dot(solve_secondary(q, params))
+    b = tracking_objective(chain.pose, x_d, xdot_d, params)
+    s = solve_secondary(q, params)
+    return s + solve_tracking(J, b - J.dot(s), k, params.w_task, params.w_damp)
 
 
 def clamp_velocities(qdot: np.ndarray, params: WbcParams) -> np.ndarray:

@@ -34,8 +34,8 @@ from cocarry.geometry import (
 from cocarry.kinematics import chain_state, default_model
 from cocarry.objects import ObjectModel, object_wrench
 from cocarry.scenario import load_scenario, scenario_path
-from cocarry.sim import run_scenario
-from cocarry.wbc import WbcParams, nullspace_projector, solve_primary
+from cocarry.sim import Simulation, run_scenario
+from cocarry.wbc import WbcParams, solve_tracking, tracking_objective
 
 EE_P = ["ee_px", "ee_py", "ee_pz"]
 EE_Q = ["ee_qw", "ee_qx", "ee_qy", "ee_qz"]
@@ -51,9 +51,10 @@ def verdict(n, checks):
 def _run(name, **overrides):
     cfg = load_scenario(scenario_path(name), overrides=overrides or None)
     start = time.perf_counter()
-    trace, metrics = run_scenario(cfg)
+    sim = Simulation(cfg)
+    trace, metrics = sim.run()
     wall = time.perf_counter() - start
-    return SimpleNamespace(cfg=cfg, trace=trace, metrics=metrics, wall=wall)
+    return SimpleNamespace(cfg=cfg, sim=sim, trace=trace, metrics=metrics, wall=wall)
 
 
 def initial_ee(cfg) -> Pose:
@@ -114,6 +115,15 @@ def test_criterion_01_rigid_regime(rigid_aci, rigid_teleop):
             (f"teleop runtime {rigid_teleop.wall:.1f}s < 10s", rigid_teleop.wall < 10.0),
         ],
     )
+
+
+def test_time_is_tick_count_times_dt(rigid_teleop):
+    # 24,000 additions of 1e-3 drift to 24.00000000000635; n * dt does not.
+    assert rigid_teleop.cfg.dt == 1e-3
+    assert len(rigid_teleop.trace) == 24000
+    assert rigid_teleop.sim.t == 24.0
+    assert rigid_teleop.sim.human.t == 24.0
+    assert rigid_teleop.trace["t"][-1] == 24.0
 
 
 def test_criterion_02_deformable_regime(rope_aci, rope_adm):
@@ -251,6 +261,16 @@ def stacked_oracle(J, b, k, w_task, w_damp):
     return sol
 
 
+def nullspace(J):
+    """N = I - J# J at k = 0 and unit weights, built column by column as
+    e_i + J# (-J e_i) through the controller's own solve."""
+    n = J.shape[1]
+    ones_task, ones_joint = np.ones(J.shape[0]), np.ones(n)
+    return np.column_stack(
+        [e + solve_tracking(J, -J @ e, 0.0, ones_task, ones_joint) for e in np.eye(n)]
+    )
+
+
 def test_criterion_07_wbc_oracle_equivalence():
     # Randomized whole-body instances: robot configurations with perturbed
     # pose references, mixed undamped and damped.  Draws whose stacked
@@ -281,7 +301,13 @@ def test_criterion_07_wbc_oracle_equivalence():
             quat_normalize(chain.pose.orientation + rng.normal(scale=0.1, size=4)),
         )
         xdot_d = Twist(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=3))
-        got = solve_primary(model, q, x_d, xdot_d, params, k=k)
+        got = solve_tracking(
+            chain.jacobian,
+            tracking_objective(chain.pose, x_d, xdot_d, params),
+            k,
+            params.w_task,
+            params.w_damp,
+        )
         b = xdot_d.as_vector() + params.k_gain * pose_error(x_d, chain.pose)
         want = stacked_oracle(chain.jacobian, b, k, params.w_task, params.w_damp)
         rel = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
@@ -295,7 +321,7 @@ def test_criterion_07_wbc_oracle_equivalence():
         J = rng.normal(size=(6, m))
         while np.linalg.cond(J) > 1e8:
             J = rng.normal(size=(6, m))
-        N = nullspace_projector(J, 0.0)
+        N = nullspace(J)
         v = rng.normal(size=m)
         if np.linalg.norm(J @ (N @ v)) >= 1e-9:
             bad_leak += 1

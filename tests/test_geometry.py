@@ -24,7 +24,6 @@ from cocarry.geometry import (
     quat_rotate,
     quat_to_matrix,
     quat_to_rotvec,
-    rotation_about,
     rotz,
     wrap_angle,
     yaw_from_quat,
@@ -133,19 +132,6 @@ def test_yaw_helpers():
         q = quat_from_yaw(yaw)
         assert abs(yaw_from_quat(q) - yaw) < 1e-12
         np.testing.assert_allclose(quat_to_matrix(q), rotz(yaw), atol=1e-12)
-
-
-def test_rotation_about_matches_scipy():
-    rng = np.random.default_rng(18)
-    for _ in range(100):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(-3.0, 3.0)
-        np.testing.assert_allclose(
-            rotation_about(axis, angle),
-            Rotation.from_rotvec(axis * angle).as_matrix(),
-            atol=1e-12,
-        )
 
 
 def test_wrap_angle():

@@ -73,15 +73,33 @@ def test_fk_pure_base_translation():
     np.testing.assert_allclose(p1 - p0, [1.0, 2.0, 0.0], atol=1e-15)
 
 
+def random_model(rng, n_arm):
+    """An arm of random unit joint axes behind random offset poses."""
+    arm = []
+    for _ in range(n_arm):
+        axis = rng.normal(size=3)
+        arm.append(
+            ArmJoint(
+                axis=axis / np.linalg.norm(axis),
+                offset=Pose.from_xyz_rpy(
+                    rng.uniform(-0.3, 0.3, size=3), rng.uniform(-np.pi, np.pi, size=3)
+                ),
+            )
+        )
+    return KinematicModel(arm=arm)
+
+
 def test_fk_matches_matrix_oracle():
-    model = default_model()
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        q = random_q(rng, model)
-        pose = forward_kinematics(model, q)
-        T = fk_oracle(model, q)
-        np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-12)
-        np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-12)
+    # The default arm, then a 7-joint arm whose joints turn about random
+    # unit axes: the inline Rodrigues matrices against scipy's.
+    for model in (default_model(), random_model(rng, 7)):
+        for _ in range(200):
+            q = random_q(rng, model)
+            pose = forward_kinematics(model, q)
+            T = fk_oracle(model, q)
+            np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-12)
+            np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-12)
 
 
 def test_jacobian_base_columns():

@@ -16,13 +16,31 @@ HOME = np.array([0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0])
 
 
 def stacked_oracle(J, b, k, w_task, w_damp):
-    """Weighted damped least squares via lstsq on the stacked system."""
+    """Weighted damped least squares via lstsq on the stacked system.
+
+    At k = 0 the damping rows vanish; the answer is then the k -> 0 limit of
+    the stacked problem, the W2-weighted minimum-norm solution
+    W2^-1/2 lstsq(sqrt(W1) J W2^-1/2, sqrt(W1) b).
+    """
     sq1 = np.sqrt(w_task)
     sq2 = np.sqrt(w_damp)
+    if k == 0.0:
+        sol, *_ = np.linalg.lstsq(sq1[:, None] * J / sq2, sq1 * b, rcond=None)
+        return sol / sq2
     A = np.vstack([sq1[:, None] * J, k * np.diag(sq2)])
     rhs = np.concatenate([sq1 * b, np.zeros(J.shape[1])])
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     return sol
+
+
+def nullspace(J):
+    """N = I - J# J at k = 0 and unit weights, built column by column as
+    e_i + J# (-J e_i) through the controller's own solve."""
+    n = J.shape[1]
+    ones_task, ones_joint = np.ones(J.shape[0]), np.ones(n)
+    return np.column_stack(
+        [e + wbc.solve_tracking(J, -J @ e, 0.0, ones_task, ones_joint) for e in np.eye(n)]
+    )
 
 
 def default_params(model, q_def=None):
@@ -117,6 +135,25 @@ def test_solve_tracking_exact_at_zero_damping():
         assert np.linalg.norm(J @ qdot - b) < 1e-9
 
 
+def test_solve_tracking_continuous_as_damping_vanishes():
+    # The damped minimizer approaches the undamped one like k^2, so the
+    # command does not jump when the damping factor switches off at the
+    # manipulability threshold.  The floor allows a few ulps of rounding.
+    model = default_model()
+    params = default_params(model)
+    J = chain_state(model, HOME).jacobian
+    b = np.random.default_rng(49).normal(size=6)
+
+    exact = wbc.solve_tracking(J, b, 0.0, params.w_task, params.w_damp)
+
+    def gap(k):
+        return np.linalg.norm(wbc.solve_tracking(J, b, k, params.w_task, params.w_damp) - exact)
+
+    rate = gap(1e-2) / 1e-4
+    for k in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        assert gap(k) <= 2.0 * rate * k * k + 1e-14, k
+
+
 def test_solve_tracking_singular_needs_damping():
     J = np.zeros((6, 9))
     J[0, 0] = 1.0  # rank 1
@@ -153,7 +190,13 @@ def test_solve_primary_full_pipeline_matches_oracle():
             ),
         )
         xdot_d = Twist(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3))
-        got = wbc.solve_primary(model, q, x_d, xdot_d, params)
+        got = wbc.solve_tracking(
+            st.jacobian,
+            wbc.tracking_objective(st.pose, x_d, xdot_d, params),
+            k,
+            params.w_task,
+            params.w_damp,
+        )
         b = xdot_d.as_vector() + params.k_gain * pose_error(x_d, st.pose)
         want = stacked_oracle(st.jacobian, b, k, params.w_task, params.w_damp)
         rel = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
@@ -167,7 +210,7 @@ def test_nullspace_projector_kills_task_motion():
         J = rng.normal(size=(6, 9))
         if np.linalg.cond(J @ J.T) > 1e8:
             continue
-        N = wbc.nullspace_projector(J, 0.0)
+        N = nullspace(J)
         v = rng.normal(size=9)
         assert np.linalg.norm(J @ (N @ v)) < 1e-9
 
@@ -176,14 +219,14 @@ def test_nullspace_projector_idempotent():
     rng = np.random.default_rng(46)
     for _ in range(100):
         J = rng.normal(size=(6, 9))
-        N = wbc.nullspace_projector(J, 0.0)
+        N = nullspace(J)
         np.testing.assert_allclose(N @ N, N, atol=1e-8)
 
 
 def test_nullspace_empty_for_square_jacobian():
     rng = np.random.default_rng(47)
     J = rng.normal(size=(6, 6))
-    N = wbc.nullspace_projector(J, 0.0)
+    N = nullspace(J)
     np.testing.assert_allclose(N, np.zeros((6, 6)), atol=1e-9)
 
 
@@ -208,6 +251,13 @@ def test_solve_secondary():
     np.testing.assert_allclose(wbc.solve_secondary(-e4, unit), e4)
 
 
+def primary(model, st, x_d, params):
+    """The primary-task command alone for a fixed reference pose."""
+    b = wbc.tracking_objective(st.pose, x_d, Twist(), params)
+    k = damping_factor(st.manipulability, model)
+    return wbc.solve_tracking(st.jacobian, b, k, params.w_task, params.w_damp)
+
+
 def test_compute_reduces_to_primary_without_posture_weight():
     model = default_model()
     params = default_params(model)
@@ -217,7 +267,7 @@ def test_compute_reduces_to_primary_without_posture_weight():
     st = chain_state(model, q)
     x_d = Pose(st.pose.position + [0.05, 0, 0], st.pose.orientation)
     out = wbc.compute(model, q, x_d, Twist(), params)
-    prim = wbc.solve_primary(model, q, x_d, Twist(), params)
+    prim = primary(model, st, x_d, params)
     np.testing.assert_allclose(out, prim, atol=1e-12)
 
 
@@ -230,7 +280,7 @@ def test_posture_drifts_without_disturbing_tracking():
     assert chain_state(model, q).manipulability > model.w_threshold  # so k = 0
     x_d = st.pose
     out = wbc.compute(model, q, x_d, Twist(), params)
-    prim = wbc.solve_primary(model, q, x_d, Twist(), params)
+    prim = primary(model, st, x_d, params)
     # secondary motion present and pointed toward q_def on the arm...
     assert np.linalg.norm(out - prim) > 1e-4
     assert float((q_def - q) @ (out - prim)) > 0.0
