@@ -110,14 +110,22 @@ class AdaptiveIndex:
     def __init__(self, params: AciParams, alpha0: float = 0.0):
         self.params = params
         self.alpha = float(alpha0)
-        # Flat ring over growing arrays; [lo, hi) is the live window.  Row i
-        # of _terms holds the trapezoid term of the sample pair (i - 1, i),
-        # computed once when sample i arrives; a window sums rows lo + 1 ..
-        # hi - 1 in sample order.
+        # Flat ring over growing arrays; [lo, hi) is the live window, whose
+        # integral sums rows lo + 1 .. hi - 1.  Row i is written when sample
+        # i arrives, with the trapezoid term of the sample pair (i - 1, i).
+        # Terms from row _mid on are also added to the running sum _back.
+        # Rows below _mid hold suffix sums instead: row r holds the terms of
+        # rows r .. _mid - 1.  The window integral is then row lo + 1 plus
+        # _back, and no term is ever subtracted, so rounding from samples
+        # that left the window cannot linger.  When the window start passes
+        # _mid, the live window is re-summed into suffix sums: once per
+        # window length, so an update costs O(1) amortised.
         self._t = np.empty(512)
         self._terms = np.empty((512, 6))  # columns 0:3 v_adm, 3:6 v_h
         self._lo = 0
         self._hi = 0
+        self._mid = 0
+        self._back = [0.0] * 6
         self._last = None  # (t, six velocities) of the newest sample
 
     def update(self, t: float, v_adm: np.ndarray, v_h: np.ndarray) -> float:
@@ -126,38 +134,45 @@ class AdaptiveIndex:
         v += np.asarray(v_h, dtype=float).tolist()
         cap = self._t.shape[0]
         if self._hi == cap:
-            n = self._hi - self._lo
+            lo = self._lo
+            n = self._hi - lo
             if n == cap:
                 self._t = np.concatenate([self._t, np.empty(cap)])
                 self._terms = np.concatenate([self._terms, np.empty((cap, 6))])
             else:
-                self._t[:n] = self._t[self._lo : self._hi]
-                self._terms[:n] = self._terms[self._lo : self._hi]
-                self._lo, self._hi = 0, n
+                self._t[:n] = self._t[lo : self._hi]
+                self._terms[:n] = self._terms[lo : self._hi]
+                self._lo, self._mid, self._hi = 0, self._mid - lo, n
         i = self._hi
         self._t[i] = t
         if self._last is not None:
             t_prev, v_prev = self._last
             half_dt = 0.5 * (t - t_prev)
-            self._terms[i] = [half_dt * (a + b) for a, b in zip(v, v_prev)]
+            term = [half_dt * (a + b) for a, b in zip(v, v_prev)]
+            self._terms[i] = term
+            self._back = [s + x for s, x in zip(self._back, term)]
         self._last = (t, v)
         self._hi = i + 1
         cutoff = t - self.params.window_length - 1e-12
-        while self._t[self._lo] < cutoff:
-            self._lo += 1
-        d_adm, d_h = self._window_displacements()
+        lo = self._lo
+        while self._t[lo] < cutoff:
+            lo += 1
+        self._lo = lo
+        if lo >= self._mid:
+            rows = self._terms[lo + 1 : self._hi]
+            rows[::-1] = np.cumsum(rows[::-1], axis=0)
+            self._mid = self._hi
+            self._back = [0.0] * 6
+        disp = self._back
+        if lo + 1 < self._mid:
+            disp = [s + x for s, x in zip(self._terms[lo + 1].tolist(), disp)]
+        d_adm = math.hypot(*disp[:3])
+        d_h = math.hypot(*disp[3:])
         if d_adm < self.params.deadband and d_h < self.params.deadband:
             return self.alpha
         raw = 1.0 - d_adm / (d_h + self.params.epsilon)
         self.alpha = min(1.0, max(0.0, raw))
         return self.alpha
-
-    def _window_displacements(self) -> tuple[float, float]:
-        if self._hi - self._lo < 2:
-            return 0.0, 0.0
-        disp = self._terms[self._lo + 1 : self._hi].sum(axis=0).reshape(2, 3)
-        d_adm, d_h = np.hypot(np.hypot(disp[:, 0], disp[:, 1]), disp[:, 2]).tolist()
-        return d_adm, d_h
 
 
 def object_translation(v_adm: np.ndarray, v_h: np.ndarray, alpha: float) -> np.ndarray:

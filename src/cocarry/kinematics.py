@@ -50,17 +50,23 @@ class KinematicModel:
             )
         if self.w_threshold <= 0.0 or self.k_max < 0.0:
             raise KinematicsError("w_threshold must be positive and k_max non-negative")
-        # Fixed per-joint quantities, cached so the chain walk stays cheap.
-        # Identity offset rotations are stored as None and skipped outright.
-        def _or_none(R):
-            return None if np.array_equal(R, np.eye(3)) else R
+        # Fixed per-joint quantities as float tuples, cached so the chain
+        # walk runs on Python floats.  Identity offset rotations are stored
+        # as None and skipped outright.
+        def _flat_or_none(pose):
+            R = pose.rotation_matrix()
+            return None if np.array_equal(R, np.eye(3)) else tuple(R.ravel().tolist())
 
-        self._off_p = [j.offset.position for j in self.arm]
-        self._off_R = [_or_none(j.offset.rotation_matrix()) for j in self.arm]
-        self._axes = [j.axis for j in self.arm]
-        self._axes_f = [j.axis.tolist() for j in self.arm]
-        self._ee_p = self.ee_offset.position
-        self._ee_R = _or_none(self.ee_offset.rotation_matrix())
+        self._links = [
+            (
+                tuple(j.offset.position.tolist()),
+                _flat_or_none(j.offset),
+                tuple(j.axis.tolist()),
+            )
+            for j in self.arm
+        ]
+        self._ee_p = tuple(self.ee_offset.position.tolist())
+        self._ee_R = _flat_or_none(self.ee_offset)
 
     @property
     def n_arm(self) -> int:
@@ -80,45 +86,71 @@ def _check_q(model: KinematicModel, q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _mul3(a: tuple, b: tuple) -> tuple:
+    """Product of two 3x3 matrices held as row-major 9-tuples of floats."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (
+        a00 * b00 + a01 * b10 + a02 * b20,
+        a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20,
+        a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
+    )
+
+
 def _chain(model: KinematicModel, q: np.ndarray):
     """World origin and axis of every arm joint plus the EE frame.
 
     Returns (origins, axes, R_ee, p_ee) where origins[i]/axes[i] are float
     triples describing arm joint i in the world frame, R_ee is the EE
-    rotation matrix and p_ee the EE position triple.
+    rotation matrix and p_ee the EE position triple.  The walk runs on
+    Python floats, with each rotation a row-major 9-tuple; only R_ee is
+    built as an array.
     """
-    # The base yaw and every arm joint's rotation about its local axis
-    # (Rodrigues, cos/sin folded in) go into one array of 3x3 blocks.
     cos = np.cos(q[2:]).tolist()
     sin = np.sin(q[2:]).tolist()
     c, s = cos[0], sin[0]
-    flat = [c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0]
-    for (x, y, z), c, s in zip(model._axes_f, cos[1:], sin[1:]):
-        C = 1.0 - c
-        flat += (
-            c + x * x * C, x * y * C - z * s, x * z * C + y * s,
-            y * x * C + z * s, c + y * y * C, y * z * C - x * s,
-            z * x * C - y * s, z * y * C + x * s, c + z * z * C,
-        )  # fmt: skip
-    local = np.array(flat).reshape(-1, 3, 3)
-    R = local[0]
+    R = (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)  # base yaw
     px, py = q[:2].tolist()
     pz = 0.0
     origins = []
     axes = []
-    # `.dot` reaches the same BLAS routines as `@`, with less dispatch.
-    for i in range(model.n_arm):
-        ox, oy, oz = R.dot(model._off_p[i]).tolist()
-        px, py, pz = px + ox, py + oy, pz + oz
-        if model._off_R[i] is not None:
-            R = R.dot(model._off_R[i])
+    for ((ox, oy, oz), off_R, (x, y, z)), c, s in zip(model._links, cos[1:], sin[1:]):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        px += r00 * ox + r01 * oy + r02 * oz
+        py += r10 * ox + r11 * oy + r12 * oz
+        pz += r20 * ox + r21 * oy + r22 * oz
         origins.append((px, py, pz))
-        axes.append(R.dot(model._axes[i]).tolist())
-        R = R.dot(local[i + 1])
-    ox, oy, oz = R.dot(model._ee_p).tolist()
-    p_ee = (px + ox, py + oy, pz + oz)
-    R_ee = R if model._ee_R is None else R.dot(model._ee_R)
-    return origins, axes, R_ee, p_ee
+        if off_R is not None:
+            R = _mul3(R, off_R)
+            r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        axes.append((
+            r00 * x + r01 * y + r02 * z,
+            r10 * x + r11 * y + r12 * z,
+            r20 * x + r21 * y + r22 * z,
+        ))
+        # The joint's rotation about its local axis (Rodrigues).
+        C = 1.0 - c
+        R = _mul3(R, (
+            c + x * x * C, x * y * C - z * s, x * z * C + y * s,
+            y * x * C + z * s, c + y * y * C, y * z * C - x * s,
+            z * x * C - y * s, z * y * C + x * s, c + z * z * C,
+        ))  # fmt: skip
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    ox, oy, oz = model._ee_p
+    p_ee = (
+        px + (r00 * ox + r01 * oy + r02 * oz),
+        py + (r10 * ox + r11 * oy + r12 * oz),
+        pz + (r20 * ox + r21 * oy + r22 * oz),
+    )
+    if model._ee_R is not None:
+        R = _mul3(R, model._ee_R)
+    return origins, axes, np.array(R).reshape(3, 3), p_ee
 
 
 @dataclass
@@ -136,6 +168,7 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
     The Jacobian is 6 x m and maps qdot to the world-frame EE twist.  The
     manipulability w = sqrt(det(Ja Ja^T)) uses only the arm columns Ja, so it
     depends on the arm configuration, not on where the base happens to be.
+    For a square Ja (a six-joint arm) it is taken as the equal |det Ja|.
     """
     q = _check_q(model, q)
     origins, axes, R_ee, p_ee = _chain(model, q)
@@ -164,8 +197,10 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
     J = np.array(rows[0] + rows[1] + rows[2] + rows[3] + rows[4] + rows[5])
     J = J.reshape(6, model.n_joints)
     Ja = J[:, BASE_DOFS:]
-    det = _linalg.det(Ja.dot(Ja.T))
-    w = math.sqrt(max(det, 0.0))
+    if model.n_arm == 6:
+        w = abs(_linalg.det(Ja))
+    else:
+        w = math.sqrt(max(_linalg.det(Ja.dot(Ja.T)), 0.0))
     return ChainState(Pose(np.array(p_ee), quat_from_matrix(R_ee)), J, w)
 
 

@@ -205,60 +205,74 @@ class Simulation:
     # -- single tick ------------------------------------------------------
 
     def step(self):
-        """Advance one tick and append its row to the trace."""
+        """Advance one tick and append its row to the trace.
+
+        A failure inside the tick is raised as a SimulationError that names
+        the part it came from: human, objects, aci, wbc, kinematics or trace.
+        """
         dt = self.dt
-        human_state = self.human.step(self.wrench_on_hand, dt)
-
-        chain = self._chain  # evaluated when self.q was last updated
-        ee_pose = chain.pose
-        J = chain.jacobian
-        ee_vel = Twist.from_vector(J.dot(self.qdot))
-        on_ee, on_hand = object_wrench(
-            self.object_model,
-            human_state.hand_pose,
-            human_state.hand_twist,
-            ee_pose,
-            ee_vel,
-        )
-        self.wrench_on_hand = on_hand.force
-
-        t_new = (self.ticks + 1) * dt
-        out = self.aci.step(t_new, on_ee.force, human_state, dt)
-
-        qdot_d = _wbc.compute(
-            self.model, self.q, out.x_d, out.xdot_d, self.wbc_params, chain=chain
-        )
-        qdot_d = _wbc.clamp_velocities(qdot_d, self.wbc_params)
-        ee_twist = J.dot(qdot_d)
-        self.q = self.q + qdot_d * dt
-        self.qdot = qdot_d
-        self.ticks += 1
-        self._chain = chain_state(self.model, self.q)
-
-        # One row in `trace_columns` order, each vector copied in as bytes.
-        rows = self._rows
+        layer = "human"
         try:
-            rows.append(t_new)
-        except BufferError:  # a handed-out trace views the store
-            rows = self._rows = array("d", rows)
-            rows.append(t_new)
-        ee = self._chain.pose
-        hand = human_state.hand_pose
-        rows.frombytes(self.q.tobytes())
-        rows.frombytes(ee.position.tobytes())
-        rows.frombytes(ee.orientation.tobytes())
-        rows.frombytes(ee_twist.tobytes())
-        rows.frombytes(on_ee.force.tobytes())
-        rows.frombytes(out.v_adm.tobytes())
-        rows.frombytes(human_state.hand_twist.linear.tobytes())
-        rows.append(out.alpha)
-        rows.append(out.zeta)
-        rows.frombytes(out.x_d.position.tobytes())
-        rows.frombytes(out.x_d.orientation.tobytes())
-        rows.frombytes(hand.position.tobytes())
-        rows.frombytes(hand.orientation.tobytes())
-        rows.append(human_state.theta_t_w)
-        self._check_waypoints(ee.position, ee_twist[:3])
+            human_state = self.human.step(self.wrench_on_hand, dt)
+
+            layer = "objects"
+            chain = self._chain  # evaluated when self.q was last updated
+            ee_pose = chain.pose
+            J = chain.jacobian
+            ee_vel = Twist.from_vector(J.dot(self.qdot))
+            on_ee, on_hand = object_wrench(
+                self.object_model,
+                human_state.hand_pose,
+                human_state.hand_twist,
+                ee_pose,
+                ee_vel,
+            )
+            self.wrench_on_hand = on_hand.force
+
+            layer = "aci"
+            t_new = (self.ticks + 1) * dt
+            out = self.aci.step(t_new, on_ee.force, human_state, dt)
+
+            layer = "wbc"
+            qdot_d = _wbc.compute(
+                self.model, self.q, out.x_d, out.xdot_d, self.wbc_params, chain=chain
+            )
+            qdot_d = _wbc.clamp_velocities(qdot_d, self.wbc_params)
+
+            layer = "kinematics"
+            ee_twist = J.dot(qdot_d)
+            self.q = self.q + qdot_d * dt
+            self.qdot = qdot_d
+            self.ticks += 1
+            self._chain = chain_state(self.model, self.q)
+
+            layer = "trace"
+            # One row in `trace_columns` order, each vector copied in as bytes.
+            rows = self._rows
+            try:
+                rows.append(t_new)
+            except BufferError:  # a handed-out trace views the store
+                rows = self._rows = array("d", rows)
+                rows.append(t_new)
+            ee = self._chain.pose
+            hand = human_state.hand_pose
+            rows.frombytes(self.q.tobytes())
+            rows.frombytes(ee.position.tobytes())
+            rows.frombytes(ee.orientation.tobytes())
+            rows.frombytes(ee_twist.tobytes())
+            rows.frombytes(on_ee.force.tobytes())
+            rows.frombytes(out.v_adm.tobytes())
+            rows.frombytes(human_state.hand_twist.linear.tobytes())
+            rows.append(out.alpha)
+            rows.append(out.zeta)
+            rows.frombytes(out.x_d.position.tobytes())
+            rows.frombytes(out.x_d.orientation.tobytes())
+            rows.frombytes(hand.position.tobytes())
+            rows.frombytes(hand.orientation.tobytes())
+            rows.append(human_state.theta_t_w)
+            self._check_waypoints(ee.position, ee_twist[:3])
+        except Exception as exc:
+            raise SimulationError(f"in {layer}: {exc}") from exc
 
     def _check_waypoints(self, ee_position: np.ndarray, ee_linear: np.ndarray):
         wps = self.config.waypoints
@@ -281,8 +295,8 @@ class Simulation:
         for i in range(n_steps):
             try:
                 self.step()
-            except Exception as exc:
-                raise SimulationError(f"aborted at step {i}: {exc}") from exc
+            except SimulationError as exc:
+                raise SimulationError(f"aborted at step {i} {exc}") from exc.__cause__
             if have_waypoints and self._next_waypoint >= len(self.config.waypoints):
                 break
         trace = self.trace

@@ -120,7 +120,8 @@ def solve_tracking(
     JW = J / w_damp
     G = JW.dot(J.T)
     if k > 0.0:
-        G += np.diag((k * k) / w_task)
+        diagonal = G.reshape(-1)[:: G.shape[0] + 1]  # a view: G is a new array
+        diagonal += (k * k) / w_task
     try:
         y = _linalg.solve(G, b)
     except np.linalg.LinAlgError as exc:

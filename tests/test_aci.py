@@ -1,9 +1,9 @@
 """Adaptive interface: admittance, blending index, intention detection,
 rotation trajectories, and the reference generator.
 
-The index oracle re-integrates the window with a deque and plain Python
-sums; the detector oracle re-derives every sample's verdict from scratch
-by scanning the whole history.
+The index oracle keeps the window in a deque and re-integrates all of it
+on every sample; the detector oracle re-derives every sample's verdict
+from scratch by scanning the whole history.
 """
 
 from collections import deque
@@ -117,10 +117,9 @@ class DequeIndexOracle:
     def _disp(self, idx):
         if len(self.buf) < 2:
             return 0.0
-        items = list(self.buf)
-        total = np.zeros(3)
-        for (t0, *v0), (t1, *v1) in zip(items, items[1:]):
-            total += 0.5 * (t1 - t0) * (v0[idx - 1] + v1[idx - 1])
+        t = np.array([sample[0] for sample in self.buf])
+        v = np.array([sample[idx] for sample in self.buf])
+        total = (0.5 * np.diff(t)[:, None] * (v[:-1] + v[1:])).sum(axis=0)
         return float(np.linalg.norm(total))
 
 
@@ -153,6 +152,32 @@ def test_index_matches_deque_oracle_long_window():
 def test_index_matches_deque_oracle_jittered_timing():
     rng = np.random.default_rng(53)
     drive_pair(AciParams(), rng.uniform(0.0002, 0.004, size=3000), rng)
+
+
+def test_index_matches_deque_oracle_after_transient():
+    # A 1e4-scale velocity burst, then a long 1e-3-scale stretch above the
+    # deadband: rounding that the burst leaves in the window sums must not
+    # outlive the burst's stay in the window.
+    rng = np.random.default_rng(54)
+    params = AciParams()
+    ours = AdaptiveIndex(params)
+    oracle = DequeIndexOracle(params)
+    drift_adm = np.array([5e-4, 2e-4, 0.0])
+    drift_h = np.array([1e-3, 0.0, 3e-4])
+    alphas = []
+    for i in range(2000):
+        t = (i + 1) * 1e-3
+        if 300 <= i < 320:
+            v_adm, v_h = rng.normal(scale=1e4, size=(2, 3))
+        else:
+            v_adm = drift_adm * (1.0 + 0.3 * rng.normal(size=3))
+            v_h = drift_h * (1.0 + 0.3 * rng.normal(size=3))
+        a = ours.update(t, v_adm, v_h)
+        assert a == pytest.approx(oracle.update(t, v_adm, v_h), abs=1e-12)
+        alphas.append(a)
+    # the stretch is above the deadband: alpha is computed, not held
+    tail = alphas[-1000:]
+    assert 0.0 < min(tail) and max(tail) < 1.0 and len(set(tail)) > 900
 
 
 def test_index_limit_values():

@@ -163,14 +163,20 @@ def test_chain_state_consistent_with_pieces():
 
 
 def test_manipulability_base_invariant():
-    model = default_model()
+    # The six-joint arm's square Ja takes |det Ja|; a seven-joint arm keeps
+    # sqrt(det(Ja Ja^T)).  Both must equal the Gram form and ignore the base.
     rng = np.random.default_rng(36)
-    for _ in range(50):
-        q = random_q(rng, model)
-        w0 = chain_state(model, q).manipulability
-        q2 = q.copy()
-        q2[:3] = rng.uniform([-5, -5, -np.pi], [5, 5, np.pi])
-        assert abs(chain_state(model, q2).manipulability - w0) < 1e-9
+    for model in (default_model(), random_model(rng, 7)):
+        for _ in range(50):
+            q = random_q(rng, model)
+            st = chain_state(model, q)
+            Ja = st.jacobian[:, BASE_DOFS:]
+            gram = np.sqrt(np.linalg.det(Ja @ Ja.T))
+            assert st.manipulability == pytest.approx(gram, rel=1e-9)
+            q2 = q.copy()
+            q2[:3] = rng.uniform([-5, -5, -np.pi], [5, 5, np.pi])
+            w2 = chain_state(model, q2).manipulability
+            assert abs(w2 - st.manipulability) < 1e-9
 
 
 def test_manipulability_home_and_singular():

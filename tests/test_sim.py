@@ -391,6 +391,16 @@ def test_step_failure_is_wrapped(tmp_path):
         sim.run()
 
 
+def test_step_failure_names_its_layer(tmp_path):
+    sim = Simulation(make_config(tmp_path))
+    sim.wrench_on_hand = np.array([math.nan, 0.0, 0.0])
+    with pytest.raises(
+        SimulationError, match="^aborted at step 0 in human: non-finite force"
+    ) as info:
+        sim.run()
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 # -- trace and metrics files ----------------------------------------------
 
 
