@@ -20,7 +20,7 @@ from .aci import (
     desired_rotation_pose,
     object_translation,
 )
-from .geometry import Pose, Twist, Wrench
+from .geometry import Pose, Twist
 from .human import (
     HandYaw,
     Hold,
@@ -38,7 +38,7 @@ from .kinematics import (
     default_model,
     forward_kinematics,
 )
-from .objects import ObjectModel, elastic_energy, object_wrench, preset, presets
+from .objects import ObjectModel, object_wrench, preset, presets
 from .scenario import ConfigError, ScenarioConfig, Waypoint, load_scenario, scenario_path
 from .sim import (
     Metrics,

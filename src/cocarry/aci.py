@@ -23,6 +23,7 @@ from .geometry import (
     Pose,
     Twist,
     quat_from_rotvec,
+    quat_from_yaw,
     quat_multiply,
     quat_normalize,
     quat_to_rotvec,
@@ -39,18 +40,38 @@ class Mode(enum.Enum):
     TELEOP = "teleop"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmittanceParams:
-    """Diagonal virtual mass and damping of the translational admittance."""
+    """Diagonal virtual mass and damping of the translational admittance.
+
+    Frozen, with read-only arrays, because the decay of the last dt is kept:
+    `dataclasses.replace` makes a changed copy.
+    """
 
     mass: np.ndarray = field(default_factory=lambda: np.full(3, 6.0))
     damping: np.ndarray = field(default_factory=lambda: np.full(3, 30.0))
+    _damping: list = field(init=False, repr=False, compare=False)
+    _decay: tuple = field(init=False, repr=False, compare=False)  # (dt, decay)
 
     def __post_init__(self):
-        self.mass = np.asarray(self.mass, dtype=float).reshape(3)
-        self.damping = np.asarray(self.damping, dtype=float).reshape(3)
+        for name in ("mass", "damping"):
+            value = np.array(getattr(self, name), dtype=float).reshape(3)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if np.any(self.mass <= 0.0) or np.any(self.damping <= 0.0):
             raise ValueError("admittance mass and damping must be positive")
+        object.__setattr__(self, "_damping", self.damping.tolist())
+        object.__setattr__(self, "_decay", (None, None))
+
+    def decay(self, dt: float) -> list:
+        """Per-axis zero-order-hold decay exp(-D/M dt), formed once per dt."""
+        key, decay = self._decay
+        if key != dt:
+            decay = np.exp(
+                [-(d / m) * dt for d, m in zip(self._damping, self.mass.tolist())]
+            ).tolist()
+            object.__setattr__(self, "_decay", (dt, decay))
+        return decay
 
 
 @dataclass
@@ -74,28 +95,20 @@ class AciParams:
             raise ValueError("angle thresholds must satisfy 0 < lower < upper")
 
 
-def admittance_step(
-    force: np.ndarray, v_prev: np.ndarray, dt: float, params: AdmittanceParams
-) -> np.ndarray:
+def admittance_step(force, v_prev, dt: float, params: AdmittanceParams) -> tuple:
     """Advance the admittance velocity one step under a constant force.
 
-    Each axis is the first-order system M vdot + D v = F discretized exactly
-    under a zero-order hold, so the update is stable for any dt and matches
-    the continuous response at the sample instants.
+    Force and velocities are float triples.  Each axis is the first-order
+    system M vdot + D v = F discretized exactly under a zero-order hold, so
+    the update is stable for any dt and matches the continuous response at
+    the sample instants.
     """
-    force = np.asarray(force, dtype=float).reshape(3).tolist()
     if not all(map(math.isfinite, force)):
         raise ValueError("non-finite force input to admittance (sensor fault?)")
-    # Component-wise float arithmetic in the same order as the vector form.
-    damping = params.damping.tolist()
-    decay = np.exp([-(d / m) * dt for d, m in zip(damping, params.mass.tolist())])
-    v_prev = np.asarray(v_prev, dtype=float).tolist()
-    return np.array(
-        [
-            e * v + (1.0 - e) * f / d
-            for e, v, f, d in zip(decay.tolist(), v_prev, force, damping)
-        ]
-    )
+    return tuple([
+        e * v + (1.0 - e) * f / d
+        for e, v, f, d in zip(params.decay(dt), v_prev, force, params._damping)
+    ])
 
 
 class AdaptiveIndex:
@@ -128,10 +141,10 @@ class AdaptiveIndex:
         self._back = [0.0] * 6
         self._last = None  # (t, six velocities) of the newest sample
 
-    def update(self, t: float, v_adm: np.ndarray, v_h: np.ndarray) -> float:
+    def update(self, t: float, v_adm, v_h) -> float:
+        """Add the sample of both velocity triples at t; returns alpha."""
         t = float(t)
-        v = np.asarray(v_adm, dtype=float).tolist()
-        v += np.asarray(v_h, dtype=float).tolist()
+        v = [*v_adm, *v_h]
         cap = self._t.shape[0]
         if self._hi == cap:
             lo = self._lo
@@ -175,9 +188,9 @@ class AdaptiveIndex:
         return self.alpha
 
 
-def object_translation(v_adm: np.ndarray, v_h: np.ndarray, alpha: float) -> np.ndarray:
-    """Blended translational command v_adm + alpha * v_h."""
-    return np.asarray(v_adm, dtype=float) + alpha * np.asarray(v_h, dtype=float)
+def object_translation(v_adm, v_h, alpha: float) -> tuple:
+    """Blended translational command v_adm + alpha * v_h, as 3 floats."""
+    return tuple([a + alpha * h for a, h in zip(v_adm, v_h)])
 
 
 class IntentionDetector:
@@ -210,9 +223,13 @@ class IntentionDetector:
         theta_h_w: float,
         theta_t_w: float,
         torso_yaw_rate: float,
-        torso_pose: Pose,
+        torso_position,
     ) -> tuple[bool, Pose | None]:
-        """Feed one sample; returns (fired, torso pose at detection or None)."""
+        """Feed one sample; returns (fired, torso pose at detection or None).
+
+        The torso pose is built only when the detector fires, from the torso
+        position triple and the torso yaw theta_t_w.
+        """
         p = self.params
         above = abs(theta_h_t) > p.lower_angle
         if not above:
@@ -232,18 +249,22 @@ class IntentionDetector:
             and abs(torso_yaw_rate) < p.velocity_threshold
         )
         if not self.latch:
-            return fired, torso_pose.copy() if fired else None
+            return fired, _torso_pose(torso_position, theta_t_w) if fired else None
         if self._suppressed or self._rotating:
             return False, None
         if fired:
             self._suppressed = True
             self._rotating = True
-            return True, torso_pose.copy()
+            return True, _torso_pose(torso_position, theta_t_w)
         return False, None
 
     def rotation_finished(self):
         """Tell the detector the commanded rotation trajectory has completed."""
         self._rotating = False
+
+
+def _torso_pose(position, yaw: float) -> Pose:
+    return Pose(np.array(position), quat_from_yaw(yaw))
 
 
 def desired_rotation_pose(torso_at_detection: Pose, ee_in_torso: Pose) -> Pose:
@@ -299,33 +320,37 @@ class CubicTrajectory:
 class ReferenceGenerator:
     """Integrates the commanded EE reference from the controller's twist.
 
-    The emitted twist is the rotation-trajectory twist while a rotation is
-    active (zeta = 1) and the translational command otherwise; the reference
-    pose is its running integral, started at the initial EE pose.
+    The emitted twist, 6 floats (linear, then angular), is the
+    rotation-trajectory twist while a rotation is active (zeta = 1) and the
+    translational command otherwise; the reference pose is its running
+    integral, started at the initial EE pose.
     """
 
     def __init__(self, initial_pose: Pose):
         self.x_d = initial_pose.copy()
 
-    def step(
-        self, zeta: int, xdot_rot: Twist | None, v_trans: np.ndarray, dt: float
-    ) -> tuple[Pose, Twist]:
+    def step(self, zeta: int, xdot_rot, v_trans, dt: float) -> tuple[Pose, tuple]:
         if zeta and xdot_rot is not None:
-            xdot_d = xdot_rot
+            xdot_d = tuple(xdot_rot)
         else:
-            xdot_d = Twist(v_trans, np.zeros(3))
+            vx, vy, vz = v_trans
+            xdot_d = (vx, vy, vz, 0.0, 0.0, 0.0)
         self.x_d = integrate_pose(self.x_d, xdot_d, dt)
         return self.x_d, xdot_d
 
 
 @dataclass
 class AciOutput:
-    """Per-step controller outputs consumed by the robot and the logger."""
+    """Per-step controller outputs consumed by the robot and the logger.
+
+    The reference twist is 6 floats (linear, then angular); the velocity
+    channels are float triples.
+    """
 
     x_d: Pose
-    xdot_d: Twist
-    v_adm: np.ndarray
-    v_trans: np.ndarray
+    xdot_d: tuple
+    v_adm: tuple
+    v_trans: tuple
     alpha: float
     zeta: int
 
@@ -353,13 +378,14 @@ class AciController:
         self.detector = IntentionDetector(params)
         self.reference = ReferenceGenerator(initial_ee_pose)
         self.ee_in_torso = initial_torso_pose.inverse().compose(initial_ee_pose)
-        self.v_adm = np.zeros(3)
+        self.v_adm = (0.0, 0.0, 0.0)
         self.trajectory: CubicTrajectory | None = None
 
-    def step(self, t: float, force: np.ndarray, human, dt: float) -> AciOutput:
-        """Advance one control tick from the measured force and human state."""
+    def step(self, t: float, force, human, dt: float) -> AciOutput:
+        """Advance one control tick from the measured force (3 floats) and
+        the human state."""
         self.v_adm = admittance_step(force, self.v_adm, dt, self.admittance)
-        v_h = human.hand_twist.linear
+        v_h = human.hand_velocity
         alpha = self.index.update(t, self.v_adm, v_h)
         if self.mode is Mode.ADMITTANCE:
             v_trans = self.v_adm
@@ -376,7 +402,7 @@ class AciController:
                 human.theta_h_w,
                 human.theta_t_w,
                 human.thetadot_t_w,
-                human.torso_pose,
+                human.torso_position,
             )
             if fired and self.trajectory is None:
                 goal = desired_rotation_pose(torso_at_detection, self.ee_in_torso)
@@ -395,7 +421,8 @@ class AciController:
                     self.detector.rotation_finished()
                 else:
                     zeta = 1
-                    _, xdot_rot = self.trajectory.sample(t)
+                    _, twist = self.trajectory.sample(t)
+                    xdot_rot = twist.linear.tolist() + twist.angular.tolist()
 
         x_d, xdot_d = self.reference.step(zeta, xdot_rot, v_trans, dt)
         return AciOutput(x_d, xdot_d, self.v_adm, v_trans, alpha, zeta)

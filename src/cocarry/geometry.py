@@ -1,8 +1,12 @@
-"""Minimal rigid-body math: unit quaternions, rotations, poses, twists, wrenches.
+"""Minimal rigid-body math: unit quaternions, rotations, poses and twists.
 
 Quaternions are numpy arrays in scalar-first order (w, x, y, z) and are kept
 unit-norm by construction.  All twists and angular quantities are expressed in
-the world frame unless a function says otherwise.
+the world frame unless a function says otherwise.  The per-tick path passes
+twists as 6 floats (linear, then angular); `Pose` and `Twist` are the types of
+the API edges.  Float helpers such as `_qmul`, `_quat_from_rows`, `_yaw_quat`
+and `_pose_error` hold a law on Python floats, and the array function of the
+same law calls them.
 """
 
 import math
@@ -77,15 +81,14 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(r: np.ndarray) -> np.ndarray:
-    return np.array(_rotvec_to_quat(np.asarray(r, dtype=float)))
+    return np.array(_rotvec_to_quat(*np.asarray(r, dtype=float).tolist()))
 
 
-def _rotvec_to_quat(r: np.ndarray) -> list:
-    x, y, z = r.tolist()
+def _rotvec_to_quat(x: float, y: float, z: float) -> list:
     if not (x or y or z):
         # Exactly what the expansion below gives: its norm is sqrt(1) = 1.
         return [1.0, 0.5 * x, 0.5 * y, 0.5 * z]
-    angle = _norm(r)
+    angle = _norm(np.array([x, y, z]))
     if angle < _EPS:
         # First-order expansion keeps the map smooth through zero.
         q = np.array([1.0, 0.5 * x, 0.5 * y, 0.5 * z])
@@ -122,9 +125,11 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     """Shepperd's method; stable for all rotation matrices."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(
-        R, dtype=float
-    ).tolist()
+    return np.array(_quat_from_rows(*np.asarray(R, dtype=float).ravel().tolist()))
+
+
+def _quat_from_rows(r00, r01, r02, r10, r11, r12, r20, r21, r22) -> list:
+    """Unit quaternion of the rotation matrix given row by row as 9 floats."""
     t = r00 + r11 + r22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
@@ -138,15 +143,20 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     else:
         s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
         q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
-    q = np.array(q)
     if q[0] < 0.0:
-        q = -q
-    return q / _norm(q)
+        q = [-c for c in q]
+    n = _norm(np.array(q))
+    return [c / n for c in q]
 
 
 def quat_from_yaw(yaw: float) -> np.ndarray:
+    return np.array(_yaw_quat(yaw))
+
+
+def _yaw_quat(yaw: float) -> tuple:
+    """(w, x, y, z) of the rotation by `yaw` about the vertical axis."""
     half = 0.5 * yaw
-    return np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
+    return (float(np.cos(half)), 0.0, 0.0, float(np.sin(half)))
 
 
 def yaw_from_quat(q: np.ndarray) -> float:
@@ -241,35 +251,28 @@ class Twist:
         return cls(v[:3], v[3:6])
 
 
-@dataclass
-class Wrench:
-    """6-D force-torque carrier in the world frame."""
-
-    force: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.force = _vec(self.force, 3)
-        self.torque = _vec(self.torque, 3)
-
-    def __neg__(self) -> "Wrench":
-        return Wrench(-self.force, -self.torque)
-
-
 def pose_error(desired: Pose, current: Pose) -> np.ndarray:
     """6-vector [position error; orientation error as a world-frame rotation vector].
 
     The orientation part is the axis-angle of R_d R^T, i.e. the rotation that
     carries the current orientation onto the desired one.
     """
+    return np.array(_pose_error(desired, current))
+
+
+def _pose_error(desired: Pose, current: Pose) -> list:
     w, x, y, z = current.orientation.tolist()
     dq = _qmul(desired.orientation.tolist(), (w, -x, -y, -z))
     dp = [a - b for a, b in zip(desired.position.tolist(), current.position.tolist())]
-    return np.array(dp + _rotvec(*dq))
+    return dp + _rotvec(*dq)
 
 
-def integrate_pose(pose: Pose, twist: Twist, dt: float) -> Pose:
-    """Euler step of a pose under a world-frame twist; orientation via the
-    exponential of the angular increment, renormalized."""
-    q = _qmul(_rotvec_to_quat(twist.angular * dt), pose.orientation.tolist())
-    return Pose(pose.position + twist.linear * dt, quat_normalize(np.array(q)))
+def integrate_pose(pose: Pose, twist, dt: float) -> Pose:
+    """Euler step of a pose under a world-frame twist of 6 floats (linear,
+    then angular); orientation via the exponential of the angular increment,
+    renormalized."""
+    vx, vy, vz, wx, wy, wz = twist
+    q = _qmul(_rotvec_to_quat(wx * dt, wy * dt, wz * dt), pose.orientation.tolist())
+    px, py, pz = pose.position.tolist()
+    position = np.array([px + vx * dt, py + vy * dt, pz + vz * dt])
+    return Pose(position, quat_normalize(np.array(q)))

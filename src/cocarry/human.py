@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Twist, _norm, quat_from_yaw
+from .geometry import _norm, _yaw_quat
 
 
 @dataclass
@@ -38,11 +38,17 @@ class HumanParams:
 
 @dataclass
 class HumanState:
-    """Measured snapshot of the partner, as the robot-side pipeline sees it."""
+    """Measured snapshot of the partner, as the robot-side pipeline sees it.
 
-    hand_pose: Pose
-    hand_twist: Twist
-    torso_pose: Pose
+    Positions and the hand's linear velocity are world-frame float triples;
+    the hand orientation is the (w, x, y, z) float quaternion of its yaw
+    theta_h_w, and the torso's orientation is its yaw theta_t_w.
+    """
+
+    hand_position: tuple
+    hand_orientation: tuple
+    hand_velocity: tuple
+    torso_position: tuple
     theta_h_w: float
     theta_t_w: float
     theta_h_t: float
@@ -81,6 +87,9 @@ def _cubic(tau: float) -> tuple[float, float]:
     return tau * tau * (3.0 - 2.0 * tau), 6.0 * tau * (1.0 - tau)
 
 
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
 @dataclass
 class ScriptTarget:
     position: np.ndarray
@@ -106,16 +115,17 @@ class MotionScript:
         self.hand0 = np.asarray(hand0, dtype=float).reshape(3)
         self.torso_yaw0 = float(torso_yaw0)
         self.hand_yaw0 = float(torso_yaw0 if hand_yaw0 is None else hand_yaw0)
+        # (start time, hand target triple, torso yaw, hand yaw) per segment.
         self._starts = []
         t = 0.0
-        pos = self.hand0.copy()
+        pos = tuple(self.hand0.tolist())
         tyaw = self.torso_yaw0
         hyaw = self.hand_yaw0
         for seg in self.segments:
-            self._starts.append((t, pos.copy(), tyaw, hyaw))
+            self._starts.append((t, pos, tyaw, hyaw))
             t += seg.duration
             if isinstance(seg, Translate):
-                pos = pos + seg.offset
+                pos = tuple([p + o for p, o in zip(pos, seg.offset.tolist())])
             elif isinstance(seg, TorsoYaw):
                 tyaw = seg.target
             elif isinstance(seg, HandYaw):
@@ -142,29 +152,36 @@ class MotionScript:
         ]
 
     def target(self, t: float) -> ScriptTarget:
+        pos, vel, tyaw, tyaw_rate, hyaw = self.sample(t)
+        return ScriptTarget(np.array(pos), np.array(vel), tyaw, tyaw_rate, hyaw)
+
+    def sample(self, t: float) -> tuple:
+        """The target at t as (position, velocity, torso yaw, torso yaw rate,
+        hand yaw), with position and velocity float triples."""
         if t >= self.duration:
             _, pos, tyaw, hyaw = self._end
-            return ScriptTarget(pos.copy(), np.zeros(3), tyaw, 0.0, hyaw)
+            return pos, _ZERO3, tyaw, 0.0, hyaw
         for seg, (t0, pos, tyaw, hyaw) in zip(self.segments, self._starts):
             if t < t0 + seg.duration:
                 tau = (t - t0) / seg.duration
                 s, s_rate = _cubic(tau)
                 s_rate /= seg.duration
                 if isinstance(seg, Translate):
-                    return ScriptTarget(
-                        pos + s * seg.offset, s_rate * seg.offset, tyaw, 0.0, hyaw
+                    (px, py, pz), (ox, oy, oz) = pos, seg.offset.tolist()
+                    return (
+                        (px + s * ox, py + s * oy, pz + s * oz),
+                        (s_rate * ox, s_rate * oy, s_rate * oz),
+                        tyaw,
+                        0.0,
+                        hyaw,
                     )
                 if isinstance(seg, TorsoYaw):
                     delta = seg.target - tyaw
-                    return ScriptTarget(
-                        pos.copy(), np.zeros(3), tyaw + s * delta, s_rate * delta, hyaw
-                    )
+                    return pos, _ZERO3, tyaw + s * delta, s_rate * delta, hyaw
                 if isinstance(seg, HandYaw):
                     delta = seg.target - hyaw
-                    return ScriptTarget(
-                        pos.copy(), np.zeros(3), tyaw, 0.0, hyaw + s * delta
-                    )
-                return ScriptTarget(pos.copy(), np.zeros(3), tyaw, 0.0, hyaw)
+                    return pos, _ZERO3, tyaw, 0.0, hyaw + s * delta
+                return pos, _ZERO3, tyaw, 0.0, hyaw
         raise AssertionError("unreachable")
 
 
@@ -186,74 +203,89 @@ class SimulatedHuman:
     ):
         self.params = params
         self.script = script
-        self.torso_position0 = np.asarray(torso_position, dtype=float).reshape(3)
+        self.torso_position0 = tuple(
+            np.asarray(torso_position, dtype=float).reshape(3).tolist()
+        )
         self.rng = np.random.default_rng(seed)
         # Time is the step count times dt, never a running sum of dt.
         self.steps = 0
         self.t = 0.0
-        self.hand_position = script.hand0.copy()
-        self.hand_velocity = np.zeros(3)
+        # The hand state as float triples.
+        self._hand0 = tuple(script.hand0.tolist())
+        self.hand_position = self._hand0
+        self.hand_velocity = _ZERO3
         self._prev_torso_yaw = script.torso_yaw0
         self._torso_rate_filt = 0.0
+        self._hand_yaw = None  # float.hex() of the cached quaternion's yaw
+        self._hand_quat = None
 
-    def step(self, force_on_hand: np.ndarray, dt: float) -> HumanState:
-        f = np.asarray(force_on_hand, dtype=float).reshape(3).tolist()
-        if not all(map(math.isfinite, f)):
+    def step(self, force_on_hand, dt: float) -> HumanState:
+        """Advance one tick under the object force on the hand (3 floats)."""
+        if not all(map(math.isfinite, force_on_hand)):
             raise ValueError("non-finite force applied to the human hand")
         p = self.params
         self.steps += 1
         self.t = self.steps * dt
-        target = self.script.target(self.t)
+        target_pos, target_vel, torso_yaw, _, hand_yaw = self.script.sample(self.t)
 
         # Component-wise float arithmetic in the same order as the vector form.
         k, d, m = p.hand_stiffness, p.hand_damping, p.hand_mass
         vel = []
         pos = []
         for tp, tv, x, v, fc in zip(
-            target.position.tolist(),
-            target.velocity.tolist(),
-            self.hand_position.tolist(),
-            self.hand_velocity.tolist(),
-            f,
+            target_pos, target_vel, self.hand_position, self.hand_velocity, force_on_hand
         ):
             v = v + (k * (tp - x) + d * (tv - v) + fc) / m * dt
             vel.append(v)
             pos.append(x + v * dt)
-        self.hand_velocity = np.array(vel)
-        self.hand_position = np.array(pos)
+        self.hand_velocity = tuple(vel)
+        self.hand_position = tuple(pos)
 
         # Torso yaw is kinematic; its measured rate goes through the same
         # finite-difference + first-order low-pass path a mocap stack uses.
-        torso_yaw = target.torso_yaw
         raw_rate = (torso_yaw - self._prev_torso_yaw) / dt
         self._prev_torso_yaw = torso_yaw
         tau = 1.0 / (2.0 * math.pi * p.yaw_filter_cutoff)
         beta = dt / (tau + dt)
         self._torso_rate_filt += beta * (raw_rate - self._torso_rate_filt)
 
-        return self._measure(target, torso_yaw)
+        return self._measure(target_pos, torso_yaw, hand_yaw)
 
-    def _jitter(self, key: str, shape=None):
-        """Measurement noise for one channel; exactly zero when unconfigured."""
+    def _jitter(self, key: str, n: int = 0):
+        """Measurement noise for one channel, a float or (n > 0) a list of n;
+        exactly zero when unconfigured."""
         std = self.params.noise.get(key, 0.0)
         if std <= 0.0:
-            return 0.0
-        if shape is None:
+            return [0.0] * n if n else 0.0
+        if not n:
             return float(self.rng.normal(0.0, std))
-        return self.rng.normal(0.0, std, size=shape)
+        return self.rng.normal(0.0, std, size=n).tolist()
 
-    def _measure(self, target: ScriptTarget, torso_yaw: float) -> HumanState:
-        hand_pos = self.hand_position + self._jitter("hand_position", 3)
-        hand_vel = self.hand_velocity + self._jitter("hand_velocity", 3)
-        if _norm(hand_vel) < self.params.velocity_deadband:
-            hand_vel = np.zeros(3)
+    def _measure(self, target_pos, torso_yaw: float, hand_yaw: float) -> HumanState:
+        # Zero jitter is added too: x + 0.0 turns a -0.0 into 0.0, and the
+        # measured values keep those bits.
+        jitter = self._jitter("hand_position", 3)
+        hand_pos = tuple([x + j for x, j in zip(self.hand_position, jitter)])
+        jitter = self._jitter("hand_velocity", 3)
+        hand_vel = tuple([v + j for v, j in zip(self.hand_velocity, jitter)])
+        if _norm(np.array(hand_vel)) < self.params.velocity_deadband:
+            hand_vel = _ZERO3
         theta_t = torso_yaw + self._jitter("torso_yaw")
-        theta_h = target.hand_yaw + self._jitter("hand_yaw")
-        torso_pos = self.torso_position0 + (target.position - self.script.hand0)
+        theta_h = hand_yaw + self._jitter("hand_yaw")
+        torso_pos = tuple([
+            t0 + (tp - h0)
+            for t0, tp, h0 in zip(self.torso_position0, target_pos, self._hand0)
+        ])
+        # Keyed on the exact bits of the yaw, so -0.0 and 0.0 differ as the
+        # signs of their sines do.
+        key = theta_h.hex()
+        if key != self._hand_yaw:
+            self._hand_yaw, self._hand_quat = key, _yaw_quat(theta_h)
         return HumanState(
-            hand_pose=Pose(hand_pos, quat_from_yaw(theta_h)),
-            hand_twist=Twist(hand_vel, np.zeros(3)),
-            torso_pose=Pose(torso_pos, quat_from_yaw(theta_t)),
+            hand_position=hand_pos,
+            hand_orientation=self._hand_quat,
+            hand_velocity=hand_vel,
+            torso_position=torso_pos,
             theta_h_w=theta_h,
             theta_t_w=theta_t,
             theta_h_t=theta_h - theta_t,

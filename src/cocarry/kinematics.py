@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .geometry import Pose, quat_from_matrix
+from .geometry import Pose, _quat_from_rows
 
 BASE_DOFS = 3
 
@@ -108,9 +108,8 @@ def _chain(model: KinematicModel, q: np.ndarray):
 
     Returns (origins, axes, R_ee, p_ee) where origins[i]/axes[i] are float
     triples describing arm joint i in the world frame, R_ee is the EE
-    rotation matrix and p_ee the EE position triple.  The walk runs on
-    Python floats, with each rotation a row-major 9-tuple; only R_ee is
-    built as an array.
+    rotation as a row-major 9-tuple and p_ee the EE position triple.  The
+    walk runs on Python floats, with each rotation a row-major 9-tuple.
     """
     cos = np.cos(q[2:]).tolist()
     sin = np.sin(q[2:]).tolist()
@@ -150,7 +149,11 @@ def _chain(model: KinematicModel, q: np.ndarray):
     )
     if model._ee_R is not None:
         R = _mul3(R, model._ee_R)
-    return origins, axes, np.array(R).reshape(3, 3), p_ee
+    return origins, axes, R, p_ee
+
+
+def _pose(R: tuple, p: tuple) -> Pose:
+    return Pose(np.array(p), np.array(_quat_from_rows(*R)))
 
 
 @dataclass
@@ -201,14 +204,14 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
         w = abs(_linalg.det(Ja))
     else:
         w = math.sqrt(max(_linalg.det(Ja.dot(Ja.T)), 0.0))
-    return ChainState(Pose(np.array(p_ee), quat_from_matrix(R_ee)), J, w)
+    return ChainState(_pose(R_ee, p_ee), J, w)
 
 
 def forward_kinematics(model: KinematicModel, q: np.ndarray) -> Pose:
     """World pose of the end effector for joint vector q (base first)."""
     q = _check_q(model, q)
     _, _, R_ee, p_ee = _chain(model, q)
-    return Pose(np.array(p_ee), quat_from_matrix(R_ee))
+    return _pose(R_ee, p_ee)
 
 
 def damping_factor(w: float, model: KinematicModel) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Pose, Twist, Wrench, _norm, rotz
+from .geometry import Pose, _norm, rotz
 
 
 @dataclass
@@ -61,23 +61,25 @@ class ObjectModel:
 
 def object_wrench(
     model: ObjectModel,
-    hand_pose: Pose,
-    hand_twist: Twist,
+    hand_position,
+    hand_velocity,
     ee_pose: Pose,
-    ee_twist: Twist,
-) -> tuple[Wrench, Wrench]:
-    """Coupling wrenches (on the EE, on the hand) for the current states.
+    ee_velocity,
+) -> tuple:
+    """Coupling force on the EE, as 3 floats, for the current states.
 
-    Axial force is piecewise linear in the axial deviation: tension engages
-    only beyond the slack length, compression for negative deviation, and the
-    force is continuous across both breakpoints.  Torques are zero; the grasp
-    is treated as a point coupling.
+    Hand position and the linear velocities of hand and EE are float triples.
+    The hand feels the negative of the returned force.  Axial force is
+    piecewise linear in the axial deviation: tension engages only beyond the
+    slack length, compression for negative deviation, and the force is
+    continuous across both breakpoints.  There is no torque: the grasp is
+    treated as a point coupling.
     """
     rest_world = rotz(ee_pose.yaw() - model.ref_yaw).dot(model.rest_vector)
     rest_len = _norm(rest_world)
     # Component-wise float arithmetic in the same order as the vector form.
     ex, ey, ez = ee_pose.position.tolist()
-    hx, hy, hz = hand_pose.position.tolist()
+    hx, hy, hz = hand_position
     rx, ry, rz = rest_world.tolist()
     dx, dy, dz = (ex - hx) - rx, (ey - hy) - ry, (ez - hz) - rz
     fx = fy = fz = 0.0
@@ -100,31 +102,9 @@ def object_wrench(
         fx, fy, fz = fx - k * dx, fy - k * dy, fz - k * dz
 
     k = model.damping
-    vex, vey, vez = ee_twist.linear.tolist()
-    vhx, vhy, vhz = hand_twist.linear.tolist()
-    force_ee = np.array(
-        [fx - k * (vex - vhx), fy - k * (vey - vhy), fz - k * (vez - vhz)]
-    )
-    on_ee = Wrench(force_ee, np.zeros(3))
-    return on_ee, -on_ee
-
-
-def elastic_energy(model: ObjectModel, hand_pose: Pose, ee_pose: Pose) -> float:
-    """Stored elastic energy of the coupling; non-negative by construction."""
-    rest_world = rotz(ee_pose.yaw() - model.ref_yaw) @ model.rest_vector
-    rest_len = np.linalg.norm(rest_world)
-    deviation = (ee_pose.position - hand_pose.position) - rest_world
-    if rest_len <= 1e-12:
-        return 0.5 * model.lateral_stiffness * float(deviation @ deviation)
-    axis = rest_world / rest_len
-    s = float(axis @ deviation)
-    lateral = deviation - s * axis
-    energy = 0.5 * model.lateral_stiffness * float(lateral @ lateral)
-    if s > model.slack_length:
-        energy += 0.5 * model.axial_stiffness_tension * (s - model.slack_length) ** 2
-    elif s < 0.0:
-        energy += 0.5 * model.axial_stiffness_compression * s * s
-    return energy
+    vex, vey, vez = ee_velocity
+    vhx, vhy, vhz = hand_velocity
+    return (fx - k * (vex - vhx), fy - k * (vey - vhy), fz - k * (vez - vhz))
 
 
 _PRESETS = {

@@ -1,10 +1,13 @@
 """Fixed-timestep closed-loop simulation and its metrics.
 
 One tick advances the world in a fixed order: the human moves under the
-previous object reaction, the coupling wrench is evaluated once from the
+previous object reaction, the coupling force is evaluated once from the
 fresh states, the collaborative interface turns force and human motion into
 an EE reference, the whole-body controller resolves it to saturated joint
 velocities, and the robot integrates.  Every tick appends one trace row.
+The layers hand each other Python floats and the float64 arrays of the
+Jacobian and joint vectors; outside a rotation, the EE and reference poses
+are the only `Pose`s built per tick.
 The whole pipeline is deterministic: identical configuration and seed give
 bitwise-identical traces.
 """
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import wbc as _wbc
 from .aci import AciController
-from .geometry import Pose, Twist, _norm, quat_from_yaw
+from .geometry import Pose, _norm, quat_from_yaw
 from .human import SimulatedHuman
 from .kinematics import chain_state
 from .objects import object_wrench
@@ -178,12 +181,13 @@ class Simulation:
             config.aci, config.admittance, config.mode, ee0, torso0_pose
         )
         self.wbc_params = config.wbc
-        self.wrench_on_hand = np.zeros(3)
+        self.force_on_hand = (0.0, 0.0, 0.0)
         self._columns = trace_columns(self.model.n_joints)
         # The trace rows, flat in column order; it grows by one row per tick.
         self._rows = array("d")
         self.waypoint_times: list = []
         self._next_waypoint = 0
+        self._waypoint_targets = [ee0.position + wp.offset for wp in config.waypoints]
 
     @property
     def t(self) -> float:
@@ -213,25 +217,24 @@ class Simulation:
         dt = self.dt
         layer = "human"
         try:
-            human_state = self.human.step(self.wrench_on_hand, dt)
+            human_state = self.human.step(self.force_on_hand, dt)
 
             layer = "objects"
             chain = self._chain  # evaluated when self.q was last updated
-            ee_pose = chain.pose
             J = chain.jacobian
-            ee_vel = Twist.from_vector(J.dot(self.qdot))
-            on_ee, on_hand = object_wrench(
+            force = object_wrench(
                 self.object_model,
-                human_state.hand_pose,
-                human_state.hand_twist,
-                ee_pose,
-                ee_vel,
+                human_state.hand_position,
+                human_state.hand_velocity,
+                chain.pose,
+                J.dot(self.qdot)[:3].tolist(),
             )
-            self.wrench_on_hand = on_hand.force
+            fx, fy, fz = force
+            self.force_on_hand = (-fx, -fy, -fz)
 
             layer = "aci"
             t_new = (self.ticks + 1) * dt
-            out = self.aci.step(t_new, on_ee.force, human_state, dt)
+            out = self.aci.step(t_new, force, human_state, dt)
 
             layer = "wbc"
             qdot_d = _wbc.compute(
@@ -247,7 +250,8 @@ class Simulation:
             self._chain = chain_state(self.model, self.q)
 
             layer = "trace"
-            # One row in `trace_columns` order, each vector copied in as bytes.
+            # One row in `trace_columns` order: arrays copied in as bytes,
+            # float sequences extended.
             rows = self._rows
             try:
                 rows.append(t_new)
@@ -255,20 +259,19 @@ class Simulation:
                 rows = self._rows = array("d", rows)
                 rows.append(t_new)
             ee = self._chain.pose
-            hand = human_state.hand_pose
             rows.frombytes(self.q.tobytes())
             rows.frombytes(ee.position.tobytes())
             rows.frombytes(ee.orientation.tobytes())
             rows.frombytes(ee_twist.tobytes())
-            rows.frombytes(on_ee.force.tobytes())
-            rows.frombytes(out.v_adm.tobytes())
-            rows.frombytes(human_state.hand_twist.linear.tobytes())
+            rows.extend(force)
+            rows.extend(out.v_adm)
+            rows.extend(human_state.hand_velocity)
             rows.append(out.alpha)
             rows.append(out.zeta)
             rows.frombytes(out.x_d.position.tobytes())
             rows.frombytes(out.x_d.orientation.tobytes())
-            rows.frombytes(hand.position.tobytes())
-            rows.frombytes(hand.orientation.tobytes())
+            rows.extend(human_state.hand_position)
+            rows.extend(human_state.hand_orientation)
             rows.append(human_state.theta_t_w)
             self._check_waypoints(ee.position, ee_twist[:3])
         except Exception as exc:
@@ -279,7 +282,7 @@ class Simulation:
         if self._next_waypoint >= len(wps):
             return
         wp = wps[self._next_waypoint]
-        target = self.ee0.position + wp.offset
+        target = self._waypoint_targets[self._next_waypoint]
         near = _norm(ee_position - target) <= wp.tolerance
         slow = _norm(ee_linear) < self.config.waypoint_speed
         if near and slow:

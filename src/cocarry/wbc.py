@@ -13,12 +13,12 @@ manipulability-scheduled damping factor k.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg
-from .geometry import Pose, Twist, _norm, pose_error
+from .geometry import Pose, _norm, _pose_error
 from .kinematics import (
     BASE_DOFS,
     ChainState,
@@ -32,9 +32,13 @@ class WbcError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class WbcParams:
-    """Gains and weights; all weight matrices are diagonal and stored as vectors."""
+    """Gains and weights; all weight matrices are diagonal and stored as vectors.
+
+    Frozen, with read-only arrays, because the per-tick products of the gains
+    are formed once here: `dataclasses.replace` makes a changed copy.
+    """
 
     k_gain: np.ndarray
     w_task: np.ndarray
@@ -43,15 +47,27 @@ class WbcParams:
     q_def: np.ndarray
     posture_gain: float = 0.5
     qdot_limits: np.ndarray | None = None
+    # posture_gain * w_posture, -qdot_limits and k_gain as 6 floats.
+    _posture_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _lower_limits: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _k_gain: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.k_gain = np.asarray(self.k_gain, dtype=float).reshape(6)
-        self.w_task = np.asarray(self.w_task, dtype=float).reshape(6)
-        self.w_damp = np.asarray(self.w_damp, dtype=float).reshape(-1)
-        self.w_posture = np.asarray(self.w_posture, dtype=float).reshape(-1)
-        self.q_def = np.asarray(self.q_def, dtype=float).reshape(-1)
-        if self.qdot_limits is not None:
-            self.qdot_limits = np.asarray(self.qdot_limits, dtype=float).reshape(-1)
+        def put(name, value, size=-1):
+            if value is not None:
+                value = np.array(value, dtype=float).reshape(size)
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+        put("k_gain", self.k_gain, 6)
+        put("w_task", self.w_task, 6)
+        put("w_damp", self.w_damp)
+        put("w_posture", self.w_posture)
+        put("q_def", self.q_def)
+        put("qdot_limits", self.qdot_limits)
+        put("_posture_scale", self.posture_gain * self.w_posture)
+        put("_lower_limits", None if self.qdot_limits is None else -self.qdot_limits)
+        object.__setattr__(self, "_k_gain", self.k_gain.tolist())
         if np.any(self.w_task <= 0.0) or np.any(self.w_damp <= 0.0):
             raise WbcError("task and damping weights must be positive")
         if np.any(self.w_posture < 0.0):
@@ -89,19 +105,11 @@ class WbcParams:
         return cls(**{**standard, **fields})
 
 
-def tracking_objective(
-    pose: Pose, x_d: Pose, xdot_d: Twist, params: WbcParams
-) -> np.ndarray:
-    """Reference twist b = xdot_d + K * (x_d minus the current pose)."""
+def tracking_objective(pose: Pose, x_d: Pose, xdot_d, params: WbcParams) -> np.ndarray:
+    """Reference twist b = xdot_d + K * (x_d minus the current pose), for the
+    reference twist xdot_d as 6 floats (linear, then angular)."""
     return np.array(
-        [
-            v + k * e
-            for v, k, e in zip(
-                xdot_d.linear.tolist() + xdot_d.angular.tolist(),
-                params.k_gain.tolist(),
-                pose_error(x_d, pose).tolist(),
-            )
-        ]
+        [v + k * e for v, k, e in zip(xdot_d, params._k_gain, _pose_error(x_d, pose))]
     )
 
 
@@ -139,20 +147,22 @@ def solve_tracking(
 
 def solve_secondary(q: np.ndarray, params: WbcParams) -> np.ndarray:
     """Raw posture velocities pulling the configuration toward q_def."""
-    return params.posture_gain * params.w_posture * (params.q_def - q)
+    return params._posture_scale * (params.q_def - q)
 
 
 def compute(
     model: KinematicModel,
     q: np.ndarray,
     x_d: Pose,
-    xdot_d: Twist,
+    xdot_d,
     params: WbcParams,
     chain: ChainState | None = None,
 ) -> np.ndarray:
     """Full hierarchical command J# b + (I - J# J) s for the posture velocity s.
 
-    It is formed as s + J# (b - J s), which needs one solve and no projector.
+    xdot_d is the reference twist as 6 floats (linear, then angular).  The
+    command is formed as s + J# (b - J s), which needs one solve and no
+    projector.
     """
     if chain is None:
         chain = chain_state(model, q)
@@ -167,4 +177,4 @@ def clamp_velocities(qdot: np.ndarray, params: WbcParams) -> np.ndarray:
     """Component-wise saturation to the per-joint velocity limits."""
     if params.qdot_limits is None:
         return qdot
-    return np.asarray(qdot).clip(-params.qdot_limits, params.qdot_limits)
+    return np.asarray(qdot).clip(params._lower_limits, params.qdot_limits)

@@ -303,7 +303,7 @@ def test_criterion_07_wbc_oracle_equivalence():
         xdot_d = Twist(rng.normal(scale=0.3, size=3), rng.normal(scale=0.3, size=3))
         got = solve_tracking(
             chain.jacobian,
-            tracking_objective(chain.pose, x_d, xdot_d, params),
+            tracking_objective(chain.pose, x_d, xdot_d.as_vector(), params),
             k,
             params.w_task,
             params.w_damp,
@@ -379,9 +379,12 @@ def test_criterion_08_detector_oracle_equivalence():
     for _ in range(100):
         hand, torso, rate = random_yaw_walk(rng)
         det = IntentionDetector(params, latch=False)
-        pose = Pose()
+        torso_position = (0.0, 0.0, 0.0)
         got = np.array(
-            [det.step(h - s, h, s, w, pose)[0] for h, s, w in zip(hand, torso, rate)]
+            [
+                det.step(h - s, h, s, w, torso_position)[0]
+                for h, s, w in zip(hand, torso, rate)
+            ]
         )
         if not np.array_equal(got, per_sample_oracle(params, hand, torso, rate)):
             mismatches += 1
@@ -431,8 +434,11 @@ def test_criterion_10_invariant_fuzz():
             if not 0.0 <= alpha <= 1.0:
                 alpha_bad += 1
 
-    wrench_cases = 0
-    wrench_bad = 0
+    # The hand takes the exact negative of the one force object_wrench
+    # returns; test_objects checks that negation tick by tick.  Here every
+    # random coupling must give 3 finite floats.
+    force_cases = 0
+    force_bad = 0
     for _ in range(10000):
         model = ObjectModel(
             rest_vector=rng.normal(size=3) * (0.0 if rng.random() < 0.05 else 1.0),
@@ -447,14 +453,15 @@ def test_criterion_10_invariant_fuzz():
         ee = Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4)))
         vh = Twist(rng.normal(size=3), rng.normal(size=3))
         ve = Twist(rng.normal(size=3), rng.normal(size=3))
-        on_ee, on_hand = object_wrench(model, hand, vh, ee, ve)
-        wrench_cases += 1
+        force = object_wrench(
+            model, hand.position.tolist(), vh.linear.tolist(), ee, ve.linear.tolist()
+        )
+        force_cases += 1
         if not (
-            np.array_equal(on_hand.force, -on_ee.force)
-            and np.array_equal(on_ee.torque, np.zeros(3))
-            and np.array_equal(on_hand.torque, np.zeros(3))
+            len(force) == 3
+            and all(type(f) is float and math.isfinite(f) for f in force)
         ):
-            wrench_bad += 1
+            force_bad += 1
 
     quat_cases = 0
     quat_bad = 0
@@ -462,7 +469,7 @@ def test_criterion_10_invariant_fuzz():
         pose = Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4)))
         for _ in range(3):
             twist = Twist(rng.normal(size=3), rng.normal(scale=3.0, size=3))
-            pose = integrate_pose(pose, twist, float(rng.uniform(1e-4, 0.5)))
+            pose = integrate_pose(pose, twist.as_vector(), float(rng.uniform(1e-4, 0.5)))
         pose = pose.compose(Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4))))
         quat_cases += 1
         if abs(np.linalg.norm(pose.orientation) - 1.0) >= 1e-9:
@@ -495,7 +502,7 @@ def test_criterion_10_invariant_fuzz():
         10,
         [
             (f"alpha bounds: {alpha_bad} / {alpha_cases} violations", alpha_bad == 0 and alpha_cases >= 10000),
-            (f"action-reaction: {wrench_bad} / {wrench_cases} violations", wrench_bad == 0 and wrench_cases >= 10000),
+            (f"coupling force: {force_bad} / {force_cases} not 3 finite floats", force_bad == 0 and force_cases >= 10000),
             (f"quaternion norm: {quat_bad} / {quat_cases} violations", quat_bad == 0 and quat_cases >= 10000),
             (f"cubic boundaries: {cubic_bad} / {cubic_cases} violations", cubic_bad == 0 and cubic_cases >= 10000),
             (f"fuzz runtime {elapsed:.1f}s < 120s", elapsed < 120.0),

@@ -26,7 +26,6 @@ from cocarry.aci import (
 )
 from cocarry.geometry import (
     Pose,
-    Twist,
     quat_from_yaw,
     quat_multiply,
     quat_normalize,
@@ -312,10 +311,10 @@ def detector_oracle(params, hand, torso, rate):
 
 def run_detector(params, hand, torso, rate, latch):
     det = IntentionDetector(params, latch=latch)
-    pose = Pose()
+    torso_position = (0.0, 0.0, 0.0)
     fired = []
     for th, tt, td in zip(hand, torso, rate):
-        f, _ = det.step(th - tt, th, tt, td, pose)
+        f, _ = det.step(th - tt, th, tt, td, torso_position)
         fired.append(f)
     return np.array(fired)
 
@@ -374,10 +373,10 @@ def test_detector_ignores_hand_led_turn():
 def test_detector_latch_and_rearm():
     params = AciParams()
     det = IntentionDetector(params)
-    pose = Pose()
+    torso_position = (0.0, 0.0, 0.0)
 
     def feed(th, tt, td):
-        return det.step(th - tt, th, tt, td, pose)[0]
+        return det.step(th - tt, th, tt, td, torso_position)[0]
 
     # torso-led entry, settle, fire
     for tt in np.linspace(0, -0.5, 50):
@@ -400,13 +399,13 @@ def test_detector_bounds_latch_at_regime_entry():
     # hand drifts before the regime starts; only in-regime deltas count
     params = AciParams()
     det = IntentionDetector(params, latch=False)
-    pose = Pose()
+    torso_position = (0.0, 0.0, 0.0)
     for th in np.linspace(0.0, 0.15, 30):  # below lower threshold
-        det.step(th, th, 0.0, 0.0, pose)
+        det.step(th, th, 0.0, 0.0, torso_position)
     # now torso turns away, hand stays: delta_t accumulates from entry
     fired = False
     for tt in np.linspace(0.0, -0.5, 60):
-        fired, _ = det.step(0.15 - tt, 0.15, tt, 0.0, pose)
+        fired, _ = det.step(0.15 - tt, 0.15, tt, 0.0, torso_position)
     assert fired
 
 
@@ -504,14 +503,14 @@ def test_reference_integrates_constant_velocity():
     for _ in range(2000):
         pose, twist = ref.step(0, None, v, 1e-3)
     np.testing.assert_allclose(pose.position, [0.2, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(twist.as_vector(), [0.1, 0, 0, 0, 0, 0])
+    np.testing.assert_allclose(twist, [0.1, 0, 0, 0, 0, 0])
 
 
 def test_reference_rotation_branch_overrides_translation():
     ref = ReferenceGenerator(Pose())
-    rot = Twist([0.0, 0.0, 0.0], [0.0, 0.0, 0.5])
-    _, twist = ref.step(1, rot, np.array([9.0, 9.0, 9.0]), 1e-3)
-    np.testing.assert_allclose(twist.as_vector(), rot.as_vector())
+    rot = (0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
+    _, twist = ref.step(1, rot, (9.0, 9.0, 9.0), 1e-3)
+    np.testing.assert_allclose(twist, rot)
 
 
 def test_reference_derivative_consistency():
@@ -524,7 +523,7 @@ def test_reference_derivative_consistency():
         v_h = rng.normal(scale=0.2, size=3)
         pose, twist = ref.step(0, None, object_translation(v_adm, v_h, 0.5), dt)
         fd = (pose.position - prev.position) / dt
-        np.testing.assert_allclose(fd, twist.linear, atol=1e-9)
+        np.testing.assert_allclose(fd, twist[:3], atol=1e-9)
         prev = pose.copy()
 
 
@@ -533,9 +532,10 @@ def test_reference_derivative_consistency():
 
 def human_sample(hand_yaw=0.0, torso_yaw=0.0, rate=0.0, v=(0, 0, 0)):
     return HumanState(
-        hand_pose=Pose([1.0, 0, 1.0], quat_from_yaw(hand_yaw)),
-        hand_twist=Twist(np.array(v, dtype=float), np.zeros(3)),
-        torso_pose=Pose([1.5, 0, 1.0], quat_from_yaw(torso_yaw)),
+        hand_position=(1.0, 0.0, 1.0),
+        hand_orientation=tuple(quat_from_yaw(hand_yaw).tolist()),
+        hand_velocity=tuple(float(c) for c in v),
+        torso_position=(1.5, 0.0, 1.0),
         theta_h_w=hand_yaw,
         theta_t_w=torso_yaw,
         theta_h_t=hand_yaw - torso_yaw,
@@ -563,18 +563,42 @@ def run_controller(mode, force, v_h, ticks=300, dt=1e-3):
     return out
 
 
+def test_controller_admittance_matches_fresh_step_across_dt():
+    # The admittance decay is kept per dt.  Stepped with two alternating
+    # dts, the controller's v_adm must equal, bit for bit, an admittance
+    # step computed from scratch with fresh parameters on every tick.
+    mass, damping = [6.0, 3.0, 1.5], [30.0, 12.0, 9.0]
+    ctrl = AciController(
+        AciParams(),
+        AdmittanceParams(mass, damping),
+        Mode.ADMITTANCE,
+        Pose([0.5, 0, 1.0]),
+        Pose([1.5, 0, 1.0]),
+    )
+    rng = np.random.default_rng(60)
+    v = (0.0, 0.0, 0.0)
+    t = 0.0
+    for i in range(400):
+        dt = (1e-3, 2.5e-3)[i % 2]
+        t += dt
+        force = tuple(rng.normal(scale=20.0, size=3).tolist())
+        out = ctrl.step(t, force, human_sample(), dt)
+        v = admittance_step(force, v, dt, AdmittanceParams(mass, damping))
+        assert np.array(out.v_adm).tobytes() == np.array(v).tobytes()
+
+
 def test_reference_mode_pins_blend():
     force = (12.0, 0.0, 0.0)
     v_h = (0.0, 0.3, 0.0)
     adm = run_controller(Mode.ADMITTANCE, force, v_h)
     for other_v_h in ((0.0, 0.0, 0.0), (5.0, 5.0, 5.0)):  # hand input must be invisible
         other = run_controller(Mode.ADMITTANCE, force, other_v_h)
-        np.testing.assert_allclose(other.xdot_d.linear, adm.xdot_d.linear)
+        np.testing.assert_allclose(other.xdot_d[:3], adm.xdot_d[:3])
     tel = run_controller(Mode.TELEOP, force, v_h)
     for other_force in ((0.0, 0.0, 0.0), (5.0, 5.0, 5.0)):  # force channel must be invisible
         other = run_controller(Mode.TELEOP, other_force, v_h)
-        np.testing.assert_allclose(other.xdot_d.linear, tel.xdot_d.linear)
-        np.testing.assert_allclose(other.xdot_d.linear, v_h)
+        np.testing.assert_allclose(other.xdot_d[:3], tel.xdot_d[:3])
+        np.testing.assert_allclose(other.xdot_d[:3], v_h)
 
 
 def test_controller_mode_outputs():
@@ -591,7 +615,7 @@ def test_controller_mode_outputs():
                 out.v_trans, out.v_adm + out.alpha * np.array(v_h)
             )
         # the reference moves with the mode's translational command
-        np.testing.assert_allclose(out.xdot_d.linear, out.v_trans)
+        np.testing.assert_allclose(out.xdot_d[:3], out.v_trans)
         assert out.zeta == 0
 
 

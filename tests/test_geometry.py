@@ -11,7 +11,6 @@ from scipy.spatial.transform import Rotation
 from cocarry.geometry import (
     Pose,
     Twist,
-    Wrench,
     integrate_pose,
     pose_error,
     quat_conjugate,
@@ -229,7 +228,7 @@ def test_integrate_pose_constant_twist():
     tw = Twist([0.1, -0.2, 0.3], [0.0, 0.0, 0.5])
     out = p
     for _ in range(1000):
-        out = integrate_pose(out, tw, 1e-3)
+        out = integrate_pose(out, tw.as_vector(), 1e-3)
     np.testing.assert_allclose(out.position, [0.1, -0.2, 0.3], atol=1e-12)
     assert abs(out.yaw() - 0.5) < 1e-9
     assert abs(np.linalg.norm(out.orientation) - 1.0) < 1e-12
@@ -241,7 +240,7 @@ def test_integrate_pose_recovers_twist():
     for _ in range(50):
         p = random_pose(rng)
         tw = Twist(rng.normal(size=3), rng.normal(size=3))
-        nxt = integrate_pose(p, tw, dt)
+        nxt = integrate_pose(p, tw.as_vector(), dt)
         v = (nxt.position - p.position) / dt
         dq = quat_multiply(nxt.orientation, quat_conjugate(p.orientation))
         w = quat_to_rotvec(dq) / dt
@@ -249,10 +248,6 @@ def test_integrate_pose_recovers_twist():
         np.testing.assert_allclose(w, tw.angular, atol=1e-3)
 
 
-def test_twist_wrench_carriers():
+def test_twist_carrier():
     tw = Twist.from_vector(np.arange(6.0))
     np.testing.assert_allclose(tw.as_vector(), np.arange(6.0))
-    w = Wrench([1.0, -2.0, 3.0], [0.5, 0.0, -0.5])
-    neg = -w
-    np.testing.assert_allclose(neg.force, [-1.0, 2.0, -3.0])
-    np.testing.assert_allclose(neg.torque, [-0.5, 0.0, 0.5])

@@ -31,10 +31,10 @@ def run_free(human, steps):
 
 def test_equilibrium_hold():
     human = make_human([Hold(1.0)])
-    p0 = human.hand_position.copy()
+    p0 = human.hand_position
     state = run_free(human, 500)
-    np.testing.assert_allclose(state.hand_pose.position, p0, atol=1e-12)
-    np.testing.assert_allclose(state.hand_twist.linear, np.zeros(3))
+    np.testing.assert_allclose(state.hand_position, p0, atol=1e-12)
+    np.testing.assert_allclose(state.hand_velocity, np.zeros(3))
     assert state.theta_t_w == 0.0 and state.thetadot_t_w == 0.0
 
 
@@ -43,7 +43,7 @@ def test_free_hand_reaches_target():
     human = make_human([Translate([0.3, 0.0, 0.0], 1.0), Hold(1.0)])
     state = run_free(human, 1600)
     np.testing.assert_allclose(
-        state.hand_pose.position, [1.3, 0.0, 1.0], atol=1e-3
+        state.hand_position, [1.3, 0.0, 1.0], atol=1e-3
     )
 
 
@@ -52,26 +52,27 @@ def test_series_spring_statics():
     # displacement follows the series-spring ratio K_h / (K_h + k)
     k = 1e4
     human = make_human([Translate([0.1, 0.0, 0.0], 1.0), Hold(4.0)])
-    anchor = human.hand_position.copy()
+    anchor = np.array(human.hand_position)
     state = None
     for _ in range(5000):
-        force = -k * (human.hand_position - anchor)
+        force = -k * (np.array(human.hand_position) - anchor)
         state = human.step(force, DT)
     expected = 600.0 * 0.1 / (600.0 + k)
-    got = state.hand_pose.position[0] - anchor[0]
+    got = state.hand_position[0] - anchor[0]
     assert got == pytest.approx(expected, rel=1e-3)
 
 
 def test_hand_impedance_is_passive():
     # target frozen, no object force: kinetic + elastic energy never grows
     human = make_human([Hold(3.0)])
-    human.hand_velocity = np.array([0.4, -0.2, 0.3])
+    human.hand_velocity = (0.4, -0.2, 0.3)
     p = human.params
     target = human.script.hand0
 
     def energy():
-        v2 = float(human.hand_velocity @ human.hand_velocity)
-        d = human.hand_position - target
+        v = np.array(human.hand_velocity)
+        v2 = float(v @ v)
+        d = np.array(human.hand_position) - target
         return 0.5 * p.hand_mass * v2 + 0.5 * p.hand_stiffness * float(d @ d)
 
     prev = energy()
@@ -87,7 +88,7 @@ def test_velocity_deadband_reads_zero():
     state = run_free(human, 400)
     # true velocity is well below the (exaggerated) deadband: measured as rest
     assert np.linalg.norm(human.hand_velocity) > 0.0
-    np.testing.assert_allclose(state.hand_twist.linear, np.zeros(3))
+    np.testing.assert_allclose(state.hand_velocity, np.zeros(3))
 
 
 def test_torso_yaw_rate_is_filtered_finite_difference():
@@ -136,7 +137,7 @@ def test_torso_translates_with_scripted_hand():
     human = make_human([Translate([0.2, -0.1, 0.0], 0.5), Hold(0.5)])
     state = run_free(human, 1000)
     np.testing.assert_allclose(
-        state.torso_pose.position, [1.7, -0.1, 1.0], atol=1e-12
+        state.torso_position, [1.7, -0.1, 1.0], atol=1e-12
     )
 
 
@@ -169,7 +170,7 @@ def test_determinism_with_noise():
         rows = []
         for _ in range(1000):
             s = human.step(np.zeros(3), DT)
-            rows.append(np.concatenate([s.hand_pose.position, s.hand_twist.linear]))
+            rows.append(np.concatenate([s.hand_position, s.hand_velocity]))
         runs.append(np.array(rows))
     assert np.array_equal(runs[0], runs[1])
     # and the noise actually perturbs the measurements
@@ -177,7 +178,7 @@ def test_determinism_with_noise():
     rows = []
     for _ in range(1000):
         s = clean.step(np.zeros(3), DT)
-        rows.append(np.concatenate([s.hand_pose.position, s.hand_twist.linear]))
+        rows.append(np.concatenate([s.hand_position, s.hand_velocity]))
     assert not np.array_equal(runs[0], np.array(rows))
 
 

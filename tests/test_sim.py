@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import yaml
 
 import cocarry.sim as sim_mod
 import cocarry.wbc
-from cocarry.geometry import Pose, quat_identity, quat_normalize
+from cocarry.aci import Mode
+from cocarry.geometry import Pose, Twist, quat_identity, quat_normalize
 from cocarry.scenario import load_scenario, scenario_path
 from cocarry.sim import (
     Metrics,
@@ -277,9 +279,9 @@ def test_tick_order_and_single_evaluation(tmp_path, monkeypatch):
 
     def spy_wrench(*args, **kwargs):
         calls.append("wrench")
-        on_ee, on_hand = real_wrench(*args, **kwargs)
-        wrench_forces.append(on_ee.force.copy())
-        return on_ee, on_hand
+        on_ee = real_wrench(*args, **kwargs)
+        wrench_forces.append(np.array(on_ee))
+        return on_ee
 
     real_compute = cocarry.wbc.compute
 
@@ -372,6 +374,28 @@ def test_trace_memory_per_tick():
     assert retained / 2000 < 1024
 
 
+def test_tick_builds_no_twist_and_few_poses(monkeypatch):
+    # The layers of a tick pass floats: over 1,000 ACI ticks of peanut_bag
+    # with no rotation, a tick builds no Twist and at most 3 Poses.
+    sim = Simulation(load_scenario(scenario_path("peanut_bag")))
+    built = Counter()
+    for cls in (Pose, Twist):
+
+        def counted(self, real=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    ticks = 1000
+    for _ in range(ticks):
+        sim.step()
+    monkeypatch.undo()
+    assert sim.config.mode is Mode.ACI
+    assert not sim.trace["zeta"].any()
+    assert built["Twist"] == 0
+    assert built["Pose"] <= 3 * ticks
+
+
 def test_trace_handed_out_is_a_snapshot(tmp_path):
     sim = Simulation(make_config(tmp_path, duration=0.01))
     trace, _ = sim.run()
@@ -386,14 +410,14 @@ def test_trace_handed_out_is_a_snapshot(tmp_path):
 def test_step_failure_is_wrapped(tmp_path):
     cfg = make_config(tmp_path)
     sim = Simulation(cfg)
-    sim.wrench_on_hand = np.array([math.nan, 0.0, 0.0])
+    sim.force_on_hand = (math.nan, 0.0, 0.0)
     with pytest.raises(SimulationError, match="aborted at step 0"):
         sim.run()
 
 
 def test_step_failure_names_its_layer(tmp_path):
     sim = Simulation(make_config(tmp_path))
-    sim.wrench_on_hand = np.array([math.nan, 0.0, 0.0])
+    sim.force_on_hand = (math.nan, 0.0, 0.0)
     with pytest.raises(
         SimulationError, match="^aborted at step 0 in human: non-finite force"
     ) as info:

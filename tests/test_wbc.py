@@ -5,6 +5,8 @@ The oracle routes every solve through a stacked QR factorization
 implementation under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ def test_solve_primary_full_pipeline_matches_oracle():
         xdot_d = Twist(rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3))
         got = wbc.solve_tracking(
             st.jacobian,
-            wbc.tracking_objective(st.pose, x_d, xdot_d, params),
+            wbc.tracking_objective(st.pose, x_d, xdot_d.as_vector(), params),
             k,
             params.w_task,
             params.w_damp,
@@ -253,20 +255,19 @@ def test_solve_secondary():
 
 def primary(model, st, x_d, params):
     """The primary-task command alone for a fixed reference pose."""
-    b = wbc.tracking_objective(st.pose, x_d, Twist(), params)
+    b = wbc.tracking_objective(st.pose, x_d, Twist().as_vector(), params)
     k = damping_factor(st.manipulability, model)
     return wbc.solve_tracking(st.jacobian, b, k, params.w_task, params.w_damp)
 
 
 def test_compute_reduces_to_primary_without_posture_weight():
     model = default_model()
-    params = default_params(model)
-    params.w_posture = np.zeros(9)
+    params = replace(default_params(model), w_posture=np.zeros(9))
     rng = np.random.default_rng(48)
     q = random_q(rng, model)
     st = chain_state(model, q)
     x_d = Pose(st.pose.position + [0.05, 0, 0], st.pose.orientation)
-    out = wbc.compute(model, q, x_d, Twist(), params)
+    out = wbc.compute(model, q, x_d, Twist().as_vector(), params)
     prim = primary(model, st, x_d, params)
     np.testing.assert_allclose(out, prim, atol=1e-12)
 
@@ -279,7 +280,7 @@ def test_posture_drifts_without_disturbing_tracking():
     st = chain_state(model, q)
     assert chain_state(model, q).manipulability > model.w_threshold  # so k = 0
     x_d = st.pose
-    out = wbc.compute(model, q, x_d, Twist(), params)
+    out = wbc.compute(model, q, x_d, Twist().as_vector(), params)
     prim = primary(model, st, x_d, params)
     # secondary motion present and pointed toward q_def on the arm...
     assert np.linalg.norm(out - prim) > 1e-4
@@ -292,7 +293,7 @@ def test_compute_zero_at_converged_rest():
     model = default_model()
     params = default_params(model, q_def=HOME)
     x_d = chain_state(model, HOME).pose
-    out = wbc.compute(model, HOME.copy(), x_d, Twist(), params)
+    out = wbc.compute(model, HOME.copy(), x_d, Twist().as_vector(), params)
     np.testing.assert_allclose(out, np.zeros(9), atol=1e-12)
 
 
@@ -304,7 +305,7 @@ def closed_loop_errors(x_d, q0, steps, dt=1e-3):
     for i in range(steps):
         chain = chain_state(model, q)
         qd = wbc.clamp_velocities(
-            wbc.compute(model, q, x_d, Twist(), params, chain=chain), params
+            wbc.compute(model, q, x_d, Twist().as_vector(), params, chain=chain), params
         )
         q = q + qd * dt
         e = pose_error(x_d, chain.pose)
@@ -346,5 +347,5 @@ def test_clamp_velocities():
     qdot = np.array([2.0, -2.0, 0.5, 3.0, -3.0, 1.0, 1.6, -1.4, 0.0])
     out = wbc.clamp_velocities(qdot, params)
     np.testing.assert_allclose(out, [1.0, -1.0, 0.5, 1.5, -1.5, 1.0, 1.5, -1.4, 0.0])
-    params.qdot_limits = None
+    params = replace(params, qdot_limits=None)
     np.testing.assert_allclose(wbc.clamp_velocities(qdot, params), qdot)
