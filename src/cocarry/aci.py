@@ -103,6 +103,8 @@ def admittance_step(force, v_prev, dt: float, params: AdmittanceParams) -> tuple
     the update is stable for any dt and matches the continuous response at
     the sample instants.
     """
+    if len(force) != 3 or len(v_prev) != 3:
+        raise ValueError("admittance force and velocity must have 3 components")
     if not all(map(math.isfinite, force)):
         raise ValueError("non-finite force input to admittance (sensor fault?)")
     return tuple([

@@ -216,11 +216,11 @@ class SimulatedHuman:
         self.hand_velocity = _ZERO3
         self._prev_torso_yaw = script.torso_yaw0
         self._torso_rate_filt = 0.0
-        self._hand_yaw = None  # float.hex() of the cached quaternion's yaw
-        self._hand_quat = None
 
     def step(self, force_on_hand, dt: float) -> HumanState:
         """Advance one tick under the object force on the hand (3 floats)."""
+        if len(force_on_hand) != 3:
+            raise ValueError("force on the hand must have 3 components")
         if not all(map(math.isfinite, force_on_hand)):
             raise ValueError("non-finite force applied to the human hand")
         p = self.params
@@ -276,14 +276,9 @@ class SimulatedHuman:
             t0 + (tp - h0)
             for t0, tp, h0 in zip(self.torso_position0, target_pos, self._hand0)
         ])
-        # Keyed on the exact bits of the yaw, so -0.0 and 0.0 differ as the
-        # signs of their sines do.
-        key = theta_h.hex()
-        if key != self._hand_yaw:
-            self._hand_yaw, self._hand_quat = key, _yaw_quat(theta_h)
         return HumanState(
             hand_position=hand_pos,
-            hand_orientation=self._hand_quat,
+            hand_orientation=_yaw_quat(theta_h),
             hand_velocity=hand_vel,
             torso_position=torso_pos,
             theta_h_w=theta_h,

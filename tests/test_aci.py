@@ -85,6 +85,10 @@ def test_admittance_rejects_bad_inputs():
     with pytest.raises(ValueError):
         admittance_step(np.array([np.nan, 0, 0]), np.zeros(3), 1e-3, AdmittanceParams())
     with pytest.raises(ValueError):
+        admittance_step(np.zeros(2), np.zeros(3), 1e-3, AdmittanceParams())
+    with pytest.raises(ValueError):
+        admittance_step(np.zeros(3), np.zeros(4), 1e-3, AdmittanceParams())
+    with pytest.raises(ValueError):
         AdmittanceParams(mass=[0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         AdmittanceParams(damping=[1.0, -1.0, 1.0])

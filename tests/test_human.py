@@ -195,3 +195,9 @@ def test_rejects_non_finite_force():
     human = make_human([Hold(1.0)])
     with pytest.raises(ValueError):
         human.step(np.array([np.inf, 0, 0]), DT)
+
+
+def test_rejects_wrong_length_force():
+    human = make_human([Hold(1.0)])
+    with pytest.raises(ValueError):
+        human.step(np.zeros(2), DT)
