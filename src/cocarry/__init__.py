@@ -20,7 +20,7 @@ from .aci import (
     desired_rotation_pose,
     object_translation,
 )
-from .geometry import Pose, Twist
+from .geometry import Pose
 from .human import (
     HandYaw,
     Hold,

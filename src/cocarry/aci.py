@@ -21,7 +21,6 @@ import numpy as np
 
 from .geometry import (
     Pose,
-    Twist,
     quat_from_rotvec,
     quat_from_yaw,
     quat_multiply,
@@ -88,7 +87,8 @@ class AciParams:
     min_rotation_duration: float = 2.0
 
     def __post_init__(self):
-        for name in ("window_length", "epsilon", "rotation_rate"):
+        positive = ("window_length", "epsilon", "rotation_rate", "min_rotation_duration")
+        for name in positive:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.lower_angle < self.upper_angle:
@@ -280,19 +280,22 @@ class CubicTrajectory:
 
     Timing follows s(tau) = 3 tau^2 - 2 tau^3; position interpolates linearly
     along the chord and orientation along the shortest arc, so the angular
-    velocity stays aligned with a fixed rotation vector.
+    velocity stays aligned with a fixed rotation vector.  `direction` holds
+    both as 6 floats (position change, then rotation vector), and the twist
+    at any time is ds/dt times it.
     """
 
     def __init__(self, start: Pose, goal: Pose, t0: float, duration: float):
         if duration <= 0.0:
             raise ValueError("trajectory duration must be positive")
         self.start = start.copy()
-        self.goal = goal.copy()
         self.t0 = float(t0)
         self.duration = float(duration)
-        self._delta_p = goal.position - start.position
-        rel = quat_multiply(goal.orientation, quat_conjugate(start.orientation))
-        self._rotvec = quat_to_rotvec(rel)
+        rel = quat_multiply(
+            goal.orientation.tolist(), quat_conjugate(start.orientation).tolist()
+        )
+        delta_p = (goal.position - start.position).tolist()
+        self.direction = tuple(delta_p + quat_to_rotvec(rel))
 
     @property
     def t_end(self) -> float:
@@ -301,44 +304,46 @@ class CubicTrajectory:
     def done(self, t: float) -> bool:
         return t >= self.t_end
 
-    def sample(self, t: float) -> tuple[Pose, Twist]:
+    def _tau(self, t: float) -> float:
         # endpoint comparisons on t itself, so sampling at exactly t0 or
         # t_end lands on the boundary even when the division rounds short
         if t <= self.t0:
-            tau = 0.0
-        elif t >= self.t_end:
-            tau = 1.0
-        else:
-            tau = min(1.0, max(0.0, (t - self.t0) / self.duration))
-        s = tau * tau * (3.0 - 2.0 * tau)
+            return 0.0
+        if t >= self.t_end:
+            return 1.0
+        return min(1.0, max(0.0, (t - self.t0) / self.duration))
+
+    def twist(self, t: float) -> tuple:
+        """The twist at t as 6 floats (linear, then angular)."""
+        tau = self._tau(t)
         s_rate = 6.0 * tau * (1.0 - tau) / self.duration
-        pos = self.start.position + s * self._delta_p
-        q = quat_normalize(
-            quat_multiply(quat_from_rotvec(s * self._rotvec), self.start.orientation)
-        )
-        return Pose(pos, q), Twist(s_rate * self._delta_p, s_rate * self._rotvec)
+        return tuple([s_rate * d for d in self.direction])
+
+    def sample(self, t: float) -> tuple[Pose, tuple]:
+        """The pose and the twist at t."""
+        tau = self._tau(t)
+        s = tau * tau * (3.0 - 2.0 * tau)
+        pos = self.start.position + s * np.array(self.direction[:3])
+        rot = quat_from_rotvec([s * r for r in self.direction[3:]])
+        q = quat_normalize(quat_multiply(rot, self.start.orientation.tolist()))
+        return Pose(pos, q), self.twist(t)
 
 
 class ReferenceGenerator:
     """Integrates the commanded EE reference from the controller's twist.
 
-    The emitted twist, 6 floats (linear, then angular), is the
-    rotation-trajectory twist while a rotation is active (zeta = 1) and the
-    translational command otherwise; the reference pose is its running
-    integral, started at the initial EE pose.
+    The reference pose is the running integral of the twist the controller
+    chose each tick, started at the initial EE pose.
     """
 
     def __init__(self, initial_pose: Pose):
         self.x_d = initial_pose.copy()
 
-    def step(self, zeta: int, xdot_rot, v_trans, dt: float) -> tuple[Pose, tuple]:
-        if zeta and xdot_rot is not None:
-            xdot_d = tuple(xdot_rot)
-        else:
-            vx, vy, vz = v_trans
-            xdot_d = (vx, vy, vz, 0.0, 0.0, 0.0)
+    def step(self, xdot_d, dt: float) -> Pose:
+        """Advance by one tick under the twist xdot_d (6 floats, linear then
+        angular)."""
         self.x_d = integrate_pose(self.x_d, xdot_d, dt)
-        return self.x_d, xdot_d
+        return self.x_d
 
 
 @dataclass
@@ -363,6 +368,8 @@ class AciController:
     The mode picks the translational command once per tick: the admittance
     velocity, the hand velocity, or (full ACI) their blend.  The rotation unit
     is active only in full ACI mode; the other variants keep zeta at zero.
+    While a rotation runs (zeta = 1) the reference twist is the trajectory's,
+    otherwise it is the translational command with no rotation.
     """
 
     def __init__(
@@ -397,7 +404,8 @@ class AciController:
             v_trans = object_translation(self.v_adm, v_h, alpha)
 
         zeta = 0
-        xdot_rot = None
+        vx, vy, vz = v_trans
+        xdot_d = (vx, vy, vz, 0.0, 0.0, 0.0)
         if self.mode is Mode.ACI:
             fired, torso_at_detection = self.detector.step(
                 human.theta_h_t,
@@ -408,23 +416,23 @@ class AciController:
             )
             if fired and self.trajectory is None:
                 goal = desired_rotation_pose(torso_at_detection, self.ee_in_torso)
-                start = self.reference.x_d
-                dyaw = quat_to_rotvec(
-                    quat_multiply(goal.orientation, quat_conjugate(start.orientation))
-                )[2]
-                duration = max(
-                    self.params.min_rotation_duration,
-                    abs(dyaw) / self.params.rotation_rate,
+                # at least the minimum duration, longer if the yaw change
+                # (the z component of the rotation vector) needs it at the
+                # rotation rate
+                traj = CubicTrajectory(
+                    self.reference.x_d, goal, t, self.params.min_rotation_duration
                 )
-                self.trajectory = CubicTrajectory(start, goal, t, duration)
+                traj.duration = max(
+                    traj.duration, abs(traj.direction[5]) / self.params.rotation_rate
+                )
+                self.trajectory = traj
             if self.trajectory is not None:
                 if self.trajectory.done(t):
                     self.trajectory = None
                     self.detector.rotation_finished()
                 else:
                     zeta = 1
-                    _, twist = self.trajectory.sample(t)
-                    xdot_rot = twist.linear.tolist() + twist.angular.tolist()
+                    xdot_d = self.trajectory.twist(t)
 
-        x_d, xdot_d = self.reference.step(zeta, xdot_rot, v_trans, dt)
+        x_d = self.reference.step(xdot_d, dt)
         return AciOutput(x_d, xdot_d, self.v_adm, v_trans, alpha, zeta)

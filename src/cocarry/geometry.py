@@ -1,12 +1,11 @@
-"""Minimal rigid-body math: unit quaternions, rotations, poses and twists.
+"""Minimal rigid-body math: unit quaternions, rotations and poses.
 
-Quaternions are numpy arrays in scalar-first order (w, x, y, z) and are kept
-unit-norm by construction.  All twists and angular quantities are expressed in
-the world frame unless a function says otherwise.  The per-tick path passes
-twists as 6 floats (linear, then angular); `Pose` and `Twist` are the types of
-the API edges.  Float helpers such as `_qmul`, `_quat_from_rows`, `_yaw_quat`
-and `_pose_error` hold a law on Python floats, and the array function of the
-same law calls them.
+Quaternions are in scalar-first order (w, x, y, z) and are kept unit-norm by
+construction.  All twists and angular quantities are expressed in the world
+frame unless a function says otherwise.  `Pose` is the type of the API edges
+and holds float64 arrays; a twist is 6 floats (linear, then angular).  The
+quaternion laws and `pose_error` take float sequences and return Python
+floats in a list or tuple; a caller that needs an array wraps the result.
 """
 
 import math
@@ -48,15 +47,9 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b (apply b first, then a, for rotation quaternions)."""
-    return np.array(
-        _qmul(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist())
-    )
-
-
-def _qmul(a, b) -> list:
-    """Hamilton product of two (w, x, y, z) float sequences."""
+def quat_multiply(a, b) -> list:
+    """Hamilton product a*b of two (w, x, y, z) float sequences (apply b
+    first, then a, for rotation quaternions)."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return [
@@ -80,11 +73,9 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
 
 
-def quat_from_rotvec(r: np.ndarray) -> np.ndarray:
-    return np.array(_rotvec_to_quat(*np.asarray(r, dtype=float).tolist()))
-
-
-def _rotvec_to_quat(x: float, y: float, z: float) -> list:
+def quat_from_rotvec(r) -> list:
+    """Unit quaternion of the rotation vector r (3 floats)."""
+    x, y, z = r
     if not (x or y or z):
         # Exactly what the expansion below gives: its norm is sqrt(1) = 1.
         return [1.0, 0.5 * x, 0.5 * y, 0.5 * z]
@@ -99,12 +90,9 @@ def _rotvec_to_quat(x: float, y: float, z: float) -> list:
     return [float(np.cos(half)), s * (x / angle), s * (y / angle), s * (z / angle)]
 
 
-def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Axis-angle vector of q with angle in [0, pi]."""
-    return np.array(_rotvec(*np.asarray(q, dtype=float).tolist()))
-
-
-def _rotvec(w: float, x: float, y: float, z: float) -> list:
+def quat_to_rotvec(q) -> list:
+    """Axis-angle vector of the quaternion q (4 floats), angle in [0, pi]."""
+    w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     sin_half = _norm(np.array([x, y, z]))
@@ -123,13 +111,12 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Shepperd's method; stable for all rotation matrices."""
-    return np.array(_quat_from_rows(*np.asarray(R, dtype=float).ravel().tolist()))
+def quat_from_matrix(rows) -> list:
+    """Unit quaternion of the rotation matrix given row by row as 9 floats.
 
-
-def _quat_from_rows(r00, r01, r02, r10, r11, r12, r20, r21, r22) -> list:
-    """Unit quaternion of the rotation matrix given row by row as 9 floats."""
+    Shepperd's method; stable for all rotation matrices.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rows
     t = r00 + r11 + r22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
@@ -149,11 +136,7 @@ def _quat_from_rows(r00, r01, r02, r10, r11, r12, r20, r21, r22) -> list:
     return [c / n for c in q]
 
 
-def quat_from_yaw(yaw: float) -> np.ndarray:
-    return np.array(_yaw_quat(yaw))
-
-
-def _yaw_quat(yaw: float) -> tuple:
+def quat_from_yaw(yaw: float) -> tuple:
     """(w, x, y, z) of the rotation by `yaw` about the vertical axis."""
     half = 0.5 * yaw
     return (float(np.cos(half)), 0.0, 0.0, float(np.sin(half)))
@@ -203,20 +186,8 @@ class Pose:
         qi = quat_conjugate(self.orientation)
         return Pose(-quat_rotate(qi, self.position), qi)
 
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.position + quat_rotate(self.orientation, np.asarray(p, dtype=float))
-
     def yaw(self) -> float:
         return yaw_from_quat(self.orientation)
-
-    def as_vector(self) -> np.ndarray:
-        """(px, py, pz, qw, qx, qy, qz)."""
-        return np.concatenate([self.position, self.orientation])
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "Pose":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:3], quat_normalize(v[3:7]))
 
     @classmethod
     def from_xyz_rpy(cls, xyz=(0.0, 0.0, 0.0), rpy=(0.0, 0.0, 0.0)) -> "Pose":
@@ -231,40 +202,16 @@ class Pose:
         return cls(np.asarray(xyz, dtype=float), quat_normalize(q))
 
 
-@dataclass
-class Twist:
-    """6-D velocity: linear and angular parts in the world frame."""
-
-    linear: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    angular: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.linear = _vec(self.linear, 3)
-        self.angular = _vec(self.angular, 3)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "Twist":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:3], v[3:6])
-
-
-def pose_error(desired: Pose, current: Pose) -> np.ndarray:
-    """6-vector [position error; orientation error as a world-frame rotation vector].
+def pose_error(desired: Pose, current: Pose) -> list:
+    """6 floats [position error; orientation error as a world-frame rotation vector].
 
     The orientation part is the axis-angle of R_d R^T, i.e. the rotation that
     carries the current orientation onto the desired one.
     """
-    return np.array(_pose_error(desired, current))
-
-
-def _pose_error(desired: Pose, current: Pose) -> list:
     w, x, y, z = current.orientation.tolist()
-    dq = _qmul(desired.orientation.tolist(), (w, -x, -y, -z))
+    dq = quat_multiply(desired.orientation.tolist(), (w, -x, -y, -z))
     dp = [a - b for a, b in zip(desired.position.tolist(), current.position.tolist())]
-    return dp + _rotvec(*dq)
+    return dp + quat_to_rotvec(dq)
 
 
 def integrate_pose(pose: Pose, twist, dt: float) -> Pose:
@@ -272,7 +219,9 @@ def integrate_pose(pose: Pose, twist, dt: float) -> Pose:
     then angular); orientation via the exponential of the angular increment,
     renormalized."""
     vx, vy, vz, wx, wy, wz = twist
-    q = _qmul(_rotvec_to_quat(wx * dt, wy * dt, wz * dt), pose.orientation.tolist())
+    q = quat_multiply(
+        quat_from_rotvec((wx * dt, wy * dt, wz * dt)), pose.orientation.tolist()
+    )
     px, py, pz = pose.position.tolist()
     position = np.array([px + vx * dt, py + vy * dt, pz + vz * dt])
     return Pose(position, quat_normalize(np.array(q)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _norm, _yaw_quat
+from .geometry import _norm, quat_from_yaw
 
 
 @dataclass
@@ -142,14 +142,6 @@ class MotionScript:
             if not isinstance(seg, Hold):
                 return t0
         return 0.0
-
-    def motion_spans(self) -> list:
-        """(start, end) of every Translate segment, in order."""
-        return [
-            (t0, t0 + seg.duration)
-            for seg, (t0, _, _, _) in zip(self.segments, self._starts)
-            if isinstance(seg, Translate)
-        ]
 
     def target(self, t: float) -> ScriptTarget:
         pos, vel, tyaw, tyaw_rate, hyaw = self.sample(t)
@@ -278,7 +270,7 @@ class SimulatedHuman:
         ])
         return HumanState(
             hand_position=hand_pos,
-            hand_orientation=_yaw_quat(theta_h),
+            hand_orientation=quat_from_yaw(theta_h),
             hand_velocity=hand_vel,
             torso_position=torso_pos,
             theta_h_w=theta_h,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .geometry import Pose, _quat_from_rows
+from .geometry import Pose, quat_from_matrix
 
 BASE_DOFS = 3
 
@@ -153,7 +153,7 @@ def _chain(model: KinematicModel, q: np.ndarray):
 
 
 def _pose(R: tuple, p: tuple) -> Pose:
-    return Pose(np.array(p), np.array(_quat_from_rows(*R)))
+    return Pose(np.array(p), np.array(quat_from_matrix(R)))
 
 
 @dataclass

@@ -304,7 +304,7 @@ _ACI = {
     "upper_angle": _number(),
     "velocity_threshold": _number(),
     "rotation_rate": _number(POSITIVE),
-    "min_rotation_duration": _number(),
+    "min_rotation_duration": _number(POSITIVE),
 }
 
 _NOISE = {  # standard deviation of each measured channel

@@ -15,7 +15,7 @@ bitwise-identical traces.
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -125,15 +125,7 @@ class Metrics:
     interval_force: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "t_c": self.t_c,
-            "d_am": self.d_am,
-            "mean_alpha": self.mean_alpha,
-            "waypoint_times": list(self.waypoint_times),
-            "interval_alpha": list(self.interval_alpha),
-            "interval_force": list(self.interval_force),
-        }
+        return asdict(self)
 
 
 def write_metrics(path: str, metrics: Metrics):
@@ -386,7 +378,7 @@ def _attachment_points(
 ) -> np.ndarray:
     """World positions (n x 3) of a body-frame offset on the kept rows' poses.
 
-    Row-wise `Pose.transform_point`.  A zero offset leaves the frame origins:
+    Row-wise p + rotate(q, offset).  A zero offset leaves the frame origins:
     rotating it adds only signed zeros, which cannot change the metric.
     """
     cols = _pose_columns(prefix)

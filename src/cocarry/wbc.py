@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .geometry import Pose, _norm, _pose_error
+from .geometry import Pose, _norm, pose_error
 from .kinematics import (
     BASE_DOFS,
     ChainState,
@@ -109,7 +109,7 @@ def tracking_objective(pose: Pose, x_d: Pose, xdot_d, params: WbcParams) -> np.n
     """Reference twist b = xdot_d + K * (x_d minus the current pose), for the
     reference twist xdot_d as 6 floats (linear, then angular)."""
     return np.array(
-        [v + k * e for v, k, e in zip(xdot_d, params._k_gain, _pose_error(x_d, pose))]
+        [v + k * e for v, k, e in zip(xdot_d, params._k_gain, pose_error(x_d, pose))]
     )
 
 

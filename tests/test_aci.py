@@ -466,8 +466,8 @@ def test_cubic_trajectory_boundaries():
         np.testing.assert_allclose(p1.position, goal.position, atol=1e-12)
         assert abs(np.dot(p0.orientation, start.orientation)) > 1 - 1e-12
         assert abs(np.dot(p1.orientation, goal.orientation)) > 1 - 1e-12
-        np.testing.assert_allclose(v0.as_vector(), np.zeros(6), atol=1e-12)
-        np.testing.assert_allclose(v1.as_vector(), np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(v0, np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(v1, np.zeros(6), atol=1e-12)
 
 
 def test_cubic_trajectory_midpoint_and_peak_speed():
@@ -476,11 +476,11 @@ def test_cubic_trajectory_midpoint_and_peak_speed():
     traj = CubicTrajectory(start, goal, 1.0, 2.0)
     mid, vmid = traj.sample(2.0)
     np.testing.assert_allclose(mid.position, [0.3, 0, 0], atol=1e-12)
-    assert np.linalg.norm(vmid.linear) == pytest.approx(1.5 * 0.6 / 2.0)
-    assert vmid.angular[2] == pytest.approx(1.5 * 0.4 / 2.0)
+    assert np.linalg.norm(vmid[:3]) == pytest.approx(1.5 * 0.6 / 2.0)
+    assert vmid[5] == pytest.approx(1.5 * 0.4 / 2.0)
     # midpoint is the speed maximum
     speeds = [
-        np.linalg.norm(traj.sample(t)[1].linear) for t in np.linspace(1.0, 3.0, 101)
+        np.linalg.norm(traj.sample(t)[1][:3]) for t in np.linspace(1.0, 3.0, 101)
     ]
     assert np.argmax(speeds) == 50
     assert traj.done(3.0) and not traj.done(2.999)
@@ -494,8 +494,8 @@ def test_cubic_trajectory_clamps_outside_span():
     after, va = traj.sample(1.5)
     np.testing.assert_allclose(before.position, [0, 0, 0])
     np.testing.assert_allclose(after.position, [1, 0, 0])
-    np.testing.assert_allclose(vb.as_vector(), np.zeros(6))
-    np.testing.assert_allclose(va.as_vector(), np.zeros(6))
+    np.testing.assert_allclose(vb, np.zeros(6))
+    np.testing.assert_allclose(va, np.zeros(6))
 
 
 # -- reference generator --------------------------------------------------
@@ -503,18 +503,31 @@ def test_cubic_trajectory_clamps_outside_span():
 
 def test_reference_integrates_constant_velocity():
     ref = ReferenceGenerator(Pose())
-    v = np.array([0.1, 0.0, 0.0])
+    v = (0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
     for _ in range(2000):
-        pose, twist = ref.step(0, None, v, 1e-3)
+        pose = ref.step(v, 1e-3)
     np.testing.assert_allclose(pose.position, [0.2, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(twist, [0.1, 0, 0, 0, 0, 0])
 
 
 def test_reference_rotation_branch_overrides_translation():
-    ref = ReferenceGenerator(Pose())
-    rot = (0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
-    _, twist = ref.step(1, rot, (9.0, 9.0, 9.0), 1e-3)
-    np.testing.assert_allclose(twist, rot)
+    # While a rotation runs, the controller hands the reference the
+    # trajectory twist, not the translational command.
+    dt = 1e-3
+    ctrl = make_controller(Mode.ACI)
+    t = 0.0
+    for tt in np.linspace(0.0, -0.5, 400):
+        t += dt
+        ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=-1.25), dt)
+    rotating = 0
+    for _ in range(300):
+        t += dt
+        sample = human_sample(torso_yaw=-0.5, v=(0.3, 0.2, 0.1))
+        out = ctrl.step(t, (9.0, 9.0, 9.0), sample, dt)
+        if out.zeta:
+            rotating += 1
+            assert out.xdot_d == ctrl.trajectory.twist(t)
+            assert out.xdot_d[:3] != out.v_trans
+    assert rotating > 100
 
 
 def test_reference_derivative_consistency():
@@ -525,7 +538,8 @@ def test_reference_derivative_consistency():
     for _ in range(500):
         v_adm = rng.normal(scale=0.2, size=3)
         v_h = rng.normal(scale=0.2, size=3)
-        pose, twist = ref.step(0, None, object_translation(v_adm, v_h, 0.5), dt)
+        twist = (*object_translation(v_adm, v_h, 0.5), 0.0, 0.0, 0.0)
+        pose = ref.step(twist, dt)
         fd = (pose.position - prev.position) / dt
         np.testing.assert_allclose(fd, twist[:3], atol=1e-9)
         prev = pose.copy()
@@ -537,7 +551,7 @@ def test_reference_derivative_consistency():
 def human_sample(hand_yaw=0.0, torso_yaw=0.0, rate=0.0, v=(0, 0, 0)):
     return HumanState(
         hand_position=(1.0, 0.0, 1.0),
-        hand_orientation=tuple(quat_from_yaw(hand_yaw).tolist()),
+        hand_orientation=quat_from_yaw(hand_yaw),
         hand_velocity=tuple(float(c) for c in v),
         torso_position=(1.5, 0.0, 1.0),
         theta_h_w=hand_yaw,
@@ -620,6 +634,7 @@ def test_controller_mode_outputs():
             )
         # the reference moves with the mode's translational command
         np.testing.assert_allclose(out.xdot_d[:3], out.v_trans)
+        assert out.xdot_d[3:] == (0.0, 0.0, 0.0)
         assert out.zeta == 0
 
 
@@ -679,5 +694,7 @@ def test_aci_params_validation():
         AciParams(epsilon=0.0)
     with pytest.raises(ValueError):  # the rotation duration divides by it
         AciParams(rotation_rate=0.0)
+    with pytest.raises(ValueError):  # the rotation trajectory starts from it
+        AciParams(min_rotation_duration=0.0)
     with pytest.raises(ValueError):
         AciParams(lower_angle=0.5, upper_angle=0.4)

@@ -148,7 +148,6 @@ def test_script_timeline():
     )
     assert script.duration == pytest.approx(3.5)
     assert script.first_motion_time() == pytest.approx(0.5)
-    assert script.motion_spans() == [(0.5, 1.5)]
     tgt = script.target(1.0)  # halfway through the translate
     np.testing.assert_allclose(tgt.position, [0.15, 0, 0], atol=1e-12)
     assert tgt.velocity[0] == pytest.approx(1.5 * 0.3 / 1.0)  # cubic peak rate

@@ -127,7 +127,7 @@ def test_jacobian_matches_finite_differences():
             dp = (plus.position - minus.position) / (2 * h)
             np.testing.assert_allclose(J[:3, j], dp, atol=1e-5)
             rel = quat_multiply(plus.orientation, quat_conjugate(minus.orientation))
-            dw = quat_to_rotvec(rel) / (2 * h)
+            dw = np.array(quat_to_rotvec(rel)) / (2 * h)
             np.testing.assert_allclose(J[3:, j], dw, atol=1e-5)
 
 

@@ -7,7 +7,7 @@ must be minus the displacement-gradient of this stored energy.
 import numpy as np
 import pytest
 
-from cocarry.geometry import Pose, Twist, quat_from_yaw, rotz
+from cocarry.geometry import Pose, quat_from_yaw, rotz
 from cocarry.objects import ObjectModel, object_wrench, preset, presets
 from cocarry.scenario import load_scenario, scenario_path
 from cocarry.sim import Simulation
@@ -29,10 +29,6 @@ def elastic_energy(model: ObjectModel, hand_pose: Pose, ee_pose: Pose) -> float:
     elif s < 0.0:
         energy += 0.5 * model.axial_stiffness_compression * s * s
     return energy
-
-
-def still(p):
-    return Pose(np.asarray(p, dtype=float)), Twist()
 
 
 def wrench_at(model, hand_p, ee_p, hand_v=(0, 0, 0), ee_v=(0, 0, 0), ee_yaw=0.0):
@@ -186,16 +182,16 @@ def test_elastic_energy_properties():
     for name in presets():
         model = preset(name).with_rest([0.5, 0.0, 0.0])
         for _ in range(200):
-            hand, _ = still(rng.normal(scale=0.3, size=3))
-            ee, _ = still([0.5, 0, 0] + rng.normal(scale=0.3, size=3))
+            hand = Pose(rng.normal(scale=0.3, size=3))
+            ee = Pose([0.5, 0, 0] + rng.normal(scale=0.3, size=3))
             assert elastic_energy(model, hand, ee) >= 0.0
         # exactly at rest: zero stored energy
-        hand, _ = still([0, 0, 0])
-        ee, _ = still([0.5, 0, 0])
+        hand = Pose([0, 0, 0])
+        ee = Pose([0.5, 0, 0])
         assert elastic_energy(model, hand, ee) == 0.0
     # inside the slack band the rope stores nothing
     rope = preset("slack_rope").with_rest([0.5, 0.0, 0.0])
-    ee, _ = still([0.9, 0, 0])
+    ee = Pose([0.9, 0, 0])
     assert elastic_energy(rope, Pose(np.zeros(3)), ee) == 0.0
 
 

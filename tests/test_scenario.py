@@ -90,6 +90,7 @@ def test_validation_passes_good_config():
         ({"aci": {"window_lenght": 1.0}}, "unknown field 'aci.window_lenght'"),
         ({"aci": {"epsilon": 0}}, "aci.epsilon"),
         ({"aci": {"rotation_rate": 0}}, "aci.rotation_rate"),
+        ({"aci": {"min_rotation_duration": 0}}, "aci.min_rotation_duration"),
     ],
 )
 def test_validation_flags_each_problem(patch, needle, tmp_path):

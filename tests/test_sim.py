@@ -12,7 +12,7 @@ import yaml
 import cocarry.sim as sim_mod
 import cocarry.wbc
 from cocarry.aci import Mode
-from cocarry.geometry import Pose, Twist, quat_identity, quat_normalize
+from cocarry.geometry import Pose, quat_identity, quat_normalize
 from cocarry.scenario import load_scenario, scenario_path
 from cocarry.sim import (
     Metrics,
@@ -118,10 +118,11 @@ def test_alignment_offsets_match_per_record_transform():
     off = ([0.05, -0.1, 0.2], [-0.15, 0.03, 0.07])
     t_start, t_end = 0.5, 2.5
     sel = [r for r in recs if t_start <= r["t"] <= t_end]
-    rel = [
-        pose_of(r, "ee").transform_point(off[0]) - pose_of(r, "hand").transform_point(off[1])
-        for r in sel
-    ]
+
+    def world(pose, offset):
+        return pose.rotation_matrix() @ offset + pose.position
+
+    rel = [world(pose_of(r, "ee"), off[0]) - world(pose_of(r, "hand"), off[1]) for r in sel]
     dev = [float(np.linalg.norm(x - rel[0])) for x in rel]
     area = sum(
         0.5 * (b["t"] - a["t"]) * (da + db)
@@ -374,26 +375,46 @@ def test_trace_memory_per_tick():
     assert retained / 2000 < 1024
 
 
-def test_tick_builds_no_twist_and_few_poses(monkeypatch):
-    # The layers of a tick pass floats: over 1,000 ACI ticks of peanut_bag
-    # with no rotation, a tick builds no Twist and at most 3 Poses.
-    sim = Simulation(load_scenario(scenario_path("peanut_bag")))
+def count_poses(monkeypatch) -> Counter:
+    """Count every `Pose` built from now on, under the key "Pose"."""
     built = Counter()
-    for cls in (Pose, Twist):
 
-        def counted(self, real=cls.__post_init__, name=cls.__name__):
-            built[name] += 1
-            real(self)
+    def counted(self, real=Pose.__post_init__):
+        built["Pose"] += 1
+        real(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    return built
+
+
+def test_tick_builds_no_twist_and_few_poses(monkeypatch):
+    # The layers of a tick pass floats and twists are 6 floats: over 1,000
+    # ACI ticks of peanut_bag with no rotation, a tick builds at most 3 Poses.
+    sim = Simulation(load_scenario(scenario_path("peanut_bag")))
+    built = count_poses(monkeypatch)
     ticks = 1000
     for _ in range(ticks):
         sim.step()
     monkeypatch.undo()
     assert sim.config.mode is Mode.ACI
     assert not sim.trace["zeta"].any()
-    assert built["Twist"] == 0
     assert built["Pose"] <= 3 * ticks
+
+
+def test_rotating_tick_builds_two_poses(monkeypatch):
+    # After the firing tick, a rotating tick of rotation_showcase builds the
+    # EE pose and x_d, and no pose of the rotation trajectory.
+    sim = Simulation(load_scenario(scenario_path("rotation_showcase")))
+    built = count_poses(monkeypatch)
+    per_tick = []  # (zeta, Poses built) of every tick
+    for _ in range(int(round(sim.config.duration / sim.dt))):
+        before = built["Pose"]
+        sim.step()
+        per_tick.append((sim.trace["zeta"][-1], built["Pose"] - before))
+    monkeypatch.undo()
+    rotating = [n for zeta, n in per_tick if zeta == 1]
+    assert len(rotating) > 1000
+    assert max(rotating[1:]) <= 2
 
 
 def test_trace_handed_out_is_a_snapshot(tmp_path):
