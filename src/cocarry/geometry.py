@@ -6,6 +6,11 @@ frame unless a function says otherwise.  `Pose` is the type of the API edges
 and holds float64 arrays; a twist is 6 floats (linear, then angular).  The
 quaternion laws and `pose_error` take float sequences and return Python
 floats in a list or tuple; a caller that needs an array wraps the result.
+
+The quaternion laws, `quat_normalize` and `integrate_pose` take their norms
+with `math.hypot` and their angles with `math.atan2`, `math.cos` and
+`math.sin`, not through numpy: results are deterministic on a host and not
+tied to the BLAS kernel numpy would pick for a small dot product.
 """
 
 import math
@@ -24,27 +29,20 @@ def _vec(v, n: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(n)
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float64 vector, bitwise equal to `np.linalg.norm`.
-
-    For a contiguous vector `np.linalg.norm` reduces to sqrt(v . v); this
-    skips its dispatch overhead.
-    """
-    if v.flags.c_contiguous:
-        return math.sqrt(v.dot(v))
-    return float(np.linalg.norm(v))
-
-
 def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = _norm(q)
+def _unit(q) -> list:
+    """The 4 floats of q divided by their norm."""
+    n = math.hypot(*q)
     if n < _EPS:
         raise ValueError("cannot normalize a zero quaternion")
-    return q / n
+    return [c / n for c in q]
+
+
+def quat_normalize(q) -> np.ndarray:
+    return np.array(_unit(np.asarray(q, dtype=float).reshape(4).tolist()))
 
 
 def quat_multiply(a, b) -> list:
@@ -79,15 +77,13 @@ def quat_from_rotvec(r) -> list:
     if not (x or y or z):
         # Exactly what the expansion below gives: its norm is sqrt(1) = 1.
         return [1.0, 0.5 * x, 0.5 * y, 0.5 * z]
-    angle = _norm(np.array([x, y, z]))
+    angle = math.hypot(x, y, z)
     if angle < _EPS:
         # First-order expansion keeps the map smooth through zero.
-        q = np.array([1.0, 0.5 * x, 0.5 * y, 0.5 * z])
-        n = _norm(q)
-        return [v / n for v in q.tolist()]
+        return _unit([1.0, 0.5 * x, 0.5 * y, 0.5 * z])
     half = 0.5 * angle
-    s = float(np.sin(half))
-    return [float(np.cos(half)), s * (x / angle), s * (y / angle), s * (z / angle)]
+    s = math.sin(half)
+    return [math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)]
 
 
 def quat_to_rotvec(q) -> list:
@@ -95,10 +91,10 @@ def quat_to_rotvec(q) -> list:
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
-    sin_half = _norm(np.array([x, y, z]))
+    sin_half = math.hypot(x, y, z)
     if sin_half < _EPS:
         return [2.0 * x, 2.0 * y, 2.0 * z]
-    f = float(2.0 * np.arctan2(sin_half, w)) / sin_half
+    f = 2.0 * math.atan2(sin_half, w) / sin_half
     return [f * x, f * y, f * z]
 
 
@@ -132,20 +128,19 @@ def quat_from_matrix(rows) -> list:
         q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
     if q[0] < 0.0:
         q = [-c for c in q]
-    n = _norm(np.array(q))
-    return [c / n for c in q]
+    return _unit(q)
 
 
 def quat_from_yaw(yaw: float) -> tuple:
     """(w, x, y, z) of the rotation by `yaw` about the vertical axis."""
     half = 0.5 * yaw
-    return (float(np.cos(half)), 0.0, 0.0, float(np.sin(half)))
+    return (math.cos(half), 0.0, 0.0, math.sin(half))
 
 
-def yaw_from_quat(q: np.ndarray) -> float:
+def yaw_from_quat(q) -> float:
     """Z-Y-X yaw of the rotation (angle of the rotated x axis in the xy plane)."""
     w, x, y, z = np.asarray(q, dtype=float).tolist()
-    return float(np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
+    return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
 def rotz(yaw: float) -> np.ndarray:
@@ -223,5 +218,4 @@ def integrate_pose(pose: Pose, twist, dt: float) -> Pose:
         quat_from_rotvec((wx * dt, wy * dt, wz * dt)), pose.orientation.tolist()
     )
     px, py, pz = pose.position.tolist()
-    position = np.array([px + vx * dt, py + vy * dt, pz + vz * dt])
-    return Pose(position, quat_normalize(np.array(q)))
+    return Pose([px + vx * dt, py + vy * dt, pz + vz * dt], _unit(q))

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _norm, quat_from_yaw
+from .geometry import quat_from_yaw
+
+# Standard normal draws taken from the generator at once for the measurement
+# noise; the block is refilled when a tick needs more than it has left.
+_NOISE_BLOCK = 256
 
 
 @dataclass
@@ -199,6 +203,10 @@ class SimulatedHuman:
             np.asarray(torso_position, dtype=float).reshape(3).tolist()
         )
         self.rng = np.random.default_rng(seed)
+        # Drawn from `rng` when first needed, so a generator swapped in
+        # before the first step is the one read.
+        self._normals: list = []
+        self._next_normal = 0
         # Time is the step count times dt, never a running sum of dt.
         self.steps = 0
         self.t = 0.0
@@ -245,13 +253,24 @@ class SimulatedHuman:
 
     def _jitter(self, key: str, n: int = 0):
         """Measurement noise for one channel, a float or (n > 0) a list of n;
-        exactly zero when unconfigured."""
+        exactly zero when unconfigured.
+
+        Each value is 0.0 + std * z for the next standard normal z of the
+        generator, which is how `rng.normal(0.0, std)` forms it, so the values
+        are bitwise those of one `rng.normal` call per channel and tick.
+        """
         std = self.params.noise.get(key, 0.0)
         if std <= 0.0:
             return [0.0] * n if n else 0.0
+        m = n or 1
+        z, i = self._normals, self._next_normal
+        if i + m > len(z):
+            z = z[i:] + self.rng.standard_normal(_NOISE_BLOCK).tolist()
+            self._normals, i = z, 0
+        self._next_normal = i + m
         if not n:
-            return float(self.rng.normal(0.0, std))
-        return self.rng.normal(0.0, std, size=n).tolist()
+            return 0.0 + std * z[i]
+        return [0.0 + std * v for v in z[i : i + m]]
 
     def _measure(self, target_pos, torso_yaw: float, hand_yaw: float) -> HumanState:
         # Zero jitter is added too: x + 0.0 turns a -0.0 into 0.0, and the
@@ -260,7 +279,7 @@ class SimulatedHuman:
         hand_pos = tuple([x + j for x, j in zip(self.hand_position, jitter)])
         jitter = self._jitter("hand_velocity", 3)
         hand_vel = tuple([v + j for v, j in zip(self.hand_velocity, jitter)])
-        if _norm(np.array(hand_vel)) < self.params.velocity_deadband:
+        if math.hypot(*hand_vel) < self.params.velocity_deadband:
             hand_vel = _ZERO3
         theta_t = torso_yaw + self._jitter("torso_yaw")
         theta_h = hand_yaw + self._jitter("hand_yaw")

@@ -13,11 +13,12 @@ intentional reorientation of the robot re-seats the coupling geometry; in
 translation-only scenarios this is identical to a world-frame offset.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Pose, _norm, rotz
+from .geometry import Pose
 
 
 @dataclass
@@ -75,18 +76,19 @@ def object_wrench(
     continuous across both breakpoints.  There is no torque: the grasp is
     treated as a point coupling.
     """
-    rest_world = rotz(ee_pose.yaw() - model.ref_yaw).dot(model.rest_vector)
-    rest_len = _norm(rest_world)
-    # Component-wise float arithmetic in the same order as the vector form.
+    # The rest vector turned by the EE's yaw change about the vertical axis.
+    yaw = ee_pose.yaw() - model.ref_yaw
+    c, sn = math.cos(yaw), math.sin(yaw)
+    vx, vy, rz = model.rest_vector.tolist()
+    rx, ry = c * vx - sn * vy, sn * vx + c * vy
+    rest_len = math.hypot(rx, ry, rz)
     ex, ey, ez = ee_pose.position.tolist()
     hx, hy, hz = hand_position
-    rx, ry, rz = rest_world.tolist()
     dx, dy, dz = (ex - hx) - rx, (ey - hy) - ry, (ez - hz) - rz
     fx = fy = fz = 0.0
     if rest_len > 1e-12:
-        axis = rest_world / rest_len
-        s = float(axis.dot(np.array([dx, dy, dz])))
-        ax, ay, az = axis.tolist()
+        ax, ay, az = rx / rest_len, ry / rest_len, rz / rest_len
+        s = ax * dx + ay * dy + az * dz
         lx, ly, lz = dx - s * ax, dy - s * ay, dz - s * az
         if s > model.slack_length:
             k = model.axial_stiffness_tension * (s - model.slack_length)

@@ -23,6 +23,10 @@ from .objects import ObjectModel, presets
 from .wbc import WbcError, WbcParams
 
 
+# libyaml's safe parser where PyYAML was built with it, else the pure-Python one.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(ValueError):
     """Raised for unparseable or invalid scenario configuration."""
 
@@ -77,7 +81,7 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse and validate a scenario file; overrides patch top-level keys."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}") from None
     except yaml.YAMLError as exc:

@@ -6,10 +6,13 @@ fresh states, the collaborative interface turns force and human motion into
 an EE reference, the whole-body controller resolves it to saturated joint
 velocities, and the robot integrates.  Every tick appends one trace row.
 The layers hand each other Python floats and the float64 arrays of the
-Jacobian and joint vectors; outside a rotation, the EE and reference poses
-are the only `Pose`s built per tick.
+Jacobian and joint vectors; the EE and reference poses are the only `Pose`s
+built per tick.  numpy runs only the matrix work (the Jacobian and 6x6
+products, the 6x6 solve, the determinant, the joint-angle cos/sin) and the
+stores; every 3- and 4-vector and scalar is Python floats.
 The whole pipeline is deterministic: identical configuration and seed give
-bitwise-identical traces.
+bitwise-identical traces on a host, and the small-vector results do not
+depend on the BLAS kernel numpy picks.
 """
 
 import itertools
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import wbc as _wbc
 from .aci import AciController
-from .geometry import Pose, _norm, quat_from_yaw
+from .geometry import Pose, quat_from_yaw
 from .human import SimulatedHuman
 from .kinematics import chain_state
 from .objects import object_wrench
@@ -179,7 +182,9 @@ class Simulation:
         self._rows = array("d")
         self.waypoint_times: list = []
         self._next_waypoint = 0
-        self._waypoint_targets = [ee0.position + wp.offset for wp in config.waypoints]
+        self._waypoint_targets = [
+            (ee0.position + wp.offset).tolist() for wp in config.waypoints
+        ]
 
     @property
     def t(self) -> float:
@@ -265,18 +270,20 @@ class Simulation:
             rows.extend(human_state.hand_position)
             rows.extend(human_state.hand_orientation)
             rows.append(human_state.theta_t_w)
-            self._check_waypoints(ee.position, ee_twist[:3])
+            self._check_waypoints(ee.position, ee_twist)
         except Exception as exc:
             raise SimulationError(f"in {layer}: {exc}") from exc
 
-    def _check_waypoints(self, ee_position: np.ndarray, ee_linear: np.ndarray):
+    def _check_waypoints(self, ee_position: np.ndarray, ee_twist: np.ndarray):
         wps = self.config.waypoints
         if self._next_waypoint >= len(wps):
             return
         wp = wps[self._next_waypoint]
-        target = self._waypoint_targets[self._next_waypoint]
-        near = _norm(ee_position - target) <= wp.tolerance
-        slow = _norm(ee_linear) < self.config.waypoint_speed
+        tx, ty, tz = self._waypoint_targets[self._next_waypoint]
+        ex, ey, ez = ee_position.tolist()
+        near = math.hypot(ex - tx, ey - ty, ez - tz) <= wp.tolerance
+        vx, vy, vz = ee_twist.tolist()[:3]
+        slow = math.hypot(vx, vy, vz) < self.config.waypoint_speed
         if near and slow:
             self.waypoint_times.append(self.t)
             self._next_waypoint += 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .geometry import Pose, _norm, pose_error
+from .geometry import Pose, pose_error
 from .kinematics import (
     BASE_DOFS,
     ChainState,
@@ -136,9 +136,9 @@ def solve_tracking(
         raise WbcError(
             "primary task is singular with zero damping; use a nonzero damping factor"
         ) from exc
-    if not all(map(math.isfinite, y.tolist())) or _norm(G.dot(y) - b) > 1e-6 * max(
-        1.0, _norm(b)
-    ):
+    residual = math.hypot(*(G.dot(y) - b).tolist())
+    bound = 1e-6 * max(1.0, math.hypot(*b.tolist()))
+    if not all(map(math.isfinite, y.tolist())) or residual > bound:
         raise WbcError(
             "primary task is singular with zero damping; use a nonzero damping factor"
         )

@@ -1,4 +1,4 @@
-"""Demo smoke test: a demo script runs to the end as a user would start it."""
+"""Demo smoke tests: a demo script runs to the end as a user would start it."""
 
 import os
 import subprocess
@@ -8,18 +8,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_rotation_assist_demo_runs():
-    # The only demo that imports cocarry.geometry directly.
+def run_demo(name: str) -> str:
+    """Run demos/<name> in a fresh interpreter; returns its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "rotation_assist.py")],
+        [sys.executable, str(ROOT / "demos" / name)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "detector fired 0 times" in done.stdout
+    return done.stdout
+
+
+def test_rotation_assist_demo_runs():
+    # The only demo that imports cocarry.geometry directly.
+    assert "detector fired 0 times" in run_demo("rotation_assist.py")
+
+
+def test_trace_determinism_demo_runs():
+    assert "second run byte-identical: True" in run_demo("trace_determinism.py")

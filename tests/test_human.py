@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cocarry.human import (
+    _NOISE_BLOCK,
     HandYaw,
     Hold,
     HumanParams,
@@ -179,6 +180,58 @@ def test_determinism_with_noise():
         s = clean.step(np.zeros(3), DT)
         rows.append(np.concatenate([s.hand_position, s.hand_velocity]))
     assert not np.array_equal(runs[0], np.array(rows))
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        {"hand_position": 1e-3, "hand_velocity": 2e-3, "torso_yaw": 5e-4, "hand_yaw": 7e-4},
+        {"hand_velocity": 2e-3, "torso_yaw": 5e-4},
+        # 3 draws a tick: a tick's triple straddles the end of a block
+        {"hand_position": 1e-3},
+    ],
+)
+def test_noise_matches_per_channel_normal_calls(noise):
+    # The noise is drawn in blocks; the measured channels must still be
+    # bitwise what one rng.normal call per configured channel and tick gives,
+    # in channel order, and an unconfigured channel draws nothing.
+    script = MotionScript(
+        [Translate([0.2, -0.1, 0.05], 0.4), TorsoYaw(0.5, 0.3), HandYaw(-0.3, 0.3)],
+        hand0=(1.0, 0.0, 1.0),
+    )
+    params = HumanParams(noise=noise, velocity_deadband=0.0)
+    human = SimulatedHuman(params, script, (1.5, 0.0, 1.0), seed=77)
+    oracle = np.random.default_rng(77)
+    draws_per_tick = sum(3 if k in ("hand_position", "hand_velocity") else 1 for k in noise)
+    ticks = 2 * _NOISE_BLOCK // draws_per_tick + 50
+    assert ticks * draws_per_tick > 2 * _NOISE_BLOCK
+
+    def draw(key, n):
+        std = noise.get(key, 0.0)
+        if std <= 0.0:
+            return [0.0] * n if n else 0.0
+        if n:
+            return oracle.normal(0.0, std, size=n).tolist()
+        return float(oracle.normal(0.0, std))
+
+    for _ in range(ticks):
+        state = human.step((0.0, 0.0, 0.0), DT)
+        j_pos, j_vel = draw("hand_position", 3), draw("hand_velocity", 3)
+        j_torso, j_hand = draw("torso_yaw", 0), draw("hand_yaw", 0)
+        _, _, torso_yaw, _, hand_yaw = script.sample(human.t)
+        assert bits(state.hand_position) == bits(
+            [x + j for x, j in zip(human.hand_position, j_pos)]
+        )
+        assert bits(state.hand_velocity) == bits(
+            [v + j for v, j in zip(human.hand_velocity, j_vel)]
+        )
+        assert bits([state.theta_t_w, state.theta_h_w]) == bits(
+            [torso_yaw + j_torso, hand_yaw + j_hand]
+        )
 
 
 def test_params_validation():

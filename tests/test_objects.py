@@ -177,6 +177,41 @@ def test_degenerate_rest_treats_everything_as_lateral():
     np.testing.assert_allclose(on_ee, [-6.0, 2.0, -4.0], atol=1e-9)
 
 
+def force_oracle(model, hand_p, hand_v, ee_pose, ee_v) -> np.ndarray:
+    """The coupling force on the EE in array form."""
+    rest_world = rotz(ee_pose.yaw() - model.ref_yaw) @ model.rest_vector
+    rest_len = np.linalg.norm(rest_world)
+    deviation = (ee_pose.position - hand_p) - rest_world
+    if rest_len > 1e-12:
+        axis = rest_world / rest_len
+        s = float(axis @ deviation)
+        force = -model.lateral_stiffness * (deviation - s * axis)
+        if s > model.slack_length:
+            force -= model.axial_stiffness_tension * (s - model.slack_length) * axis
+        elif s < 0.0:
+            force -= model.axial_stiffness_compression * s * axis
+    else:
+        force = -model.lateral_stiffness * deviation
+    return force - model.damping * (ee_v - hand_v)
+
+
+def test_wrench_matches_array_form():
+    rng = np.random.default_rng(65)
+    for name in presets():
+        for i in range(400):
+            degenerate = i % 10 == 0
+            rest = np.zeros(3) if degenerate else rng.normal(scale=0.5, size=3)
+            model = preset(name).with_rest(rest, ref_yaw=rng.uniform(-np.pi, np.pi))
+            ee = Pose(rng.normal(scale=0.5, size=3), quat_from_yaw(rng.uniform(-4, 4)))
+            hand_p, hand_v, ee_v = rng.normal(scale=0.5, size=(3, 3))
+            force = object_wrench(
+                model, hand_p.tolist(), hand_v.tolist(), ee, ee_v.tolist()
+            )
+            expected = force_oracle(model, hand_p, hand_v, ee, ee_v)
+            bound = 1e-12 * max(1.0, np.linalg.norm(expected))
+            assert np.abs(np.array(force) - expected).max() <= bound, (name, i)
+
+
 def test_elastic_energy_properties():
     rng = np.random.default_rng(63)
     for name in presets():
