@@ -15,7 +15,6 @@ from .aci import (
     CubicTrajectory,
     IntentionDetector,
     Mode,
-    ReferenceGenerator,
     admittance_step,
     desired_rotation_pose,
     object_translation,

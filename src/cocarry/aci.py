@@ -11,6 +11,11 @@ Rotation is handled separately.  A streaming detector watches the relative
 yaw between the human hand and torso; a torso-led twist that comes to rest
 triggers a point-to-point rotation of the end effector about the torso,
 executed as a cubic trajectory while translation is frozen.
+
+The controller integrates its own reference pose x_d from the twist it
+chooses each tick.  Inside the tick x_d is 7 floats (position, then the
+(w, x, y, z) quaternion); a `Pose` is built only on the tick a rotation
+fires, for its goal and the trajectory start.
 """
 
 import enum
@@ -87,10 +92,18 @@ class AciParams:
     min_rotation_duration: float = 2.0
 
     def __post_init__(self):
-        positive = ("window_length", "epsilon", "rotation_rate", "min_rotation_duration")
+        positive = (
+            "window_length",
+            "epsilon",
+            "velocity_threshold",
+            "rotation_rate",
+            "min_rotation_duration",
+        )
         for name in positive:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.deadband < 0.0:
+            raise ValueError("deadband must be non-negative")
         if not 0.0 < self.lower_angle < self.upper_angle:
             raise ValueError("angle thresholds must satisfy 0 < lower < upper")
 
@@ -329,32 +342,16 @@ class CubicTrajectory:
         return Pose(pos, q), self.twist(t)
 
 
-class ReferenceGenerator:
-    """Integrates the commanded EE reference from the controller's twist.
-
-    The reference pose is the running integral of the twist the controller
-    chose each tick, started at the initial EE pose.
-    """
-
-    def __init__(self, initial_pose: Pose):
-        self.x_d = initial_pose.copy()
-
-    def step(self, xdot_d, dt: float) -> Pose:
-        """Advance by one tick under the twist xdot_d (6 floats, linear then
-        angular)."""
-        self.x_d = integrate_pose(self.x_d, xdot_d, dt)
-        return self.x_d
-
-
 @dataclass
 class AciOutput:
     """Per-step controller outputs consumed by the robot and the logger.
 
-    The reference twist is 6 floats (linear, then angular); the velocity
-    channels are float triples.
+    The reference pose x_d is 7 floats (position, then the (w, x, y, z)
+    quaternion), the reference twist 6 floats (linear, then angular) and the
+    velocity channels float triples.
     """
 
-    x_d: Pose
+    x_d: list
     xdot_d: tuple
     v_adm: tuple
     v_trans: tuple
@@ -369,7 +366,9 @@ class AciController:
     velocity, the hand velocity, or (full ACI) their blend.  The rotation unit
     is active only in full ACI mode; the other variants keep zeta at zero.
     While a rotation runs (zeta = 1) the reference twist is the trajectory's,
-    otherwise it is the translational command with no rotation.
+    otherwise it is the translational command with no rotation.  The
+    reference pose `x_d` (7 floats) is the running integral of the chosen
+    twist, started at the initial EE pose.
     """
 
     def __init__(
@@ -385,8 +384,9 @@ class AciController:
         self.mode = mode
         self.index = AdaptiveIndex(params)
         self.detector = IntentionDetector(params)
-        self.reference = ReferenceGenerator(initial_ee_pose)
-        self.ee_in_torso = initial_torso_pose.inverse().compose(initial_ee_pose)
+        ee0 = initial_ee_pose
+        self.x_d = ee0.position.tolist() + ee0.orientation.tolist()
+        self.ee_in_torso = initial_torso_pose.inverse().compose(ee0)
         self.v_adm = (0.0, 0.0, 0.0)
         self.trajectory: CubicTrajectory | None = None
 
@@ -420,7 +420,10 @@ class AciController:
                 # (the z component of the rotation vector) needs it at the
                 # rotation rate
                 traj = CubicTrajectory(
-                    self.reference.x_d, goal, t, self.params.min_rotation_duration
+                    Pose(self.x_d[:3], self.x_d[3:]),
+                    goal,
+                    t,
+                    self.params.min_rotation_duration,
                 )
                 traj.duration = max(
                     traj.duration, abs(traj.direction[5]) / self.params.rotation_rate
@@ -434,5 +437,5 @@ class AciController:
                     zeta = 1
                     xdot_d = self.trajectory.twist(t)
 
-        x_d = self.reference.step(xdot_d, dt)
-        return AciOutput(x_d, xdot_d, self.v_adm, v_trans, alpha, zeta)
+        self.x_d = integrate_pose(self.x_d, xdot_d, dt)
+        return AciOutput(self.x_d, xdot_d, self.v_adm, v_trans, alpha, zeta)

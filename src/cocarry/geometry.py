@@ -3,9 +3,12 @@
 Quaternions are in scalar-first order (w, x, y, z) and are kept unit-norm by
 construction.  All twists and angular quantities are expressed in the world
 frame unless a function says otherwise.  `Pose` is the type of the API edges
-and holds float64 arrays; a twist is 6 floats (linear, then angular).  The
-quaternion laws and `pose_error` take float sequences and return Python
-floats in a list or tuple; a caller that needs an array wraps the result.
+and of values built once, and holds float64 arrays.  Inside a control tick a
+pose is 7 floats (position, then the (w, x, y, z) quaternion, the trace's
+column order) and a twist is 6 floats (linear, then angular).  The
+quaternion laws, `pose_error` and `integrate_pose` take float sequences and
+return Python floats in a list or tuple; a caller that needs an array wraps
+the result.
 
 The quaternion laws, `quat_normalize` and `integrate_pose` take their norms
 with `math.hypot` and their angles with `math.atan2`, `math.cos` and
@@ -19,14 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = 1e-12
-_F64 = np.dtype(float)
-
-
-def _vec(v, n: int) -> np.ndarray:
-    """`v` as a float64 array of shape (n,); such an array is returned as is."""
-    if type(v) is np.ndarray and v.dtype is _F64 and v.shape == (n,):
-        return v
-    return np.asarray(v, dtype=float).reshape(n)
 
 
 def quat_identity() -> np.ndarray:
@@ -139,13 +134,8 @@ def quat_from_yaw(yaw: float) -> tuple:
 
 def yaw_from_quat(q) -> float:
     """Z-Y-X yaw of the rotation (angle of the rotated x axis in the xy plane)."""
-    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    w, x, y, z = q
     return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-
-
-def rotz(yaw: float) -> np.ndarray:
-    c, s = float(np.cos(yaw)), float(np.sin(yaw))
-    return np.array([c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
 
 
 def wrap_angle(a: float) -> float:
@@ -161,8 +151,8 @@ class Pose:
     orientation: np.ndarray = field(default_factory=quat_identity)
 
     def __post_init__(self):
-        self.position = _vec(self.position, 3)
-        self.orientation = _vec(self.orientation, 4)
+        self.position = np.asarray(self.position, dtype=float).reshape(3)
+        self.orientation = np.asarray(self.orientation, dtype=float).reshape(4)
 
     def copy(self) -> "Pose":
         return Pose(self.position.copy(), self.orientation.copy())
@@ -197,25 +187,24 @@ class Pose:
         return cls(np.asarray(xyz, dtype=float), quat_normalize(q))
 
 
-def pose_error(desired: Pose, current: Pose) -> list:
-    """6 floats [position error; orientation error as a world-frame rotation vector].
+def pose_error(desired, current) -> list:
+    """6 floats [position error; orientation error as a world-frame rotation
+    vector] between two poses of 7 floats.
 
     The orientation part is the axis-angle of R_d R^T, i.e. the rotation that
     carries the current orientation onto the desired one.
     """
-    w, x, y, z = current.orientation.tolist()
-    dq = quat_multiply(desired.orientation.tolist(), (w, -x, -y, -z))
-    dp = [a - b for a, b in zip(desired.position.tolist(), current.position.tolist())]
-    return dp + quat_to_rotvec(dq)
+    px, py, pz, w, x, y, z = current
+    dx, dy, dz, *q_d = desired
+    dq = quat_multiply(q_d, (w, -x, -y, -z))
+    return [dx - px, dy - py, dz - pz] + quat_to_rotvec(dq)
 
 
-def integrate_pose(pose: Pose, twist, dt: float) -> Pose:
-    """Euler step of a pose under a world-frame twist of 6 floats (linear,
-    then angular); orientation via the exponential of the angular increment,
-    renormalized."""
+def integrate_pose(pose, twist, dt: float) -> list:
+    """Euler step of a pose of 7 floats under a world-frame twist of 6 floats
+    (linear, then angular), as a list of 7; orientation via the exponential
+    of the angular increment, renormalized."""
+    px, py, pz, *q = pose
     vx, vy, vz, wx, wy, wz = twist
-    q = quat_multiply(
-        quat_from_rotvec((wx * dt, wy * dt, wz * dt)), pose.orientation.tolist()
-    )
-    px, py, pz = pose.position.tolist()
-    return Pose([px + vx * dt, py + vy * dt, pz + vz * dt], _unit(q))
+    q = quat_multiply(quat_from_rotvec((wx * dt, wy * dt, wz * dt)), q)
+    return [px + vx * dt, py + vy * dt, pz + vz * dt, *_unit(q)]

@@ -36,6 +36,8 @@ class HumanParams:
             raise ValueError("hand mass must be positive")
         if self.hand_stiffness < 0.0 or self.hand_damping < 0.0:
             raise ValueError("hand stiffness and damping must be non-negative")
+        if self.velocity_deadband < 0.0:
+            raise ValueError("velocity deadband must be non-negative")
         if self.yaw_filter_cutoff <= 0.0:
             raise ValueError("yaw filter cutoff must be positive")
 

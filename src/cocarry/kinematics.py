@@ -152,15 +152,14 @@ def _chain(model: KinematicModel, q: np.ndarray):
     return origins, axes, R, p_ee
 
 
-def _pose(R: tuple, p: tuple) -> Pose:
-    return Pose(np.array(p), np.array(quat_from_matrix(R)))
-
-
 @dataclass
 class ChainState:
-    """One chain evaluation shared by everything that needs it in a tick."""
+    """One chain evaluation shared by everything that needs it in a tick.
 
-    pose: Pose
+    The EE pose is 7 floats: position, then the (w, x, y, z) quaternion.
+    """
+
+    pose: list
     jacobian: np.ndarray
     manipulability: float
 
@@ -204,14 +203,14 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
         w = abs(_linalg.det(Ja))
     else:
         w = math.sqrt(max(_linalg.det(Ja.dot(Ja.T)), 0.0))
-    return ChainState(_pose(R_ee, p_ee), J, w)
+    return ChainState([*p_ee, *quat_from_matrix(R_ee)], J, w)
 
 
 def forward_kinematics(model: KinematicModel, q: np.ndarray) -> Pose:
     """World pose of the end effector for joint vector q (base first)."""
     q = _check_q(model, q)
     _, _, R_ee, p_ee = _chain(model, q)
-    return _pose(R_ee, p_ee)
+    return Pose(p_ee, quat_from_matrix(R_ee))
 
 
 def damping_factor(w: float, model: KinematicModel) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import yaw_from_quat
 
 
 @dataclass
@@ -64,12 +64,13 @@ def object_wrench(
     model: ObjectModel,
     hand_position,
     hand_velocity,
-    ee_pose: Pose,
+    ee_pose,
     ee_velocity,
 ) -> tuple:
     """Coupling force on the EE, as 3 floats, for the current states.
 
-    Hand position and the linear velocities of hand and EE are float triples.
+    Hand position and the linear velocities of hand and EE are float triples,
+    and the EE pose is 7 floats (position, then the (w, x, y, z) quaternion).
     The hand feels the negative of the returned force.  Axial force is
     piecewise linear in the axial deviation: tension engages only beyond the
     slack length, compression for negative deviation, and the force is
@@ -77,12 +78,12 @@ def object_wrench(
     treated as a point coupling.
     """
     # The rest vector turned by the EE's yaw change about the vertical axis.
-    yaw = ee_pose.yaw() - model.ref_yaw
+    ex, ey, ez, *ee_q = ee_pose
+    yaw = yaw_from_quat(ee_q) - model.ref_yaw
     c, sn = math.cos(yaw), math.sin(yaw)
     vx, vy, rz = model.rest_vector.tolist()
     rx, ry = c * vx - sn * vy, sn * vx + c * vy
     rest_len = math.hypot(rx, ry, rz)
-    ex, ey, ez = ee_pose.position.tolist()
     hx, hy, hz = hand_position
     dx, dy, dz = (ex - hx) - rx, (ey - hy) - ry, (ez - hz) - rz
     fx = fy = fz = 0.0

@@ -303,10 +303,10 @@ _ADMITTANCE = {"mass": _vector(3, POSITIVE), "damping": _vector(3, POSITIVE)}
 _ACI = {
     "window_length": _number(POSITIVE),
     "epsilon": _number(POSITIVE),
-    "deadband": _number(),
+    "deadband": _number(NON_NEGATIVE),
     "lower_angle": _number(),  # 0 < lower < upper: AciParams checks it
     "upper_angle": _number(),
-    "velocity_threshold": _number(),
+    "velocity_threshold": _number(POSITIVE),
     "rotation_rate": _number(POSITIVE),
     "min_rotation_duration": _number(POSITIVE),
 }
@@ -320,7 +320,7 @@ _HUMAN = {
     "mass": _Key(_number(POSITIVE), "hand_mass"),
     "stiffness": _Key(_number(NON_NEGATIVE), "hand_stiffness"),
     "damping": _Key(_number(NON_NEGATIVE), "hand_damping"),
-    "velocity_deadband": _number(),
+    "velocity_deadband": _number(NON_NEGATIVE),
     "yaw_filter_cutoff": _number(POSITIVE),
     "noise": _block(dict, _NOISE),
 }

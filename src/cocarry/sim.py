@@ -6,10 +6,13 @@ fresh states, the collaborative interface turns force and human motion into
 an EE reference, the whole-body controller resolves it to saturated joint
 velocities, and the robot integrates.  Every tick appends one trace row.
 The layers hand each other Python floats and the float64 arrays of the
-Jacobian and joint vectors; the EE and reference poses are the only `Pose`s
-built per tick.  numpy runs only the matrix work (the Jacobian and 6x6
-products, the 6x6 solve, the determinant, the joint-angle cos/sin) and the
-stores; every 3- and 4-vector and scalar is Python floats.
+Jacobian and joint vectors.  The EE and reference poses are 7 floats each,
+in the trace's column order (position, then the (w, x, y, z) quaternion),
+and a tick builds no `Pose`, except the tick a rotation fires on (its goal
+and start).  `Pose` holds values set up once, such as `Simulation.ee0`.
+numpy runs only the matrix work (the Jacobian and 6x6 products, the 6x6
+solve, the determinant, the joint-angle cos/sin) and the stores; every 3-,
+4- and 7-vector and scalar is Python floats.
 The whole pipeline is deterministic: identical configuration and seed give
 bitwise-identical traces on a host, and the small-vector results do not
 depend on the BLAS kernel numpy picks.
@@ -165,8 +168,7 @@ class Simulation:
             config.human, config.script, config.torso0, seed=config.seed
         )
         self._chain = chain_state(self.model, self.q)
-        ee0 = self._chain.pose
-        self.ee0 = ee0
+        ee0 = self.ee0 = Pose(self._chain.pose[:3], self._chain.pose[3:])
         rest_world = ee0.position - config.hand0
         self.object_model = config.object_model.with_rest(
             rest_world, ref_yaw=ee0.yaw()
@@ -248,7 +250,7 @@ class Simulation:
 
             layer = "trace"
             # One row in `trace_columns` order: arrays copied in as bytes,
-            # float sequences extended.
+            # float sequences (the poses among them) extended.
             rows = self._rows
             try:
                 rows.append(t_new)
@@ -257,30 +259,28 @@ class Simulation:
                 rows.append(t_new)
             ee = self._chain.pose
             rows.frombytes(self.q.tobytes())
-            rows.frombytes(ee.position.tobytes())
-            rows.frombytes(ee.orientation.tobytes())
+            rows.extend(ee)
             rows.frombytes(ee_twist.tobytes())
             rows.extend(force)
             rows.extend(out.v_adm)
             rows.extend(human_state.hand_velocity)
             rows.append(out.alpha)
             rows.append(out.zeta)
-            rows.frombytes(out.x_d.position.tobytes())
-            rows.frombytes(out.x_d.orientation.tobytes())
+            rows.extend(out.x_d)
             rows.extend(human_state.hand_position)
             rows.extend(human_state.hand_orientation)
             rows.append(human_state.theta_t_w)
-            self._check_waypoints(ee.position, ee_twist)
+            self._check_waypoints(ee, ee_twist)
         except Exception as exc:
             raise SimulationError(f"in {layer}: {exc}") from exc
 
-    def _check_waypoints(self, ee_position: np.ndarray, ee_twist: np.ndarray):
+    def _check_waypoints(self, ee_pose: list, ee_twist: np.ndarray):
         wps = self.config.waypoints
         if self._next_waypoint >= len(wps):
             return
         wp = wps[self._next_waypoint]
         tx, ty, tz = self._waypoint_targets[self._next_waypoint]
-        ex, ey, ez = ee_position.tolist()
+        ex, ey, ez = ee_pose[:3]
         near = math.hypot(ex - tx, ey - ty, ez - tz) <= wp.tolerance
         vx, vy, vz = ee_twist.tolist()[:3]
         slow = math.hypot(vx, vy, vz) < self.config.waypoint_speed

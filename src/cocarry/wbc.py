@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .geometry import Pose, pose_error
+from .geometry import pose_error
 from .kinematics import (
     BASE_DOFS,
     ChainState,
@@ -105,9 +105,10 @@ class WbcParams:
         return cls(**{**standard, **fields})
 
 
-def tracking_objective(pose: Pose, x_d: Pose, xdot_d, params: WbcParams) -> np.ndarray:
-    """Reference twist b = xdot_d + K * (x_d minus the current pose), for the
-    reference twist xdot_d as 6 floats (linear, then angular)."""
+def tracking_objective(pose, x_d, xdot_d, params: WbcParams) -> np.ndarray:
+    """Reference twist b = xdot_d + K * (x_d minus the current pose), for
+    poses of 7 floats and the reference twist xdot_d as 6 floats (linear,
+    then angular)."""
     return np.array(
         [v + k * e for v, k, e in zip(xdot_d, params._k_gain, pose_error(x_d, pose))]
     )
@@ -153,16 +154,17 @@ def solve_secondary(q: np.ndarray, params: WbcParams) -> np.ndarray:
 def compute(
     model: KinematicModel,
     q: np.ndarray,
-    x_d: Pose,
+    x_d,
     xdot_d,
     params: WbcParams,
     chain: ChainState | None = None,
 ) -> np.ndarray:
     """Full hierarchical command J# b + (I - J# J) s for the posture velocity s.
 
-    xdot_d is the reference twist as 6 floats (linear, then angular).  The
-    command is formed as s + J# (b - J s), which needs one solve and no
-    projector.
+    x_d is the reference pose as 7 floats (position, then the (w, x, y, z)
+    quaternion) and xdot_d the reference twist as 6 floats (linear, then
+    angular).  The command is formed as s + J# (b - J s), which needs one
+    solve and no projector.
     """
     if chain is None:
         chain = chain_state(model, q)

@@ -1,5 +1,5 @@
 """Adaptive interface: admittance, blending index, intention detection,
-rotation trajectories, and the reference generator.
+rotation trajectories, and the reference pose.
 
 The index oracle keeps the window in a deque and re-integrates all of it
 on every sample; the detector oracle re-derives every sample's verdict
@@ -19,17 +19,18 @@ from cocarry.aci import (
     CubicTrajectory,
     IntentionDetector,
     Mode,
-    ReferenceGenerator,
     admittance_step,
     desired_rotation_pose,
     object_translation,
 )
 from cocarry.geometry import (
     Pose,
+    integrate_pose,
     quat_from_yaw,
     quat_multiply,
     quat_normalize,
     quat_rotate,
+    yaw_from_quat,
 )
 from cocarry.human import HumanState
 
@@ -498,15 +499,22 @@ def test_cubic_trajectory_clamps_outside_span():
     np.testing.assert_allclose(va, np.zeros(6))
 
 
-# -- reference generator --------------------------------------------------
+# -- reference pose -------------------------------------------------------
 
 
 def test_reference_integrates_constant_velocity():
-    ref = ReferenceGenerator(Pose())
-    v = (0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # In teleop the reference twist is the hand velocity, and x_d (7 floats)
+    # is its running integral from the initial EE pose.
+    ctrl = make_controller(Mode.TELEOP)
+    assert ctrl.x_d == [0.5, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    dt = 1e-3
+    t = 0.0
     for _ in range(2000):
-        pose = ref.step(v, 1e-3)
-    np.testing.assert_allclose(pose.position, [0.2, 0, 0], atol=1e-12)
+        t += dt
+        out = ctrl.step(t, np.zeros(3), human_sample(v=(0.1, 0.0, 0.0)), dt)
+    assert out.x_d is ctrl.x_d
+    np.testing.assert_allclose(ctrl.x_d[:3], [0.7, 0, 1.0], atol=1e-12)
+    assert ctrl.x_d[3:] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_reference_rotation_branch_overrides_translation():
@@ -532,17 +540,16 @@ def test_reference_rotation_branch_overrides_translation():
 
 def test_reference_derivative_consistency():
     rng = np.random.default_rng(59)
-    ref = ReferenceGenerator(Pose())
     dt = 1e-3
-    prev = ref.x_d.copy()
+    pose = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
     for _ in range(500):
         v_adm = rng.normal(scale=0.2, size=3)
         v_h = rng.normal(scale=0.2, size=3)
         twist = (*object_translation(v_adm, v_h, 0.5), 0.0, 0.0, 0.0)
-        pose = ref.step(twist, dt)
-        fd = (pose.position - prev.position) / dt
+        nxt = integrate_pose(pose, twist, dt)
+        fd = (np.array(nxt[:3]) - pose[:3]) / dt
         np.testing.assert_allclose(fd, twist[:3], atol=1e-9)
-        prev = pose.copy()
+        pose = nxt
 
 
 # -- full controller ------------------------------------------------------
@@ -666,8 +673,8 @@ def test_controller_rotation_cycle():
     goal = desired_rotation_pose(
         Pose([1.5, 0, 1.0], quat_from_yaw(-0.5)), ctrl.ee_in_torso
     )
-    np.testing.assert_allclose(ctrl.reference.x_d.position, goal.position, atol=5e-3)
-    assert ctrl.reference.x_d.yaw() == pytest.approx(goal.yaw(), abs=5e-3)
+    np.testing.assert_allclose(ctrl.x_d[:3], goal.position, atol=5e-3)
+    assert yaw_from_quat(ctrl.x_d[3:]) == pytest.approx(goal.yaw(), abs=5e-3)
     # translation stayed frozen during the maneuver
     assert ctrl.trajectory is None
 
@@ -698,3 +705,8 @@ def test_aci_params_validation():
         AciParams(min_rotation_duration=0.0)
     with pytest.raises(ValueError):
         AciParams(lower_angle=0.5, upper_angle=0.4)
+    with pytest.raises(ValueError):  # at 0 the rotation assist never fires
+        AciParams(velocity_threshold=0.0)
+    with pytest.raises(ValueError):
+        AciParams(deadband=-1e-4)
+    AciParams(deadband=0.0)

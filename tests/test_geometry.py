@@ -22,7 +22,6 @@ from cocarry.geometry import (
     quat_rotate,
     quat_to_matrix,
     quat_to_rotvec,
-    rotz,
     wrap_angle,
     yaw_from_quat,
 )
@@ -130,7 +129,9 @@ def test_yaw_helpers():
     for yaw in rng.uniform(-np.pi + 1e-6, np.pi, size=100):
         q = quat_from_yaw(yaw)
         assert abs(yaw_from_quat(q) - yaw) < 1e-12
-        np.testing.assert_allclose(quat_to_matrix(q), rotz(yaw), atol=1e-12)
+        c, s = np.cos(yaw), np.sin(yaw)
+        yaw_matrix = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+        np.testing.assert_allclose(quat_to_matrix(q), yaw_matrix, atol=1e-12)
 
 
 def test_wrap_angle():
@@ -156,6 +157,11 @@ def homogeneous(pose):
 
 def random_pose(rng):
     return Pose(rng.normal(size=3), random_quat(rng))
+
+
+def seven(pose):
+    """A Pose as the 7 floats of a pose inside the tick."""
+    return pose.position.tolist() + pose.orientation.tolist()
 
 
 def test_pose_compose_matches_matrix_product():
@@ -193,7 +199,7 @@ def test_pose_error_position_and_rotvec():
     rng = np.random.default_rng(25)
     for _ in range(200):
         d, c = random_pose(rng), random_pose(rng)
-        e = pose_error(d, c)
+        e = pose_error(seven(d), seven(c))
         np.testing.assert_allclose(e[:3], d.position - c.position)
         oracle = (to_scipy(d.orientation) * to_scipy(c.orientation).inv()).as_rotvec()
         np.testing.assert_allclose(e[3:], oracle, atol=1e-9)
@@ -201,31 +207,31 @@ def test_pose_error_position_and_rotvec():
 
 def test_pose_error_zero_for_identical_poses():
     rng = np.random.default_rng(26)
-    p = random_pose(rng)
-    np.testing.assert_allclose(pose_error(p, p.copy()), np.zeros(6), atol=1e-12)
+    p = seven(random_pose(rng))
+    np.testing.assert_allclose(pose_error(p, list(p)), np.zeros(6), atol=1e-12)
 
 
 def test_integrate_pose_constant_twist():
     # pure translation integrates exactly; rotation follows the exponential
-    p = Pose()
     tw = (0.1, -0.2, 0.3, 0.0, 0.0, 0.5)
-    out = p
+    out = seven(Pose())
     for _ in range(1000):
         out = integrate_pose(out, tw, 1e-3)
-    np.testing.assert_allclose(out.position, [0.1, -0.2, 0.3], atol=1e-12)
-    assert abs(out.yaw() - 0.5) < 1e-9
-    assert abs(np.linalg.norm(out.orientation) - 1.0) < 1e-12
+    assert len(out) == 7
+    np.testing.assert_allclose(out[:3], [0.1, -0.2, 0.3], atol=1e-12)
+    assert abs(yaw_from_quat(out[3:]) - 0.5) < 1e-9
+    assert abs(np.linalg.norm(out[3:]) - 1.0) < 1e-12
 
 
 def test_integrate_pose_recovers_twist():
     rng = np.random.default_rng(27)
     dt = 1e-4
     for _ in range(50):
-        p = random_pose(rng)
+        p = seven(random_pose(rng))
         tw = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
         nxt = integrate_pose(p, tw, dt)
-        v = (nxt.position - p.position) / dt
-        dq = quat_multiply(nxt.orientation, quat_conjugate(p.orientation))
+        v = (np.array(nxt[:3]) - p[:3]) / dt
+        dq = quat_multiply(nxt[3:], quat_conjugate(p[3:]))
         w = np.array(quat_to_rotvec(dq)) / dt
         np.testing.assert_allclose(v, tw[:3], atol=1e-9)
         np.testing.assert_allclose(w, tw[3:], atol=1e-3)

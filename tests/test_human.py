@@ -241,6 +241,9 @@ def test_params_validation():
         HumanParams(hand_damping=-1.0)
     with pytest.raises(ValueError):
         HumanParams(yaw_filter_cutoff=0.0)
+    with pytest.raises(ValueError):
+        HumanParams(velocity_deadband=-0.01)
+    HumanParams(velocity_deadband=0.0)
 
 
 def test_rejects_non_finite_force():

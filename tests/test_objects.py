@@ -7,10 +7,16 @@ must be minus the displacement-gradient of this stored energy.
 import numpy as np
 import pytest
 
-from cocarry.geometry import Pose, quat_from_yaw, rotz
+from cocarry.geometry import Pose, quat_from_yaw
 from cocarry.objects import ObjectModel, object_wrench, preset, presets
 from cocarry.scenario import load_scenario, scenario_path
 from cocarry.sim import Simulation
+
+
+def rotz(yaw: float) -> np.ndarray:
+    """Rotation matrix of `yaw` about the vertical axis."""
+    c, s = float(np.cos(yaw)), float(np.sin(yaw))
+    return np.array([c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0]).reshape(3, 3)
 
 
 def elastic_energy(model: ObjectModel, hand_pose: Pose, ee_pose: Pose) -> float:
@@ -34,7 +40,7 @@ def elastic_energy(model: ObjectModel, hand_pose: Pose, ee_pose: Pose) -> float:
 def wrench_at(model, hand_p, ee_p, hand_v=(0, 0, 0), ee_v=(0, 0, 0), ee_yaw=0.0):
     """(force on the EE, force on the hand) as arrays; the hand takes the
     negative of the force `object_wrench` returns, as the simulator does."""
-    ee = Pose(np.asarray(ee_p, dtype=float), quat_from_yaw(ee_yaw))
+    ee = [float(c) for c in ee_p] + list(quat_from_yaw(ee_yaw))
     on_ee = np.array(
         object_wrench(
             model,
@@ -204,8 +210,9 @@ def test_wrench_matches_array_form():
             model = preset(name).with_rest(rest, ref_yaw=rng.uniform(-np.pi, np.pi))
             ee = Pose(rng.normal(scale=0.5, size=3), quat_from_yaw(rng.uniform(-4, 4)))
             hand_p, hand_v, ee_v = rng.normal(scale=0.5, size=(3, 3))
+            ee_pose = ee.position.tolist() + ee.orientation.tolist()
             force = object_wrench(
-                model, hand_p.tolist(), hand_v.tolist(), ee, ee_v.tolist()
+                model, hand_p.tolist(), hand_v.tolist(), ee_pose, ee_v.tolist()
             )
             expected = force_oracle(model, hand_p, hand_v, ee, ee_v)
             bound = 1e-12 * max(1.0, np.linalg.norm(expected))

@@ -91,6 +91,9 @@ def test_validation_passes_good_config():
         ({"aci": {"epsilon": 0}}, "aci.epsilon"),
         ({"aci": {"rotation_rate": 0}}, "aci.rotation_rate"),
         ({"aci": {"min_rotation_duration": 0}}, "aci.min_rotation_duration"),
+        ({"aci": {"velocity_threshold": 0}}, "aci.velocity_threshold"),
+        ({"aci": {"deadband": -1e-4}}, "aci.deadband"),
+        ({"human": {"velocity_deadband": -0.01}}, "human.velocity_deadband"),
     ],
 )
 def test_validation_flags_each_problem(patch, needle, tmp_path):

@@ -388,8 +388,8 @@ def count_poses(monkeypatch) -> Counter:
 
 
 def test_tick_builds_no_twist_and_few_poses(monkeypatch):
-    # The layers of a tick pass floats and twists are 6 floats: over 1,000
-    # ACI ticks of peanut_bag with no rotation, a tick builds at most 3 Poses.
+    # The layers of a tick pass floats, poses are 7 floats and twists 6:
+    # over 1,000 ACI ticks of peanut_bag with no rotation, no Pose is built.
     sim = Simulation(load_scenario(scenario_path("peanut_bag")))
     built = count_poses(monkeypatch)
     ticks = 1000
@@ -398,12 +398,13 @@ def test_tick_builds_no_twist_and_few_poses(monkeypatch):
     monkeypatch.undo()
     assert sim.config.mode is Mode.ACI
     assert not sim.trace["zeta"].any()
-    assert built["Pose"] <= 3 * ticks
+    assert built["Pose"] == 0
 
 
 def test_rotating_tick_builds_two_poses(monkeypatch):
-    # After the firing tick, a rotating tick of rotation_showcase builds the
-    # EE pose and x_d, and no pose of the rotation trajectory.
+    # Only the firing tick of rotation_showcase builds Poses (the torso pose,
+    # the goal and the trajectory start); every later rotating tick, x_d and
+    # the EE pose included, builds none.
     sim = Simulation(load_scenario(scenario_path("rotation_showcase")))
     built = count_poses(monkeypatch)
     per_tick = []  # (zeta, Poses built) of every tick
@@ -414,7 +415,8 @@ def test_rotating_tick_builds_two_poses(monkeypatch):
     monkeypatch.undo()
     rotating = [n for zeta, n in per_tick if zeta == 1]
     assert len(rotating) > 1000
-    assert max(rotating[1:]) <= 2
+    assert rotating[0] > 0
+    assert max(rotating[1:]) == 0
 
 
 def test_trace_handed_out_is_a_snapshot(tmp_path):

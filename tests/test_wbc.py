@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cocarry import wbc
-from cocarry.geometry import Pose, pose_error, quat_from_yaw, quat_multiply, quat_normalize
+from cocarry.geometry import pose_error, quat_from_yaw, quat_multiply, quat_normalize
 from cocarry.kinematics import chain_state, damping_factor, default_model
 
 HOME = np.array([0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0])
@@ -185,12 +185,12 @@ def test_solve_primary_full_pipeline_matches_oracle():
             stack = np.vstack([stack, k * np.diag(np.sqrt(params.w_damp))])
         if np.linalg.cond(stack) > 3e3:
             continue
-        x_d = Pose(
-            st.pose.position + rng.normal(scale=0.05, size=3),
-            quat_normalize(
-                quat_multiply(quat_from_yaw(rng.normal(scale=0.1)), st.pose.orientation)
+        x_d = [
+            *np.add(st.pose[:3], rng.normal(scale=0.05, size=3)),
+            *quat_normalize(
+                quat_multiply(quat_from_yaw(rng.normal(scale=0.1)), st.pose[3:])
             ),
-        )
+        ]
         xdot_d = np.concatenate(
             [rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3)]
         )
@@ -268,7 +268,7 @@ def test_compute_reduces_to_primary_without_posture_weight():
     rng = np.random.default_rng(48)
     q = random_q(rng, model)
     st = chain_state(model, q)
-    x_d = Pose(st.pose.position + [0.05, 0, 0], st.pose.orientation)
+    x_d = [st.pose[0] + 0.05, *st.pose[1:]]
     out = wbc.compute(model, q, x_d, np.zeros(6), params)
     prim = primary(model, st, x_d, params)
     np.testing.assert_allclose(out, prim, atol=1e-12)
@@ -317,10 +317,10 @@ def closed_loop_errors(x_d, q0, steps, dt=1e-3):
 
 def test_closed_loop_converges_to_small_offset():
     start = chain_state(default_model(), HOME).pose
-    x_d = Pose(
-        start.position + [0.05, -0.03, 0.02],
-        quat_normalize(quat_multiply(quat_from_yaw(1.5e-3), start.orientation)),
-    )
+    x_d = [
+        *np.add(start[:3], [0.05, -0.03, 0.02]),
+        *quat_normalize(quat_multiply(quat_from_yaw(1.5e-3), start[3:])),
+    ]
     errs = closed_loop_errors(x_d, HOME, steps=10000)
     assert errs[-1, 0] < 1e-3
     assert errs[-1, 1] < 1e-3
@@ -332,10 +332,10 @@ def test_closed_loop_orientation_follows_gain_envelope():
     # with the 0.1 rotational gain the orientation error decays as exp(-0.1 t)
     start = chain_state(default_model(), HOME).pose
     yaw0 = 0.2
-    x_d = Pose(
-        start.position + [0.1, -0.05, 0.08],
-        quat_normalize(quat_multiply(quat_from_yaw(yaw0), start.orientation)),
-    )
+    x_d = [
+        *np.add(start[:3], [0.1, -0.05, 0.08]),
+        *quat_normalize(quat_multiply(quat_from_yaw(yaw0), start[3:])),
+    ]
     errs = closed_loop_errors(x_d, HOME, steps=10000)
     assert errs[-1, 0] < 1e-3
     expected = yaw0 * np.exp(-0.1 * 10.0)

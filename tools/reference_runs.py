@@ -1,0 +1,108 @@
+"""Write the outputs of the reference runs, so two checkouts compare by `diff -r`.
+
+Usage:  python3 tools/reference_runs.py OUT_DIR
+
+The package is imported from this checkout's `src`, never from an installed
+copy.  For each of the 11 reference runs (the six packaged scenarios and
+five overrides of them) the trace and metrics files go to
+OUT_DIR/<run>.trace.csv and OUT_DIR/<run>.metrics.yaml.  The stdout of each
+demo goes to OUT_DIR/demo_<name>.txt and that of
+`cocarry compare --scenario peanut_bag` to OUT_DIR/compare_peanut_bag.txt.
+Runs go one at a time.  To check that a change keeps every output:
+
+    python3 tools/reference_runs.py /tmp/before   # in the parent checkout
+    python3 tools/reference_runs.py /tmp/after    # in the changed checkout
+    diff -r /tmp/before /tmp/after
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from cocarry import Simulation, load_scenario, scenario_path  # noqa: E402
+
+PACKAGED = (
+    "hand_rotation_null",
+    "peanut_bag",
+    "rigid_rod",
+    "rotation_showcase",
+    "slack_rope",
+    "smoke",
+)
+
+# run name -> (packaged scenario, overrides)
+RUNS = {
+    **{name: (name, {}) for name in PACKAGED},
+    "rigid_teleop_24s": ("rigid_rod", {"mode": "teleop", "duration": 24.0}),
+    "rope_admittance": ("slack_rope", {"mode": "admittance"}),
+    "bag_admittance": ("peanut_bag", {"mode": "admittance"}),
+    "bag_noise_seed3": (
+        "peanut_bag",
+        {
+            "seed": 3,
+            "human": {
+                "noise": {
+                    "hand_position": 5e-4,
+                    "hand_velocity": 5e-3,
+                    "torso_yaw": 2e-3,
+                    "hand_yaw": 2e-3,
+                }
+            },
+        },
+    ),
+    "rope_damped": (
+        "slack_rope",
+        {"model": {"w_threshold": 0.3}, "aci": {"window_length": 1.0}},
+    ),
+}
+
+
+def write_runs(out: Path):
+    for run, (scenario, overrides) in RUNS.items():
+        paths = {
+            "trace_path": str(out / f"{run}.trace.csv"),
+            "metrics_path": str(out / f"{run}.metrics.yaml"),
+        }
+        Simulation(load_scenario(scenario_path(scenario), {**overrides, **paths})).run()
+        print(f"{run}: written", flush=True)
+
+
+def write_stdout(out: Path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    commands = {
+        f"demo_{demo.stem}": [sys.executable, str(demo)]
+        for demo in sorted((ROOT / "demos").glob("*.py"))
+    }
+    commands["compare_peanut_bag"] = [
+        sys.executable, "-m", "cocarry.cli",
+        "compare", "--scenario", scenario_path("peanut_bag"),
+    ]  # fmt: skip
+    for name, argv in commands.items():
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{name} exited {done.returncode}:\n{done.stderr}")
+        (out / f"{name}.txt").write_text(done.stdout)
+        print(f"{name}: written", flush=True)
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    write_runs(out)
+    write_stdout(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
