@@ -37,7 +37,7 @@ from .kinematics import (
     default_model,
     forward_kinematics,
 )
-from .objects import ObjectModel, object_wrench, preset, presets
+from .objects import ObjectModel, object_wrench, presets
 from .scenario import ConfigError, ScenarioConfig, Waypoint, load_scenario, scenario_path
 from .sim import (
     Metrics,

@@ -26,10 +26,8 @@ import numpy as np
 
 from .geometry import (
     Pose,
-    quat_from_rotvec,
     quat_from_yaw,
     quat_multiply,
-    quat_normalize,
     quat_to_rotvec,
     quat_conjugate,
     integrate_pose,
@@ -301,7 +299,6 @@ class CubicTrajectory:
     def __init__(self, start: Pose, goal: Pose, t0: float, duration: float):
         if duration <= 0.0:
             raise ValueError("trajectory duration must be positive")
-        self.start = start.copy()
         self.t0 = float(t0)
         self.duration = float(duration)
         rel = quat_multiply(
@@ -331,15 +328,6 @@ class CubicTrajectory:
         tau = self._tau(t)
         s_rate = 6.0 * tau * (1.0 - tau) / self.duration
         return tuple([s_rate * d for d in self.direction])
-
-    def sample(self, t: float) -> tuple[Pose, tuple]:
-        """The pose and the twist at t."""
-        tau = self._tau(t)
-        s = tau * tau * (3.0 - 2.0 * tau)
-        pos = self.start.position + s * np.array(self.direction[:3])
-        rot = quat_from_rotvec([s * r for r in self.direction[3:]])
-        q = quat_normalize(quat_multiply(rot, self.start.orientation.tolist()))
-        return Pose(pos, q), self.twist(t)
 
 
 @dataclass

@@ -58,12 +58,22 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([w, -x, -y, -z])
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by quaternion q."""
-    w = q[0]
-    u = q[1:]
-    # Rodrigues-style expansion, cheaper than building the matrix.
-    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+def quat_rotate(q, v) -> np.ndarray:
+    """Rotate vector v by quaternion q, as an array.
+
+    The Rodrigues-style expansion v + 2 u x (u x v + w v), with u the vector
+    part of q, written out on floats in the operation order of np.cross.
+    """
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    vx, vy, vz = np.asarray(v, dtype=float).tolist()
+    ax = (y * vz - z * vy) + w * vx
+    ay = (z * vx - x * vz) + w * vy
+    az = (x * vy - y * vx) + w * vz
+    return np.array([
+        vx + 2.0 * (y * az - z * ay),
+        vy + 2.0 * (z * ax - x * az),
+        vz + 2.0 * (x * ay - y * ax),
+    ])
 
 
 def quat_from_rotvec(r) -> list:

@@ -21,6 +21,9 @@ from .geometry import quat_from_yaw
 # noise; the block is refilled when a tick needs more than it has left.
 _NOISE_BLOCK = 256
 
+# The measured channels that take noise, each with a standard deviation.
+NOISE_CHANNELS = ("hand_position", "hand_velocity", "torso_yaw", "hand_yaw")
+
 
 @dataclass
 class HumanParams:
@@ -40,6 +43,13 @@ class HumanParams:
             raise ValueError("velocity deadband must be non-negative")
         if self.yaw_filter_cutoff <= 0.0:
             raise ValueError("yaw filter cutoff must be positive")
+        for channel, std in self.noise.items():
+            if channel not in NOISE_CHANNELS:
+                raise ValueError(
+                    f"unknown noise channel {channel!r}; expected one of {NOISE_CHANNELS}"
+                )
+            if not std >= 0.0:
+                raise ValueError(f"noise std of {channel} must be non-negative, got {std}")
 
 
 @dataclass

@@ -146,12 +146,3 @@ _PRESETS = {
 def presets() -> dict:
     """Named coupling presets spanning rigid, slack, and in-between objects."""
     return {name: replace(model) for name, model in _PRESETS.items()}
-
-
-def preset(name: str) -> ObjectModel:
-    try:
-        return replace(_PRESETS[name])
-    except KeyError:
-        raise KeyError(
-            f"unknown object preset {name!r}; available: {sorted(_PRESETS)}"
-        ) from None

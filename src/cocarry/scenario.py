@@ -17,7 +17,15 @@ import yaml
 
 from .aci import AciParams, AdmittanceParams, Mode
 from .geometry import Pose
-from .human import HandYaw, Hold, HumanParams, MotionScript, TorsoYaw, Translate
+from .human import (
+    NOISE_CHANNELS,
+    HandYaw,
+    Hold,
+    HumanParams,
+    MotionScript,
+    TorsoYaw,
+    Translate,
+)
 from .kinematics import ArmJoint, KinematicModel, default_model
 from .objects import ObjectModel, presets
 from .wbc import WbcError, WbcParams
@@ -312,8 +320,7 @@ _ACI = {
 }
 
 _NOISE = {  # standard deviation of each measured channel
-    channel: _number(NON_NEGATIVE)
-    for channel in ("hand_position", "hand_velocity", "torso_yaw", "hand_yaw")
+    channel: _number(NON_NEGATIVE) for channel in NOISE_CHANNELS
 }
 
 _HUMAN = {

@@ -10,6 +10,9 @@ Jacobian and joint vectors.  The EE and reference poses are 7 floats each,
 in the trace's column order (position, then the (w, x, y, z) quaternion),
 and a tick builds no `Pose`, except the tick a rotation fires on (its goal
 and start).  `Pose` holds values set up once, such as `Simulation.ee0`.
+The chain state (EE pose, Jacobian, manipulability) is a pure function of
+q, so it is evaluated again only on a tick whose q changes bits; a robot
+that stands still keeps its chain.
 numpy runs only the matrix work (the Jacobian and 6x6 products, the 6x6
 solve, the determinant, the joint-angle cos/sin) and the stores; every 3-,
 4- and 7-vector and scalar is Python floats.
@@ -168,6 +171,7 @@ class Simulation:
             config.human, config.script, config.torso0, seed=config.seed
         )
         self._chain = chain_state(self.model, self.q)
+        self._chain_q = self.q.tobytes()  # the q that _chain was evaluated at
         ee0 = self.ee0 = Pose(self._chain.pose[:3], self._chain.pose[3:])
         rest_world = ee0.position - config.hand0
         self.object_model = config.object_model.with_rest(
@@ -219,7 +223,7 @@ class Simulation:
             human_state = self.human.step(self.force_on_hand, dt)
 
             layer = "objects"
-            chain = self._chain  # evaluated when self.q was last updated
+            chain = self._chain  # evaluated at the bits of self.q
             J = chain.jacobian
             force = object_wrench(
                 self.object_model,
@@ -246,7 +250,10 @@ class Simulation:
             self.q = self.q + qdot_d * dt
             self.qdot = qdot_d
             self.ticks += 1
-            self._chain = chain_state(self.model, self.q)
+            q_bytes = self.q.tobytes()
+            if q_bytes != self._chain_q:  # a 0.0 that turns -0.0 counts
+                self._chain = chain_state(self.model, self.q)
+                self._chain_q = q_bytes
 
             layer = "trace"
             # One row in `trace_columns` order: arrays copied in as bytes,
@@ -258,7 +265,7 @@ class Simulation:
                 rows = self._rows = array("d", rows)
                 rows.append(t_new)
             ee = self._chain.pose
-            rows.frombytes(self.q.tobytes())
+            rows.frombytes(q_bytes)
             rows.extend(ee)
             rows.frombytes(ee_twist.tobytes())
             rows.extend(force)

@@ -410,7 +410,7 @@ def test_criterion_09_determinism(tmp_path):
     verdict(9, [(f"{name} reruns byte-identical", same) for name, same in pairs])
 
 
-def test_criterion_10_invariant_fuzz():
+def test_criterion_10_invariant_fuzz(cubic_pose):
     start = time.perf_counter()
     rng = np.random.default_rng(1010)
 
@@ -489,8 +489,8 @@ def test_criterion_10_invariant_fuzz():
         t0 = float(rng.uniform(-5, 5))
         duration = 10.0 ** rng.uniform(-2, 1)
         traj = CubicTrajectory(start_pose, goal_pose, t0, duration)
-        p0, tw0 = traj.sample(t0)
-        p1, tw1 = traj.sample(t0 + duration)
+        p0, tw0 = cubic_pose(start_pose, traj, t0), traj.twist(t0)
+        p1, tw1 = cubic_pose(start_pose, traj, t0 + duration), traj.twist(t0 + duration)
         cubic_cases += 1
         good = (
             np.linalg.norm(p0.position - start_pose.position) < 1e-12

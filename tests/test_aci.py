@@ -453,7 +453,7 @@ def test_desired_rotation_pose_yawed_torso():
     assert out.yaw() == pytest.approx(phi)
 
 
-def test_cubic_trajectory_boundaries():
+def test_cubic_trajectory_boundaries(cubic_pose):
     rng = np.random.default_rng(58)
     for _ in range(50):
         start = Pose(rng.normal(size=3), quat_normalize(rng.normal(size=4)))
@@ -461,8 +461,8 @@ def test_cubic_trajectory_boundaries():
         t0 = rng.uniform(0, 5)
         T = rng.uniform(0.5, 4.0)
         traj = CubicTrajectory(start, goal, t0, T)
-        p0, v0 = traj.sample(t0)
-        p1, v1 = traj.sample(t0 + T)
+        p0, v0 = cubic_pose(start, traj, t0), traj.twist(t0)
+        p1, v1 = cubic_pose(start, traj, t0 + T), traj.twist(t0 + T)
         np.testing.assert_allclose(p0.position, start.position, atol=1e-12)
         np.testing.assert_allclose(p1.position, goal.position, atol=1e-12)
         assert abs(np.dot(p0.orientation, start.orientation)) > 1 - 1e-12
@@ -471,17 +471,17 @@ def test_cubic_trajectory_boundaries():
         np.testing.assert_allclose(v1, np.zeros(6), atol=1e-12)
 
 
-def test_cubic_trajectory_midpoint_and_peak_speed():
+def test_cubic_trajectory_midpoint_and_peak_speed(cubic_pose):
     start = Pose([0.0, 0.0, 0.0])
     goal = Pose([0.6, 0.0, 0.0], quat_from_yaw(0.4))
     traj = CubicTrajectory(start, goal, 1.0, 2.0)
-    mid, vmid = traj.sample(2.0)
+    mid, vmid = cubic_pose(start, traj, 2.0), traj.twist(2.0)
     np.testing.assert_allclose(mid.position, [0.3, 0, 0], atol=1e-12)
     assert np.linalg.norm(vmid[:3]) == pytest.approx(1.5 * 0.6 / 2.0)
     assert vmid[5] == pytest.approx(1.5 * 0.4 / 2.0)
     # midpoint is the speed maximum
     speeds = [
-        np.linalg.norm(traj.sample(t)[1][:3]) for t in np.linspace(1.0, 3.0, 101)
+        np.linalg.norm(traj.twist(t)[:3]) for t in np.linspace(1.0, 3.0, 101)
     ]
     assert np.argmax(speeds) == 50
     assert traj.done(3.0) and not traj.done(2.999)
@@ -489,10 +489,11 @@ def test_cubic_trajectory_midpoint_and_peak_speed():
         CubicTrajectory(start, goal, 0.0, 0.0)
 
 
-def test_cubic_trajectory_clamps_outside_span():
-    traj = CubicTrajectory(Pose(), Pose([1, 0, 0]), 0.0, 1.0)
-    before, vb = traj.sample(-0.5)
-    after, va = traj.sample(1.5)
+def test_cubic_trajectory_clamps_outside_span(cubic_pose):
+    start = Pose()
+    traj = CubicTrajectory(start, Pose([1, 0, 0]), 0.0, 1.0)
+    before, vb = cubic_pose(start, traj, -0.5), traj.twist(-0.5)
+    after, va = cubic_pose(start, traj, 1.5), traj.twist(1.5)
     np.testing.assert_allclose(before.position, [0, 0, 0])
     np.testing.assert_allclose(after.position, [1, 0, 0])
     np.testing.assert_allclose(vb, np.zeros(6))

@@ -84,6 +84,18 @@ def test_rotate_matches_scipy():
         )
 
 
+def test_rotate_equals_cross_product_form_bitwise():
+    # quat_rotate runs the np.cross expansion on floats in the same order.
+    rng = np.random.default_rng(16)
+    for i in range(500):
+        q = random_quat(rng)
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6)
+        v[i % 3] = (0.0, -0.0, v[i % 3])[i % 3]
+        w, u = q[0], q[1:]
+        oracle = v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+        assert quat_rotate(q, v).tobytes() == oracle.tobytes()
+
+
 def test_conjugate_inverts():
     rng = np.random.default_rng(14)
     for _ in range(100):

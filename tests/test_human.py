@@ -5,6 +5,7 @@ import pytest
 
 from cocarry.human import (
     _NOISE_BLOCK,
+    NOISE_CHANNELS,
     HandYaw,
     Hold,
     HumanParams,
@@ -244,6 +245,15 @@ def test_params_validation():
     with pytest.raises(ValueError):
         HumanParams(velocity_deadband=-0.01)
     HumanParams(velocity_deadband=0.0)
+
+
+def test_noise_settings_validated():
+    # A misspelt channel or a negative std would otherwise run without noise.
+    with pytest.raises(ValueError, match="unknown noise channel 'hand_positon'"):
+        HumanParams(noise={"hand_positon": 5e-4})
+    with pytest.raises(ValueError, match="noise std of torso_yaw must be non-negative"):
+        HumanParams(noise={"torso_yaw": -1.0})
+    HumanParams(noise=dict.fromkeys(NOISE_CHANNELS, 0.0))
 
 
 def test_rejects_non_finite_force():

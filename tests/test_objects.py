@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cocarry.geometry import Pose, quat_from_yaw
-from cocarry.objects import ObjectModel, object_wrench, preset, presets
-from cocarry.scenario import load_scenario, scenario_path
+from cocarry.objects import ObjectModel, object_wrench, presets
+from cocarry.scenario import ConfigError, load_scenario, scenario_path
 from cocarry.sim import Simulation
 
 
@@ -54,7 +54,7 @@ def wrench_at(model, hand_p, ee_p, hand_v=(0, 0, 0), ee_v=(0, 0, 0), ee_yaw=0.0)
 
 
 def test_rest_state_zero_wrench():
-    model = preset("rigid_rod").with_rest([0.5, 0.0, 0.0])
+    model = presets()["rigid_rod"].with_rest([0.5, 0.0, 0.0])
     on_ee, on_hand = wrench_at(model, [0, 0, 0], [0.5, 0, 0])
     np.testing.assert_allclose(on_ee, np.zeros(3))
     np.testing.assert_allclose(on_hand, np.zeros(3))
@@ -62,14 +62,14 @@ def test_rest_state_zero_wrench():
 
 def test_rigid_axial_stretch_force():
     # 0.01 m stretch at 1e4 N/m: 100 N pulling the EE back toward the hand
-    model = preset("rigid_rod").with_rest([0.5, 0.0, 0.0])
+    model = presets()["rigid_rod"].with_rest([0.5, 0.0, 0.0])
     on_ee, on_hand = wrench_at(model, [0, 0, 0], [0.51, 0, 0])
     np.testing.assert_allclose(on_ee, [-100.0, 0, 0], atol=1e-9)
     np.testing.assert_allclose(on_hand, [100.0, 0, 0], atol=1e-9)
 
 
 def test_bag_tension_compression_asymmetry():
-    model = preset("peanut_bag").with_rest([0.5, 0.0, 0.0])
+    model = presets()["peanut_bag"].with_rest([0.5, 0.0, 0.0])
     pulled, _ = wrench_at(model, [0, 0, 0], [0.52, 0, 0])
     pushed, _ = wrench_at(model, [0, 0, 0], [0.48, 0, 0])
     assert np.linalg.norm(pulled) == pytest.approx(100.0)
@@ -78,13 +78,13 @@ def test_bag_tension_compression_asymmetry():
 
 
 def test_bag_lateral_stiffness():
-    model = preset("peanut_bag").with_rest([0.5, 0.0, 0.0])
+    model = presets()["peanut_bag"].with_rest([0.5, 0.0, 0.0])
     on_ee, _ = wrench_at(model, [0, 0, 0], [0.5, 0.02, 0])
     np.testing.assert_allclose(on_ee, [0, -150.0 * 0.02, 0], atol=1e-9)
 
 
 def test_rope_is_a_one_way_constraint():
-    model = preset("slack_rope").with_rest([0.5, 0.0, 0.0])
+    model = presets()["slack_rope"].with_rest([0.5, 0.0, 0.0])
     rng = np.random.default_rng(61)
     # anywhere inside the slack ball: no force at all
     for _ in range(200):
@@ -100,7 +100,7 @@ def test_rope_is_a_one_way_constraint():
 
 
 def test_damping_acts_on_relative_velocity():
-    model = preset("rigid_rod").with_rest([0.5, 0.0, 0.0])
+    model = presets()["rigid_rod"].with_rest([0.5, 0.0, 0.0])
     on_ee, on_hand = wrench_at(
         model, [0, 0, 0], [0.5, 0, 0], hand_v=(0.1, 0, 0), ee_v=(0.3, 0, 0)
     )
@@ -161,7 +161,7 @@ def test_force_continuity_at_breakpoints():
 def test_rest_vector_follows_ee_yaw():
     # yawing the EE re-seats the rest geometry, so a co-rotated arrangement
     # stays force-free
-    model = preset("peanut_bag").with_rest([0.5, 0.0, 0.0], ref_yaw=0.0)
+    model = presets()["peanut_bag"].with_rest([0.5, 0.0, 0.0], ref_yaw=0.0)
     phi = 0.9
     ee_p = np.array([np.cos(phi), np.sin(phi), 0.0]) * 0.5
     on_ee, _ = wrench_at(model, [0, 0, 0], ee_p, ee_yaw=phi)
@@ -207,7 +207,7 @@ def test_wrench_matches_array_form():
         for i in range(400):
             degenerate = i % 10 == 0
             rest = np.zeros(3) if degenerate else rng.normal(scale=0.5, size=3)
-            model = preset(name).with_rest(rest, ref_yaw=rng.uniform(-np.pi, np.pi))
+            model = presets()[name].with_rest(rest, ref_yaw=rng.uniform(-np.pi, np.pi))
             ee = Pose(rng.normal(scale=0.5, size=3), quat_from_yaw(rng.uniform(-4, 4)))
             hand_p, hand_v, ee_v = rng.normal(scale=0.5, size=(3, 3))
             ee_pose = ee.position.tolist() + ee.orientation.tolist()
@@ -222,7 +222,7 @@ def test_wrench_matches_array_form():
 def test_elastic_energy_properties():
     rng = np.random.default_rng(63)
     for name in presets():
-        model = preset(name).with_rest([0.5, 0.0, 0.0])
+        model = presets()[name].with_rest([0.5, 0.0, 0.0])
         for _ in range(200):
             hand = Pose(rng.normal(scale=0.3, size=3))
             ee = Pose([0.5, 0, 0] + rng.normal(scale=0.3, size=3))
@@ -232,14 +232,14 @@ def test_elastic_energy_properties():
         ee = Pose([0.5, 0, 0])
         assert elastic_energy(model, hand, ee) == 0.0
     # inside the slack band the rope stores nothing
-    rope = preset("slack_rope").with_rest([0.5, 0.0, 0.0])
+    rope = presets()["slack_rope"].with_rest([0.5, 0.0, 0.0])
     ee = Pose([0.9, 0, 0])
     assert elastic_energy(rope, Pose(np.zeros(3)), ee) == 0.0
 
 
 def test_energy_is_the_spring_potential():
     # force must be the negative displacement-gradient of the energy
-    model = preset("peanut_bag").with_rest([0.5, 0.0, 0.0])
+    model = presets()["peanut_bag"].with_rest([0.5, 0.0, 0.0])
     rng = np.random.default_rng(64)
     h = 1e-6
     for _ in range(50):
@@ -269,12 +269,14 @@ def test_preset_catalog():
     assert bag.lateral_stiffness == 150.0 and bag.damping == 20.0
     # returned models are copies; mutating one must not poison the registry
     rod.damping = 0.0
-    assert preset("rigid_rod").damping == 50.0
+    assert presets()["rigid_rod"].damping == 50.0
 
 
 def test_unknown_preset():
-    with pytest.raises(KeyError, match="unknown object preset"):
-        preset("feather_pillow")
+    # A scenario is where a preset is named; an unknown name lists the known.
+    with pytest.raises(ConfigError, match="unknown object preset 'feather_pillow'") as info:
+        load_scenario(scenario_path("rigid_rod"), overrides={"object": "feather_pillow"})
+    assert str(sorted(presets())) in str(info.value)
 
 
 def test_model_validation():
@@ -290,6 +292,6 @@ def test_model_validation():
 
 def test_static_deflection_under_load():
     # a 10 N pull deflects the rigid rod by 1 mm at steady state
-    model = preset("rigid_rod").with_rest([0.5, 0.0, 0.0])
+    model = presets()["rigid_rod"].with_rest([0.5, 0.0, 0.0])
     on_ee, _ = wrench_at(model, [0, 0, 0], [0.501, 0, 0])
     assert np.linalg.norm(on_ee) == pytest.approx(10.0)

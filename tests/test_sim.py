@@ -321,6 +321,34 @@ def test_tick_order_and_single_evaluation(tmp_path, monkeypatch):
     assert max(np.linalg.norm(f) for f in wrench_forces) > 0.5
 
 
+@pytest.mark.parametrize("scenario, moves", [("hand_rotation_null", False), ("smoke", True)])
+def test_chain_evaluated_only_when_q_changes_bits(scenario, moves, monkeypatch):
+    # The chain is kept while q keeps its bits, and what is kept is exactly
+    # what a fresh evaluation at the current q gives.  The robot of
+    # hand_rotation_null never moves; smoke holds, then moves.
+    sim = Simulation(load_scenario(scenario_path(scenario)))
+    real_chain_state = sim_mod.chain_state
+    calls = []
+
+    def spy_chain_state(model, q):
+        calls.append(q.tobytes())
+        return real_chain_state(model, q)
+
+    monkeypatch.setattr(sim_mod, "chain_state", spy_chain_state)
+    changed = 0
+    for _ in range(int(round(sim.config.duration / sim.dt))):
+        before = sim.q.tobytes()
+        sim.step()
+        changed += sim.q.tobytes() != before
+        fresh = real_chain_state(sim.model, sim.q)
+        assert sim._chain.pose == fresh.pose
+        assert np.array_equal(sim._chain.jacobian, fresh.jacobian)
+        assert sim._chain.manipulability == fresh.manipulability
+    assert len(calls) == changed
+    assert changed < sim.ticks
+    assert (changed > 0) == moves
+
+
 def test_rigid_admittance_completes_with_low_alpha():
     cfg = load_scenario(scenario_path("rigid_rod"), overrides={"mode": "admittance"})
     _, metrics = run_scenario(cfg)
