@@ -162,6 +162,9 @@ class ChainState:
     pose: list
     jacobian: np.ndarray
     manipulability: float
+    # The last command `wbc.compute` solved at this chain, after the inputs
+    # it was solved for: ((q bytes, x_d, xdot_d), params, k, command).
+    command: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:

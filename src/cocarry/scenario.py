@@ -9,6 +9,7 @@ the built objects' own checks raise, or returns the ScenarioConfig.
 
 import importlib.resources
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -196,6 +197,8 @@ def _number(rule=None, whole=False) -> Callable:
         if not isinstance(val, kinds) or isinstance(val, bool):
             what = "an integer" if whole else "a number"
             raise _Invalid(f"field '{path}' must be {what}, got {val!r}")
+        if not whole and not abs(val) <= sys.float_info.max:  # inf, nan, 10**400
+            raise _Invalid(f"field '{path}' must be finite, got {val}")
         if rule and not rule[1](val):
             raise _Invalid(f"field '{path}' must be {rule[0]}, got {val}")
         return val if whole else float(val)

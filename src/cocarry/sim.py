@@ -10,9 +10,13 @@ Jacobian and joint vectors.  The EE and reference poses are 7 floats each,
 in the trace's column order (position, then the (w, x, y, z) quaternion),
 and a tick builds no `Pose`, except the tick a rotation fires on (its goal
 and start).  `Pose` holds values set up once, such as `Simulation.ee0`.
-The chain state (EE pose, Jacobian, manipulability) is a pure function of
-q, so it is evaluated again only on a tick whose q changes bits; a robot
-that stands still keeps its chain.
+The still-tick rule: the chain state (EE pose, Jacobian, manipulability)
+is a pure function of q, so it is kept while q keeps its bits, and the
+whole-body command solved at a chain is kept while its inputs (q, x_d,
+xdot_d, the WBC parameters and the damping factor) keep theirs.  A robot
+that stands still keeps its chain, under a still reference its command
+too, and the EE velocity J qdot it starts a tick with is the previous
+tick's EE twist.
 numpy runs only the matrix work (the Jacobian and 6x6 products, the 6x6
 solve, the determinant, the joint-angle cos/sin) and the stores; every 3-,
 4- and 7-vector and scalar is Python floats.
@@ -172,6 +176,9 @@ class Simulation:
         )
         self._chain = chain_state(self.model, self.q)
         self._chain_q = self.q.tobytes()  # the q that _chain was evaluated at
+        # J qdot[:3] at the start of the next tick, carried while the chain
+        # is kept; None when the chain is new.
+        self._ee_velocity = None
         ee0 = self.ee0 = Pose(self._chain.pose[:3], self._chain.pose[3:])
         rest_world = ee0.position - config.hand0
         self.object_model = config.object_model.with_rest(
@@ -225,12 +232,15 @@ class Simulation:
             layer = "objects"
             chain = self._chain  # evaluated at the bits of self.q
             J = chain.jacobian
+            ee_velocity = self._ee_velocity
+            if ee_velocity is None:
+                ee_velocity = J.dot(self.qdot)[:3].tolist()
             force = object_wrench(
                 self.object_model,
                 human_state.hand_position,
                 human_state.hand_velocity,
                 chain.pose,
-                J.dot(self.qdot)[:3].tolist(),
+                ee_velocity,
             )
             fx, fy, fz = force
             self.force_on_hand = (-fx, -fy, -fz)
@@ -251,9 +261,13 @@ class Simulation:
             self.qdot = qdot_d
             self.ticks += 1
             q_bytes = self.q.tobytes()
+            ee_velocity = ee_twist.tolist()[:3]
             if q_bytes != self._chain_q:  # a 0.0 that turns -0.0 counts
                 self._chain = chain_state(self.model, self.q)
                 self._chain_q = q_bytes
+                self._ee_velocity = None
+            else:  # same J and qdot: next tick's J qdot is this ee_twist
+                self._ee_velocity = ee_velocity
 
             layer = "trace"
             # One row in `trace_columns` order: arrays copied in as bytes,
@@ -277,11 +291,11 @@ class Simulation:
             rows.extend(human_state.hand_position)
             rows.extend(human_state.hand_orientation)
             rows.append(human_state.theta_t_w)
-            self._check_waypoints(ee, ee_twist)
+            self._check_waypoints(ee, ee_velocity)
         except Exception as exc:
             raise SimulationError(f"in {layer}: {exc}") from exc
 
-    def _check_waypoints(self, ee_pose: list, ee_twist: np.ndarray):
+    def _check_waypoints(self, ee_pose: list, ee_velocity: list):
         wps = self.config.waypoints
         if self._next_waypoint >= len(wps):
             return
@@ -289,7 +303,7 @@ class Simulation:
         tx, ty, tz = self._waypoint_targets[self._next_waypoint]
         ex, ey, ez = ee_pose[:3]
         near = math.hypot(ex - tx, ey - ty, ez - tz) <= wp.tolerance
-        vx, vy, vz = ee_twist.tolist()[:3]
+        vx, vy, vz = ee_velocity
         slow = math.hypot(vx, vy, vz) < self.config.waypoint_speed
         if near and slow:
             self.waypoint_times.append(self.t)

@@ -1,5 +1,6 @@
 """Scenario parsing, validation aggregation, and overrides."""
 
+import math
 import re
 
 import numpy as np
@@ -94,6 +95,10 @@ def test_validation_passes_good_config():
         ({"aci": {"velocity_threshold": 0}}, "aci.velocity_threshold"),
         ({"aci": {"deadband": -1e-4}}, "aci.deadband"),
         ({"human": {"velocity_deadband": -0.01}}, "human.velocity_deadband"),
+        ({"duration": math.inf}, "'duration' must be finite"),
+        ({"dt": math.inf}, "'dt' must be finite"),
+        ({"dt": 10**400}, "'dt' must be finite"),
+        ({"hand0": [math.nan, 0, 1]}, "'hand0[0]' must be finite"),
     ],
 )
 def test_validation_flags_each_problem(patch, needle, tmp_path):

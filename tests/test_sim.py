@@ -2,6 +2,7 @@
 
 import gc
 import math
+import struct
 import tracemalloc
 from collections import Counter
 
@@ -347,6 +348,43 @@ def test_chain_evaluated_only_when_q_changes_bits(scenario, moves, monkeypatch):
     assert len(calls) == changed
     assert changed < sim.ticks
     assert (changed > 0) == moves
+
+
+@pytest.mark.parametrize("scenario", ["hand_rotation_null", "smoke"])
+def test_command_solved_only_when_its_inputs_change_bits(scenario, monkeypatch):
+    # The command is kept while q, x_d and xdot_d keep their bits, and what
+    # is kept is bitwise what a fresh solve on those inputs gives.
+    sim = Simulation(load_scenario(scenario_path(scenario)))
+    real_solve = cocarry.wbc.solve_tracking
+    real_compute = cocarry.wbc.compute
+    solves = []
+    commands = []
+
+    def spy_solve(*args):
+        solves.append(None)
+        return real_solve(*args)
+
+    def spy_compute(model, q, x_d, xdot_d, params, chain=None):
+        out = real_compute(model, q, x_d, xdot_d, params, chain=chain)
+        commands.append((q.copy(), list(x_d), list(xdot_d), out))
+        return out
+
+    monkeypatch.setattr(cocarry.wbc, "solve_tracking", spy_solve)
+    monkeypatch.setattr(cocarry.wbc, "compute", spy_compute)
+    changed, last = 0, None
+    for _ in range(int(round(sim.config.duration / sim.dt))):
+        sim.step()
+        q, x_d, xdot_d, out = commands[-1]
+        inputs = (q.tobytes(), struct.pack("13d", *x_d, *xdot_d))
+        changed += inputs != last
+        last = inputs
+        n_solves = len(solves)
+        fresh = real_compute(sim.model, q, x_d, xdot_d, sim.wbc_params)
+        del solves[n_solves:]  # the fresh solve is not the simulation's
+        assert out.tobytes() == fresh.tobytes()
+    assert len(commands) == sim.ticks
+    assert len(solves) == changed
+    assert 0 < changed < sim.ticks
 
 
 def test_rigid_admittance_completes_with_low_alpha():

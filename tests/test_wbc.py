@@ -12,7 +12,7 @@ import pytest
 
 from cocarry import wbc
 from cocarry.geometry import pose_error, quat_from_yaw, quat_multiply, quat_normalize
-from cocarry.kinematics import chain_state, damping_factor, default_model
+from cocarry.kinematics import ChainState, chain_state, damping_factor, default_model
 
 HOME = np.array([0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0])
 
@@ -351,3 +351,81 @@ def test_clamp_velocities():
     np.testing.assert_allclose(out, [1.0, -1.0, 0.5, 1.5, -1.5, 1.0, 1.5, -1.4, 0.0])
     params = replace(params, qdot_limits=None)
     np.testing.assert_allclose(wbc.clamp_velocities(qdot, params), qdot)
+
+
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """The calls of `wbc.solve_tracking`, one entry per solve."""
+    real_solve = wbc.solve_tracking
+    solves = []
+
+    def spy_solve(*args):
+        solves.append(None)
+        return real_solve(*args)
+
+    monkeypatch.setattr(wbc, "solve_tracking", spy_solve)
+    return solves
+
+
+def test_kept_command_returned_while_inputs_keep_their_bits(counted_solves):
+    model = default_model()
+    params = default_params(model)
+    chain = chain_state(model, HOME)
+    x_d = [chain.pose[0] + 0.01, *chain.pose[1:]]
+    first = wbc.compute(model, HOME.copy(), x_d, [0.0] * 6, params, chain=chain)
+    again = wbc.compute(model, HOME.copy(), list(x_d), (0.0,) * 6, params, chain=chain)
+    assert len(counted_solves) == 1
+    assert again.tobytes() == first.tobytes()
+    fresh = wbc.compute(model, HOME, x_d, [0.0] * 6, params)
+    assert again.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("change", ["negative_zero", "replaced_params", "damping", "q"])
+def test_changed_input_misses_the_kept_command(change, counted_solves):
+    model = default_model()
+    params = default_params(model)
+    chain = chain_state(model, HOME)
+    x_d = [chain.pose[0] + 0.01, *chain.pose[1:]]
+    xdot_d = [0.0] * 6
+    q = HOME.copy()
+    wbc.compute(model, q, x_d, xdot_d, params, chain=chain)
+    if change == "q":  # the posture term reads q itself
+        q[5] += 1e-3
+    elif change == "negative_zero":
+        xdot_d = [0.0, 0.0, -0.0, 0.0, 0.0, 0.0]
+    elif change == "replaced_params":
+        params = replace(params)  # equal values, another object
+    else:
+        k_before = damping_factor(chain.manipulability, model)
+        model.w_threshold = 2.0 * chain.manipulability
+        assert damping_factor(chain.manipulability, model) != k_before
+    out = wbc.compute(model, q, x_d, xdot_d, params, chain=chain)
+    assert len(counted_solves) == 2
+    fresh = wbc.compute(model, q, x_d, xdot_d, params, chain=chain_state(model, HOME))
+    assert out.tobytes() == fresh.tobytes()
+
+
+def test_failed_solve_keeps_nothing(counted_solves):
+    model = default_model()
+    params = default_params(model)
+    J = np.zeros((6, model.n_joints))
+    J[0, 0] = 1.0  # rank 1, undamped: the solve raises
+    chain = ChainState(chain_state(model, HOME).pose, J, 2.0 * model.w_threshold)
+    for _ in range(2):
+        with pytest.raises(wbc.WbcError, match="damping"):
+            wbc.compute(model, HOME, chain.pose, [0.0] * 6, params, chain=chain)
+    assert len(counted_solves) == 2
+    assert chain.command is None
+
+
+def test_returned_command_cannot_change_the_kept_one():
+    model = default_model()
+    params = default_params(model)
+    chain = chain_state(model, HOME)
+    x_d = [chain.pose[0] + 0.01, *chain.pose[1:]]
+    kept = None
+    for _ in range(3):  # solved, then kept twice
+        out = wbc.compute(model, HOME, x_d, [0.0] * 6, params, chain=chain)
+        kept = kept or out.tobytes()
+        assert out.tobytes() == kept
+        out[:] = 1.0

@@ -16,6 +16,11 @@ quartiles, how many pairs the change won, and two verdicts:
     better than the parent's by more than the parent's interquartile range;
   - bound: the change's median is not worse than the parent's by more than
     the metric's bound (a fraction of the parent's median).
+It also prints how many runs of each side passed the benchmark's outcome
+check and each side's mean and largest share of failed runs.  When any run
+failed its outcome check, or the change's mean fail_frac exceeds the
+parent's, no claim can stand: every claim verdict reads "fails", the script
+says why and exits 1.
 With --out, the pairs are stored in FILE under "pairs" as "W.seedN", in the
 layout of the BENCH_*.json files; an existing FILE keeps its other entries.
 """
@@ -130,6 +135,22 @@ def main(argv=None) -> int:
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
     }
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs:")
+    correct = {side: sum(bool(r["correct"]) for r in runs[side]) for side in SIDES}
+    print(
+        f"  correct      parent {correct['parent']}/{args.pairs}"
+        f"  change {correct['change']}/{args.pairs}"
+    )
+    fails = entry["fail_frac"]
+    mean_fail = {side: sum(fails[side]) / args.pairs for side in SIDES}
+    print(
+        f"  fail_frac    parent mean {mean_fail['parent']:.3g} max {max(fails['parent']):.3g}"
+        f"  change mean {mean_fail['change']:.3g} max {max(fails['change']):.3g}"
+    )
+    faults = []
+    if not entry["correct"]:
+        faults.append("a run failed its outcome check")
+    if mean_fail["change"] > mean_fail["parent"]:
+        faults.append("the change fails a larger share of runs")
     for m in metrics:
         name = m["name"]
         entry[name] = e = compare(
@@ -142,15 +163,15 @@ def main(argv=None) -> int:
         print(
             f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g}  ({rel:+.1%})  change wins {e['change_wins']}"
-            f"/{args.pairs}  claim {'holds' if claim else 'fails'}"
+            f"/{args.pairs}  claim {'holds' if claim and not faults else 'fails'}"
             f"  bound {m['bound']:.0%} {'kept' if within else 'EXCEEDED'}"
         )
+    if faults:
+        print(f"  no claim can stand: {'; '.join(faults)}")
     entry["info"] = {
         name: {side: values(side, lambda r: r["info"][name]) for side in SIDES}
         for name in INFO
     }
-    fails = {side: max(entry["fail_frac"][side]) for side in SIDES}
-    print(f"  fail_frac    parent max {fails['parent']:.3g}  change max {fails['change']:.3g}")
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -169,7 +190,7 @@ def main(argv=None) -> int:
         doc.setdefault("pairs", {})[f"{args.workload}.seed{args.seed}"] = entry
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"written to {args.out}")
-    return 0
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
