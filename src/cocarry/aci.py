@@ -20,7 +20,9 @@ fires, for its goal and the trajectory start.
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,10 +60,10 @@ class AdmittanceParams:
     def __post_init__(self):
         for name in ("mass", "damping"):
             value = np.array(getattr(self, name), dtype=float).reshape(3)
+            if not np.all((value > 0.0) & np.isfinite(value)):
+                raise ValueError(f"admittance {name} must be positive and finite")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        if np.any(self.mass <= 0.0) or np.any(self.damping <= 0.0):
-            raise ValueError("admittance mass and damping must be positive")
         object.__setattr__(self, "_damping", self.damping.tolist())
         object.__setattr__(self, "_decay", (None, None))
 
@@ -90,15 +92,10 @@ class AciParams:
     min_rotation_duration: float = 2.0
 
     def __post_init__(self):
-        positive = (
-            "window_length",
-            "epsilon",
-            "velocity_threshold",
-            "rotation_rate",
-            "min_rotation_duration",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0.0:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0.0 and name not in ("deadband", "lower_angle", "upper_angle"):
                 raise ValueError(f"{name} must be positive")
         if self.deadband < 0.0:
             raise ValueError("deadband must be non-negative")
@@ -136,62 +133,51 @@ class AdaptiveIndex:
     def __init__(self, params: AciParams, alpha0: float = 0.0):
         self.params = params
         self.alpha = float(alpha0)
-        # Flat ring over growing arrays; [lo, hi) is the live window, whose
-        # integral sums rows lo + 1 .. hi - 1.  Row i is written when sample
-        # i arrives, with the trapezoid term of the sample pair (i - 1, i).
-        # Terms from row _mid on are also added to the running sum _back.
-        # Rows below _mid hold suffix sums instead: row r holds the terms of
-        # rows r .. _mid - 1.  The window integral is then row lo + 1 plus
-        # _back, and no term is ever subtracted, so rounding from samples
-        # that left the window cannot linger.  When the window start passes
-        # _mid, the live window is re-summed into suffix sums: once per
-        # window length, so an update costs O(1) amortised.
-        self._t = np.empty(512)
-        self._terms = np.empty((512, 6))  # columns 0:3 v_adm, 3:6 v_h
-        self._lo = 0
-        self._hi = 0
-        self._mid = 0
+        # The window's sample times are _times; between each two neighbours
+        # lies one trapezoid term of six floats (columns 0:3 v_adm, 3:6 v_h),
+        # older terms first.  The older terms are held as suffix sums in
+        # _suffix: entry j sums the older terms j .. end.  The newer terms
+        # are held as they came in _newer, and their running sum is _back.
+        # The window integral is then _suffix[0] plus _back, and no term is
+        # ever subtracted, so rounding from samples that left the window
+        # cannot linger.  When a newer term leaves the window, the newer
+        # terms still in it are re-summed into suffix sums, from the newest
+        # back: once per window length, so an update costs O(1) amortised.
+        self._times = deque()
+        self._suffix = deque()
+        self._newer = []
         self._back = [0.0] * 6
-        self._last = None  # (t, six velocities) of the newest sample
+        self._last = None  # the six velocities of the newest sample
 
     def update(self, t: float, v_adm, v_h) -> float:
         """Add the sample of both velocity triples at t; returns alpha."""
         t = float(t)
         v = [*v_adm, *v_h]
-        cap = self._t.shape[0]
-        if self._hi == cap:
-            lo = self._lo
-            n = self._hi - lo
-            if n == cap:
-                self._t = np.concatenate([self._t, np.empty(cap)])
-                self._terms = np.concatenate([self._terms, np.empty((cap, 6))])
-            else:
-                self._t[:n] = self._t[lo : self._hi]
-                self._terms[:n] = self._terms[lo : self._hi]
-                self._lo, self._mid, self._hi = 0, self._mid - lo, n
-        i = self._hi
-        self._t[i] = t
-        if self._last is not None:
-            t_prev, v_prev = self._last
-            half_dt = 0.5 * (t - t_prev)
-            term = [half_dt * (a + b) for a, b in zip(v, v_prev)]
-            self._terms[i] = term
-            self._back = [s + x for s, x in zip(self._back, term)]
-        self._last = (t, v)
-        self._hi = i + 1
+        times = self._times
+        if times:
+            half_dt = 0.5 * (t - times[-1])
+            term = [half_dt * (a + b) for a, b in zip(v, self._last)]
+            self._newer.append(term)
+            self._back = _add6(self._back, term)
+        self._last = v
+        times.append(t)
         cutoff = t - self.params.window_length - 1e-12
-        lo = self._lo
-        while self._t[lo] < cutoff:
-            lo += 1
-        self._lo = lo
-        if lo >= self._mid:
-            rows = self._terms[lo + 1 : self._hi]
-            rows[::-1] = np.cumsum(rows[::-1], axis=0)
-            self._mid = self._hi
+        suffix = self._suffix
+        left = 0  # newer terms that left the window
+        while times[0] < cutoff:
+            times.popleft()
+            if suffix:
+                suffix.popleft()
+            else:
+                left += 1
+        if left:
+            suffix.extend(accumulate(reversed(self._newer[left:]), _add6))
+            suffix.reverse()
+            self._newer = []
             self._back = [0.0] * 6
         disp = self._back
-        if lo + 1 < self._mid:
-            disp = [s + x for s, x in zip(self._terms[lo + 1].tolist(), disp)]
+        if suffix:
+            disp = _add6(suffix[0], disp)
         d_adm = math.hypot(*disp[:3])
         d_h = math.hypot(*disp[3:])
         if d_adm < self.params.deadband and d_h < self.params.deadband:
@@ -199,6 +185,11 @@ class AdaptiveIndex:
         raw = 1.0 - d_adm / (d_h + self.params.epsilon)
         self.alpha = min(1.0, max(0.0, raw))
         return self.alpha
+
+
+def _add6(s, x) -> list:
+    """Elementwise s + x of two six-float window sums."""
+    return [a + b for a, b in zip(s, x)]
 
 
 def object_translation(v_adm, v_h, alpha: float) -> tuple:

@@ -18,8 +18,8 @@ that stands still keeps its chain, under a still reference its command
 too, and the EE velocity J qdot it starts a tick with is the previous
 tick's EE twist.
 numpy runs only the matrix work (the Jacobian and 6x6 products, the 6x6
-solve, the determinant, the joint-angle cos/sin) and the stores; every 3-,
-4- and 7-vector and scalar is Python floats.
+solve, the determinant, the joint-angle cos/sin); every 3-, 4- and 7-vector
+and scalar is Python floats, and the trace rows go to a flat `array('d')`.
 The whole pipeline is deterministic: identical configuration and seed give
 bitwise-identical traces on a host, and the small-vector results do not
 depend on the BLAS kernel numpy picks.

@@ -8,10 +8,8 @@ carries the same verdict in its own pass/fail status.
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from cocarry.aci import (
     AciParams,
@@ -33,7 +31,7 @@ from cocarry.geometry import (
 from cocarry.kinematics import chain_state, default_model, forward_kinematics
 from cocarry.objects import ObjectModel, object_wrench
 from cocarry.scenario import load_scenario, scenario_path
-from cocarry.sim import Simulation, run_scenario
+from cocarry.sim import run_scenario
 from cocarry.wbc import WbcParams, solve_tracking, tracking_objective
 
 EE_P = ["ee_px", "ee_py", "ee_pz"]
@@ -47,50 +45,13 @@ def verdict(n, checks):
     assert not failed, f"criterion {n} failed: {failed}"
 
 
-def _run(name, **overrides):
-    cfg = load_scenario(scenario_path(name), overrides=overrides or None)
-    start = time.perf_counter()
-    sim = Simulation(cfg)
-    trace, metrics = sim.run()
-    wall = time.perf_counter() - start
-    return SimpleNamespace(cfg=cfg, sim=sim, trace=trace, metrics=metrics, wall=wall)
-
-
 def initial_ee(cfg) -> Pose:
     return forward_kinematics(cfg.model, cfg.q0)
 
 
-@pytest.fixture(scope="module")
-def rigid_aci():
-    return _run("rigid_rod")
-
-
-@pytest.fixture(scope="module")
-def rigid_teleop():
-    return _run("rigid_rod", mode="teleop", duration=24.0)
-
-
-@pytest.fixture(scope="module")
-def rope_aci():
-    return _run("slack_rope")
-
-
-@pytest.fixture(scope="module")
-def rope_adm():
-    return _run("slack_rope", mode="admittance")
-
-
-@pytest.fixture(scope="module")
-def bag_aci():
-    return _run("peanut_bag")
-
-
-@pytest.fixture(scope="module")
-def bag_adm():
-    return _run("peanut_bag", mode="admittance")
-
-
-def test_criterion_01_rigid_regime(rigid_aci, rigid_teleop):
+def test_criterion_01_rigid_regime(reference_run):
+    rigid_aci = reference_run("rigid_rod")
+    rigid_teleop = reference_run("rigid_teleop_24s")
     m = rigid_aci.metrics
     steady = float(np.mean(m.interval_alpha))
     ee0 = initial_ee(rigid_teleop.cfg).position
@@ -116,7 +77,8 @@ def test_criterion_01_rigid_regime(rigid_aci, rigid_teleop):
     )
 
 
-def test_time_is_tick_count_times_dt(rigid_teleop):
+def test_time_is_tick_count_times_dt(reference_run):
+    rigid_teleop = reference_run("rigid_teleop_24s")
     # 24,000 additions of 1e-3 drift to 24.00000000000635; n * dt does not.
     assert rigid_teleop.cfg.dt == 1e-3
     assert len(rigid_teleop.trace) == 24000
@@ -125,7 +87,9 @@ def test_time_is_tick_count_times_dt(rigid_teleop):
     assert rigid_teleop.trace["t"][-1] == 24.0
 
 
-def test_criterion_02_deformable_regime(rope_aci, rope_adm):
+def test_criterion_02_deformable_regime(reference_run):
+    rope_aci = reference_run("slack_rope")
+    rope_adm = reference_run("rope_admittance")
     ee0 = initial_ee(rope_adm.cfg).position
     max_disp = np.linalg.norm(rope_adm.trace[EE_P] - ee0, axis=1).max()
     verdict(
@@ -141,7 +105,8 @@ def test_criterion_02_deformable_regime(rope_aci, rope_adm):
     )
 
 
-def test_criterion_03_bag_ordering(bag_aci):
+def test_criterion_03_bag_ordering(reference_run):
+    bag_aci = reference_run("peanut_bag")
     # intervals: lowering/lifting, pulling, sideways right, pushing, sideways left
     lift, pull, side_r, push, side_l = bag_aci.metrics.interval_alpha
     side = 0.5 * (side_r + side_l)
@@ -159,7 +124,9 @@ def test_criterion_03_bag_ordering(bag_aci):
     )
 
 
-def test_criterion_04_comparative_performance(bag_aci, bag_adm):
+def test_criterion_04_comparative_performance(reference_run):
+    bag_aci = reference_run("peanut_bag")
+    bag_adm = reference_run("bag_admittance")
     a, b = bag_aci.metrics, bag_adm.metrics
     verdict(
         4,
@@ -171,9 +138,9 @@ def test_criterion_04_comparative_performance(bag_aci, bag_adm):
     )
 
 
-def test_criterion_05_rotation_intention():
-    rot = _run("rotation_showcase")
-    null = _run("hand_rotation_null")
+def test_criterion_05_rotation_intention(reference_run):
+    rot = reference_run("rotation_showcase")
+    null = reference_run("hand_rotation_null")
     cfg = rot.cfg
     trace = rot.trace
     t = trace["t"]

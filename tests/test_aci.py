@@ -6,6 +6,8 @@ on every sample; the detector oracle re-derives every sample's verdict
 from scratch by scanning the whole history.
 """
 
+import gc
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -142,13 +144,13 @@ def drive_pair(params, dts, rng, alpha0=0.0):
 
 
 def test_index_matches_deque_oracle_short_window():
-    # ~250 live samples: exercises in-place compaction of the ring
+    # ~250 live samples: the window drops samples and re-sums many times
     rng = np.random.default_rng(51)
     drive_pair(AciParams(), rng.uniform(0.0008, 0.0012, size=4000), rng)
 
 
 def test_index_matches_deque_oracle_long_window():
-    # >512 live samples: forces the backing arrays to grow
+    # >512 live samples: 626 at this spacing, a long run between re-sums
     rng = np.random.default_rng(52)
     drive_pair(AciParams(), np.full(3000, 0.0004), rng)
 
@@ -182,6 +184,28 @@ def test_index_matches_deque_oracle_after_transient():
     # the stretch is above the deadband: alpha is computed, not held
     tail = alphas[-1000:]
     assert 0.0 < min(tail) and max(tail) < 1.0 and len(set(tail)) > 900
+
+
+@pytest.mark.parametrize("window", [0.25, 1.0])
+def test_index_memory_stays_bounded(window):
+    # Once the window has filled, the index holds one window of samples: 5000
+    # more updates retain no more than a constant, where a term kept per
+    # update would retain about 250 B each.
+    velocities = np.random.default_rng(55).normal(size=(7000, 2, 3)).tolist()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        idx = AdaptiveIndex(AciParams(window_length=window))
+        for i, (v_adm, v_h) in enumerate(velocities, start=1):
+            idx.update(i * 1e-3, v_adm, v_h)
+            if i == 2000:  # past the fill-up of either window
+                gc.collect()
+                filled = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - filled
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
 
 
 def test_index_limit_values():
@@ -711,3 +735,17 @@ def test_aci_params_validation():
     with pytest.raises(ValueError):
         AciParams(deadband=-1e-4)
     AciParams(deadband=0.0)
+
+
+def test_params_reject_non_finite_values():
+    # The scenario reader rejects these; the classes themselves must too:
+    # with a NaN window the index would never drop a sample.
+    for name in ("window_length", "epsilon", "deadband", "velocity_threshold",
+                 "lower_angle", "upper_angle", "rotation_rate", "min_rotation_duration"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                AciParams(**{name: value})
+    for name in ("mass", "damping"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                AdmittanceParams(**{name: [value] * 3})

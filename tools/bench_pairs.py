@@ -23,6 +23,9 @@ parent's, no claim can stand: every claim verdict reads "fails", the script
 says why and exits 1.
 With --out, the pairs are stored in FILE under "pairs" as "W.seedN", in the
 layout of the BENCH_*.json files; an existing FILE keeps its other entries.
+The parent's commit is read from PARENT_DIR with git before any pair runs,
+so PARENT_DIR must be a git checkout (a `git clone`, not a `git archive`
+copy); when it is not, the script exits 1 and names the directory.
 """
 
 import argparse
@@ -89,11 +92,22 @@ def verdicts(entry: dict, better: str, bound: float) -> tuple:
     return claim, sign * rel <= bound, rel
 
 
-def git_head(checkout: Path):
+def git_head(checkout: Path) -> str:
+    """The commit checked out in `checkout`; exits when `checkout` is not the
+    top of a git work tree (a copy inside another repository would name that
+    repository's commit)."""
     done = subprocess.run(
-        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True
+        ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+        capture_output=True,
+        text=True,
     )
-    return done.stdout.strip() if done.returncode == 0 else None
+    lines = done.stdout.split()
+    if done.returncode != 0 or Path(lines[0]).resolve() != checkout:
+        raise SystemExit(
+            f"{checkout}: cannot read the parent commit, it is not a git checkout"
+            f" (make it with git clone) {done.stderr.strip()}"
+        )
+    return lines[1]
 
 
 def main(argv=None) -> int:
@@ -110,6 +124,7 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     checkouts = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    parent_commit = git_head(checkouts["parent"]) if args.out else None
     metrics = declared["end_to_end"]
 
     runs = {side: [] for side in SIDES}
@@ -178,7 +193,7 @@ def main(argv=None) -> int:
         environment = dict(runs["change"][0]["environment"])
         environment.pop("git_commit", None)
         doc.update(
-            parent_commit=git_head(checkouts["parent"]),
+            parent_commit=parent_commit,
             environment=environment,
             command=(
                 f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g}"

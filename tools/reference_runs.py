@@ -1,6 +1,7 @@
 """Write the outputs of the reference runs, so two checkouts compare by `diff -r`.
 
 Usage:  python3 tools/reference_runs.py OUT_DIR
+        python3 tools/reference_runs.py --digests
 
 The package is imported from this checkout's `src`, never from an installed
 copy.  For each of the 11 reference runs (the six packaged scenarios and
@@ -13,9 +14,18 @@ Runs go one at a time.  To check that a change keeps every output:
     python3 tools/reference_runs.py /tmp/before   # in the parent checkout
     python3 tools/reference_runs.py /tmp/after    # in the changed checkout
     diff -r /tmp/before /tmp/after
+
+With --digests, the 11 runs go in memory only, and the SHA-256 digests of
+each run's trace data and metrics go to tests/reference_digests.json, next
+to the numpy and BLAS build they were computed with.  The tier-1 test
+tests/test_reference_digests.py recomputes them; a change that names a
+numeric change re-records them with this command.
 """
 
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +34,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
+import numpy as np  # noqa: E402
+
 from cocarry import Simulation, load_scenario, scenario_path  # noqa: E402
+
+DIGEST_FILE = ROOT / "tests" / "reference_digests.json"
 
 PACKAGED = (
     "hand_rotation_null",
@@ -62,6 +76,41 @@ RUNS = {
 }
 
 
+def environment() -> dict:
+    """The numpy version and BLAS/LAPACK build the 6x6 work runs on."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+        deps = {}
+    env = {"numpy": np.__version__, "machine": platform.machine()}
+    for lib in ("blas", "lapack"):
+        info = deps.get(lib, {})
+        keys = ("name", "version", "openblas configuration")
+        env[lib] = " | ".join(str(info[k]) for k in keys if k in info) or "unknown"
+    return env
+
+
+def digests(trace, metrics) -> dict:
+    """SHA-256 of the trace's float64 rows and of the metrics as sorted JSON
+    (Python's float repr round-trips every bit but a NaN's payload)."""
+    blob = json.dumps(metrics.as_dict(), sort_keys=True).encode()
+    return {
+        "trace": hashlib.sha256(trace.data.tobytes()).hexdigest(),
+        "metrics": hashlib.sha256(blob).hexdigest(),
+    }
+
+
+def record_digests():
+    runs = {}
+    for run, (scenario, overrides) in RUNS.items():
+        cfg = load_scenario(scenario_path(scenario), overrides or None)
+        runs[run] = digests(*Simulation(cfg).run())
+        print(f"{run}: digested", flush=True)
+    doc = {"environment": environment(), "runs": runs}
+    DIGEST_FILE.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"written to {DIGEST_FILE}")
+
+
 def write_runs(out: Path):
     for run, (scenario, overrides) in RUNS.items():
         paths = {
@@ -97,6 +146,9 @@ def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    if argv[0] == "--digests":
+        record_digests()
+        return 0
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     write_runs(out)
