@@ -91,8 +91,9 @@ class Trace:
         return self.data.take([self._index[name] for name in key], axis=1)
 
 
-# Rows formatted per write: bounds the text held in memory at once.
-_WRITE_CHUNK = 512
+# Rows formatted per write.  One chunk's Python floats and text, about 3.5 kB
+# a row, are all the writer holds at once.
+_WRITE_CHUNK = 64
 
 
 def write_trace(path: str, trace: Trace):
@@ -147,8 +148,9 @@ def write_metrics(path: str, metrics: Metrics):
     def _fmt(v):
         if isinstance(v, bool):
             return "true" if v else "false"
-        if isinstance(v, float):
-            return ".nan" if math.isnan(v) else format(v, ".17g")
+        if isinstance(v, float):  # YAML spells nan and +-inf .nan and +-.inf
+            text = format(v, ".17g")
+            return {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(text, text)
         if isinstance(v, list):
             return "[" + ", ".join(_fmt(x) for x in v) + "]"
         return str(v)
@@ -372,50 +374,66 @@ def alignment_metric(
     to the arrangement at the first selected sample; attachment offsets (in
     the EE and hand body frames) let the comparison use marker-like points
     instead of the frame origins.  Fewer than two selected samples leave no
-    span to average over and raise.
+    span to average over and raise.  The trace is read column by column, in
+    the operation order of np.linalg.norm(axis=1) and np.trapezoid.
     """
-    off_r = np.zeros(3) if attachment_offsets is None else np.asarray(
-        attachment_offsets[0], dtype=float
-    )
-    off_h = np.zeros(3) if attachment_offsets is None else np.asarray(
-        attachment_offsets[1], dtype=float
-    )
+    zero = (0.0, 0.0, 0.0)
+    off_r, off_h = (zero, zero) if attachment_offsets is None else attachment_offsets
     t = trace["t"]
-    keep = np.ones(t.shape, dtype=bool)
-    if t_start is not None:
-        keep &= t >= t_start
-    if t_end is not None:
-        keep &= t <= t_end
-    if np.count_nonzero(keep) < 2:
-        raise ValueError("alignment metric needs at least two samples in the span")
+    keep = slice(None)  # the whole trace: column views, no copies
+    if t_start is not None or t_end is not None:
+        lo = -math.inf if t_start is None else t_start
+        hi = math.inf if t_end is None else t_end
+        keep = (t >= lo) & (t <= hi)
     t = t[keep]
-    ee = _attachment_points(trace, "ee", keep, off_r)
-    hand = _attachment_points(trace, "hand", keep, off_h)
-    rel = ee - hand
-    if reference is None:
-        reference = rel[0]
-    dev = np.linalg.norm(rel - reference, axis=1)
+    if len(t) < 2:
+        raise ValueError("alignment metric needs at least two samples in the span")
     span = t[-1] - t[0]
     if span <= 0.0:
         return 0.0
-    return float(np.trapezoid(dev, t) / span)
+    ee = _attachment_points(trace, "ee", keep, off_r)
+    hand = _attachment_points(trace, "hand", keep, off_h)
+    if reference is None:
+        reference = [e[0] - h[0] for e, h in zip(ee, hand)]
+    reference = np.asarray(reference, dtype=float).reshape(3).tolist()
+    dev = 0.0  # (dx^2 + dy^2) + dz^2, the sum order of norm(axis=1)
+    for e, h, r in zip(ee, hand, reference):
+        d = e - h
+        d -= r
+        d *= d
+        d += dev
+        dev = d
+    np.sqrt(dev, out=dev)
+    area = np.diff(t)  # np.trapezoid's order: diff(t) * (y1 + y0) / 2.0
+    area *= dev[1:] + dev[:-1]
+    area /= 2.0
+    return float(area.sum() / span)
 
 
-def _attachment_points(
-    trace: Trace, prefix: str, keep: np.ndarray, offset: np.ndarray
-) -> np.ndarray:
-    """World positions (n x 3) of a body-frame offset on the kept rows' poses.
+def _attachment_points(trace: Trace, prefix: str, keep, offset) -> list:
+    """x, y and z columns of the world positions of a body-frame offset on the
+    kept rows' poses: p + rotate(q, offset), in np.cross's operation order.
 
-    Row-wise p + rotate(q, offset).  A zero offset leaves the frame origins:
+    A zero offset leaves the frame origins (views when `keep` is a slice):
     rotating it adds only signed zeros, which cannot change the metric.
     """
+    ox, oy, oz = (float(v) for v in offset)
     cols = _pose_columns(prefix)
-    p = trace[cols[:3]][keep]
-    if not offset.any():
-        return p
-    q = trace[cols[3:]][keep]
-    w, u = q[:, :1], q[:, 1:]
-    return p + (offset + 2.0 * np.cross(u, np.cross(u, offset) + w * offset))
+    px, py, pz = (trace[c][keep] for c in cols[:3])
+    if not (ox or oy or oz):
+        return [px, py, pz]
+    w, ux, uy, uz = (trace[c][keep] for c in cols[3:])
+    v0 = (uy * oz - uz * oy) + w * ox
+    v1 = (uz * ox - ux * oz) + w * oy
+    v2 = (ux * oy - uy * ox) + w * oz
+    return [
+        px + (ox + 2.0 * (uy * v2 - uz * v1)),
+        py + (oy + 2.0 * (uz * v0 - ux * v2)),
+        pz + (oz + 2.0 * (ux * v1 - uy * v0)),
+    ]
+
+
+_FORCE_BLOCK = 1024  # rows per block of the force magnitudes' n x 3 copy
 
 
 def interval_stats(
@@ -431,10 +449,13 @@ def interval_stats(
         return [], []
     t = trace["t"]
     alphas = trace["alpha"]
-    f = trace[["fx", "fy", "fz"]].reshape(len(trace), 1, 3)
+    forces = np.empty(len(trace))
     # Row by row f . f through the BLAS dot that np.linalg.norm(force) uses;
     # np.linalg.norm(axis=1) sums differently in the last bit.
-    forces = np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0])
+    for i in range(0, len(trace), _FORCE_BLOCK):
+        j = i + _FORCE_BLOCK
+        f = np.stack([trace[c][i:j] for c in ("fx", "fy", "fz")], axis=1)[:, None]
+        np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0], out=forces[i:j])
     mean_a, mean_f = [], []
     for lo, hi in intervals:
         mask = (t >= lo) & (t < hi)

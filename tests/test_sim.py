@@ -171,6 +171,105 @@ def test_alignment_zero_span():
     assert alignment_metric(trace_of(recs)) == 0.0
 
 
+def noisy_trace(n, seed) -> Trace:
+    """n rows of normal noise with unit quaternions and t rising by random steps."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, len(COLUMNS)))
+    for prefix in ("ee", "xd", "hand"):
+        i = COLUMNS.index(f"{prefix}_qw")
+        data[:, i : i + 4] /= np.linalg.norm(data[:, i : i + 4], axis=1, keepdims=True)
+    data[:, 0] = np.cumsum(rng.uniform(0.0, 2e-3, n))
+    return Trace(data, COLUMNS)
+
+
+def alignment_oracle(
+    trace, attachment_offsets=None, reference=None, t_start=None, t_end=None
+):
+    """`alignment_metric` in its n x 3 form: a row mask, np.cross,
+    np.linalg.norm(axis=1) and np.trapezoid."""
+    offsets = attachment_offsets or ([0.0] * 3, [0.0] * 3)
+    off_r, off_h = (np.asarray(o, dtype=float) for o in offsets)
+    t = trace["t"]
+    keep = np.ones(t.shape, dtype=bool)
+    if t_start is not None:
+        keep &= t >= t_start
+    if t_end is not None:
+        keep &= t <= t_end
+    if np.count_nonzero(keep) < 2:
+        raise ValueError("alignment metric needs at least two samples in the span")
+    t = t[keep]
+    ee = attachment_points_oracle(trace, "ee", keep, off_r)
+    rel = ee - attachment_points_oracle(trace, "hand", keep, off_h)
+    if reference is None:
+        reference = rel[0]
+    dev = np.linalg.norm(rel - reference, axis=1)
+    span = t[-1] - t[0]
+    if span <= 0.0:
+        return 0.0
+    return float(np.trapezoid(dev, t) / span)
+
+
+def attachment_points_oracle(trace, prefix, keep, offset):
+    """World positions (n x 3) of a body-frame offset on the kept rows' poses."""
+    cols = [f"{prefix}_{c}" for c in ("px", "py", "pz", "qw", "qx", "qy", "qz")]
+    p = trace[cols[:3]][keep]
+    if not offset.any():
+        return p
+    q = trace[cols[3:]][keep]
+    w, u = q[:, :1], q[:, 1:]
+    return p + (offset + 2.0 * np.cross(u, np.cross(u, offset) + w * offset))
+
+
+OFFSETS = ([0.05, -0.1, 0.2], [-0.15, 0.03, 0.07])
+ALIGNMENT_CASES = {
+    "whole": {},
+    "offsets": {"attachment_offsets": OFFSETS},
+    "ee_offset": {"attachment_offsets": (OFFSETS[0], [0.0, 0.0, 0.0])},
+    "hand_offset": {"attachment_offsets": ([0.0, 0.0, 0.0], OFFSETS[1])},
+    "window": {"t_start": 0.4, "t_end": 1.1},
+    "start": {"t_start": 0.7},
+    "end": {"t_end": 0.9},
+    "reference": {"reference": np.array([0.1, -0.2, 0.3])},
+    "all": {
+        "attachment_offsets": OFFSETS,
+        "reference": [-0.3, 0.2, 0.05],
+        "t_start": 0.25,
+        "t_end": 1.3,
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(ALIGNMENT_CASES))
+def test_alignment_matches_n_by_3_oracle_bitwise(case):
+    # Short traces let a last-bit change in one row reach the result; a
+    # window may leave them fewer than two samples.
+    kwargs = ALIGNMENT_CASES[case]
+    for seed in range(150):
+        trace = noisy_trace(1500 if seed == 0 else 2 + seed % 7, seed)
+        trace.data[:, 0] *= 1500 / len(trace)  # the windows fall inside
+        try:
+            expected = alignment_oracle(trace, **kwargs)
+        except ValueError:
+            with pytest.raises(ValueError, match="at least two samples"):
+                alignment_metric(trace, **kwargs)
+            continue
+        assert alignment_metric(trace, **kwargs) == expected, seed
+
+
+def test_alignment_reference_is_one_arrangement():
+    trace = noisy_trace(3, 6)
+    with pytest.raises(ValueError):
+        alignment_metric(trace, reference=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("case", list(ALIGNMENT_CASES))
+def test_alignment_zero_span_matches_oracle(case):
+    trace = noisy_trace(40, 4)
+    trace.data[:, 0] = 0.8
+    kwargs = ALIGNMENT_CASES[case]
+    assert alignment_metric(trace, **kwargs) == alignment_oracle(trace, **kwargs) == 0.0
+
+
 # -- interval stats --------------------------------------------------------
 
 
@@ -217,6 +316,42 @@ def test_interval_stats_empty_interval_raises():
     with pytest.raises(ValueError, match="contains no samples"):
         interval_stats(trace, [(5.0, 6.0)])
     assert interval_stats(trace, []) == ([], [])
+
+
+def interval_stats_oracle(trace, intervals, empty=None):
+    """`interval_stats` with the n x 3 force block and one batched matmul."""
+    t = trace["t"]
+    alphas = trace["alpha"]
+    f = trace[["fx", "fy", "fz"]].reshape(len(trace), 1, 3)
+    forces = np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0])
+    mean_a, mean_f = [], []
+    for lo, hi in intervals:
+        mask = (t >= lo) & (t < hi)
+        if not mask.any():
+            mean_a.append(empty)
+            mean_f.append(empty)
+            continue
+        mean_a.append(float(alphas[mask].mean()))
+        mean_f.append(float(forces[mask].mean()))
+    return mean_a, mean_f
+
+
+BLOCK = sim_mod._FORCE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_interval_stats_matches_n_by_3_oracle_bitwise(n):
+    trace = noisy_trace(n, n)
+    t = trace["t"]
+    intervals = [
+        (t[0], t[-1] + 1.0),
+        (t[n // 3], t[-1]),
+        (t[n // 2], t[n // 2] + 0.3),
+        (t[-1] + 1.0, t[-1] + 2.0),  # empty
+    ]
+    got = interval_stats(trace, intervals, empty=-1.0)
+    assert got == interval_stats_oracle(trace, intervals, empty=-1.0)
+    assert got[0][-1] == got[1][-1] == -1.0
 
 
 # -- closed loop -----------------------------------------------------------
@@ -421,6 +556,26 @@ def test_early_stop_degrades_unreached_intervals(tmp_path):
     assert math.isnan(metrics.interval_force[1])
 
 
+@pytest.mark.parametrize("name", ["rigid_teleop_24s", "peanut_bag"])
+def test_post_run_passes_read_the_trace_in_place(name, reference_run, tmp_path):
+    # The metrics pass holds a few vectors of the trace's length, never an
+    # n x 3 copy (24 B per tick) or its temporaries; the writer holds one
+    # chunk of text.
+    run = reference_run(name)
+
+    def peak(fn, *args):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(run.sim._metrics, run.trace) / len(run.trace) <= 32
+    assert peak(write_trace, str(tmp_path / "trace.csv"), run.trace) <= 256 * 1024
+
+
 def test_trace_memory_per_tick():
     # A row of 49 float64 is 392 B; per-tick snapshot objects cost several
     # times that.
@@ -551,6 +706,22 @@ def test_trace_round_trip(tmp_path):
         np.testing.assert_array_equal(cols[name], trace[name])
 
 
+CHUNK = sim_mod._WRITE_CHUNK
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_trace_file_across_write_chunks(n, tmp_path):
+    trace = noisy_trace(n, n)
+    path = tmp_path / "trace.csv"
+    write_trace(str(path), trace)
+    rows = [",".join(format(v, ".17g") for v in row) for row in trace.data.tolist()]
+    assert path.read_text() == "".join(f"{line}\n" for line in [",".join(COLUMNS), *rows])
+    loaded = read_trace(str(path))
+    assert loaded.columns == COLUMNS
+    assert loaded.data.shape == trace.data.shape
+    assert loaded.data.tobytes() == trace.data.tobytes()
+
+
 def test_trace_column_blocks():
     trace = random_trace(5)
     assert trace[EE_P].shape == (5, 3)
@@ -620,3 +791,21 @@ def test_metrics_file_format(tmp_path):
     assert math.isnan(loaded["interval_alpha"][1])
     with pytest.raises(SimulationError, match="cannot write metrics"):
         write_metrics(str(tmp_path / "no_dir" / "m.yaml"), m)
+
+
+def test_metrics_file_infinities_round_trip(tmp_path):
+    m = Metrics(
+        completed=False,
+        t_c=math.inf,
+        d_am=-math.inf,
+        mean_alpha=0.5,
+        interval_alpha=[math.inf, -math.inf, 0.25],
+        interval_force=[-math.inf],
+    )
+    path = tmp_path / "metrics.yaml"
+    write_metrics(str(path), m)
+    loaded = yaml.safe_load(path.read_text())
+    assert loaded["t_c"] == math.inf
+    assert loaded["d_am"] == -math.inf
+    assert loaded["interval_alpha"] == [math.inf, -math.inf, 0.25]
+    assert loaded["interval_force"] == [-math.inf]

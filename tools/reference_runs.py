@@ -17,9 +17,11 @@ Runs go one at a time.  To check that a change keeps every output:
 
 With --digests, the 11 runs go in memory only, and the SHA-256 digests of
 each run's trace data and metrics go to tests/reference_digests.json, next
-to the numpy and BLAS build they were computed with.  The tier-1 test
-tests/test_reference_digests.py recomputes them; a change that names a
-numeric change re-records them with this command.
+to the numpy and BLAS build they were computed with.  For the runs in
+TEXT_RUNS the digest of the text `write_trace` makes of the trace goes
+there too, so the trace writer is checked as well as the numbers.  The
+tier-1 test tests/test_reference_digests.py recomputes them; a change that
+names a numeric change re-records them with this command.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +40,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from cocarry import Simulation, load_scenario, scenario_path  # noqa: E402
+from cocarry.sim import write_trace  # noqa: E402
 
 DIGEST_FILE = ROOT / "tests" / "reference_digests.json"
 
@@ -76,6 +80,10 @@ RUNS = {
 }
 
 
+# runs whose trace file text is digested besides their numbers
+TEXT_RUNS = ("peanut_bag",)
+
+
 def environment() -> dict:
     """The numpy version and BLAS/LAPACK build the 6x6 work runs on."""
     try:
@@ -100,13 +108,23 @@ def digests(trace, metrics) -> dict:
     }
 
 
+def trace_text_digest(trace, path) -> str:
+    """SHA-256 of the file `write_trace` writes of `trace` to `path`."""
+    write_trace(str(path), trace)
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def record_digests():
-    runs = {}
+    runs, texts = {}, {}
     for run, (scenario, overrides) in RUNS.items():
         cfg = load_scenario(scenario_path(scenario), overrides or None)
-        runs[run] = digests(*Simulation(cfg).run())
+        trace, metrics = Simulation(cfg).run()
+        runs[run] = digests(trace, metrics)
+        if run in TEXT_RUNS:
+            with tempfile.TemporaryDirectory() as tmp:
+                texts[run] = trace_text_digest(trace, Path(tmp) / "trace.csv")
         print(f"{run}: digested", flush=True)
-    doc = {"environment": environment(), "runs": runs}
+    doc = {"environment": environment(), "runs": runs, "trace_text": texts}
     DIGEST_FILE.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"written to {DIGEST_FILE}")
 
