@@ -164,9 +164,6 @@ class Pose:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         self.orientation = np.asarray(self.orientation, dtype=float).reshape(4)
 
-    def copy(self) -> "Pose":
-        return Pose(self.position.copy(), self.orientation.copy())
-
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.orientation)
 

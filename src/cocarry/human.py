@@ -35,21 +35,23 @@ class HumanParams:
     noise: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.hand_mass <= 0.0:
-            raise ValueError("hand mass must be positive")
-        if self.hand_stiffness < 0.0 or self.hand_damping < 0.0:
-            raise ValueError("hand stiffness and damping must be non-negative")
-        if self.velocity_deadband < 0.0:
-            raise ValueError("velocity deadband must be non-negative")
-        if self.yaw_filter_cutoff <= 0.0:
-            raise ValueError("yaw filter cutoff must be positive")
+        if not 0.0 < self.hand_mass < math.inf:
+            raise ValueError("hand mass must be positive and finite")
+        if not (0.0 <= self.hand_stiffness < math.inf and 0.0 <= self.hand_damping < math.inf):
+            raise ValueError("hand stiffness and damping must be non-negative and finite")
+        if not 0.0 <= self.velocity_deadband < math.inf:
+            raise ValueError("velocity deadband must be non-negative and finite")
+        if not 0.0 < self.yaw_filter_cutoff < math.inf:
+            raise ValueError("yaw filter cutoff must be positive and finite")
         for channel, std in self.noise.items():
             if channel not in NOISE_CHANNELS:
                 raise ValueError(
                     f"unknown noise channel {channel!r}; expected one of {NOISE_CHANNELS}"
                 )
-            if not std >= 0.0:
-                raise ValueError(f"noise std of {channel} must be non-negative, got {std}")
+            if not 0.0 <= std < math.inf:
+                raise ValueError(
+                    f"noise std of {channel} must be non-negative and finite, got {std}"
+                )
 
 
 @dataclass

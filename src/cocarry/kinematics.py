@@ -30,7 +30,7 @@ class ArmJoint:
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float).reshape(3)
         n = np.linalg.norm(self.axis)
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:  # a NaN axis fails too
             raise KinematicsError(f"joint axis must be a unit vector, got norm {n:.6g}")
 
 
@@ -48,8 +48,10 @@ class KinematicModel:
             raise KinematicsError(
                 f"redundancy requires more than 6 joints, model has {self.n_joints}"
             )
-        if self.w_threshold <= 0.0 or self.k_max < 0.0:
-            raise KinematicsError("w_threshold must be positive and k_max non-negative")
+        if not (0.0 < self.w_threshold < math.inf and 0.0 <= self.k_max < math.inf):
+            raise KinematicsError(
+                "w_threshold must be positive and k_max non-negative, both finite"
+            )
         # Fixed per-joint quantities as float tuples, cached so the chain
         # walk runs on Python floats.  Identity offset rotations are stored
         # as None and skipped outright.

@@ -41,6 +41,8 @@ class ObjectModel:
 
     def __post_init__(self):
         self.rest_vector = np.asarray(self.rest_vector, dtype=float).reshape(3)
+        if not all(map(math.isfinite, [*self.rest_vector.tolist(), self.ref_yaw])):
+            raise ValueError("rest_vector and ref_yaw must be finite")
         for name in (
             "axial_stiffness_tension",
             "axial_stiffness_compression",
@@ -48,8 +50,8 @@ class ObjectModel:
             "damping",
             "slack_length",
         ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
     def with_rest(self, rest_vector: np.ndarray, ref_yaw: float = 0.0) -> "ObjectModel":
         """Copy of the model with the rest geometry bound to a scenario."""

@@ -340,11 +340,7 @@ class Simulation:
             t_c = math.nan
         mean_alpha = float(trace["alpha"].mean()) if len(trace) else math.nan
         d_am = alignment_metric(trace) if len(trace) >= 2 else math.nan
-        # Intervals the run never reached (early stop) degrade to nan instead
-        # of aborting the metric pass.
-        interval_alpha, interval_force = interval_stats(
-            trace, self.config.intervals, empty=math.nan
-        )
+        interval_alpha, interval_force = interval_stats(trace, self.config.intervals)
         return Metrics(
             completed=completed,
             t_c=t_c,
@@ -360,46 +356,25 @@ def run_scenario(config: ScenarioConfig) -> tuple[Trace, Metrics]:
     return Simulation(config).run()
 
 
-def alignment_metric(
-    trace: Trace,
-    attachment_offsets: tuple = None,
-    reference: np.ndarray | None = None,
-    t_start: float | None = None,
-    t_end: float | None = None,
-) -> float:
-    """Time-averaged drift of the hand-to-EE arrangement from its reference.
+def alignment_metric(trace: Trace) -> float:
+    """Time-averaged drift of the hand-to-EE arrangement from its first row.
 
-    Integrates || (r_ee - r_hand) - reference || over the selected span with
-    the trapezoid rule and divides by the span length.  The reference defaults
-    to the arrangement at the first selected sample; attachment offsets (in
-    the EE and hand body frames) let the comparison use marker-like points
-    instead of the frame origins.  Fewer than two selected samples leave no
-    span to average over and raise.  The trace is read column by column, in
-    the operation order of np.linalg.norm(axis=1) and np.trapezoid.
+    Integrates || (r_ee - r_hand) - (r_ee - r_hand)[0] || of the frame
+    origins over the trace with the trapezoid rule and divides by the time
+    span.  Fewer than two rows leave no span to average over and raise.  The
+    trace is read column by column, in the operation order of
+    np.linalg.norm(axis=1) and np.trapezoid.
     """
-    zero = (0.0, 0.0, 0.0)
-    off_r, off_h = (zero, zero) if attachment_offsets is None else attachment_offsets
     t = trace["t"]
-    keep = slice(None)  # the whole trace: column views, no copies
-    if t_start is not None or t_end is not None:
-        lo = -math.inf if t_start is None else t_start
-        hi = math.inf if t_end is None else t_end
-        keep = (t >= lo) & (t <= hi)
-    t = t[keep]
     if len(t) < 2:
-        raise ValueError("alignment metric needs at least two samples in the span")
+        raise ValueError("alignment metric needs at least two samples")
     span = t[-1] - t[0]
     if span <= 0.0:
         return 0.0
-    ee = _attachment_points(trace, "ee", keep, off_r)
-    hand = _attachment_points(trace, "hand", keep, off_h)
-    if reference is None:
-        reference = [e[0] - h[0] for e, h in zip(ee, hand)]
-    reference = np.asarray(reference, dtype=float).reshape(3).tolist()
     dev = 0.0  # (dx^2 + dy^2) + dz^2, the sum order of norm(axis=1)
-    for e, h, r in zip(ee, hand, reference):
-        d = e - h
-        d -= r
+    for c in "xyz":
+        d = trace[f"ee_p{c}"] - trace[f"hand_p{c}"]
+        d -= d[0]
         d *= d
         d += dev
         dev = d
@@ -410,40 +385,15 @@ def alignment_metric(
     return float(area.sum() / span)
 
 
-def _attachment_points(trace: Trace, prefix: str, keep, offset) -> list:
-    """x, y and z columns of the world positions of a body-frame offset on the
-    kept rows' poses: p + rotate(q, offset), in np.cross's operation order.
-
-    A zero offset leaves the frame origins (views when `keep` is a slice):
-    rotating it adds only signed zeros, which cannot change the metric.
-    """
-    ox, oy, oz = (float(v) for v in offset)
-    cols = _pose_columns(prefix)
-    px, py, pz = (trace[c][keep] for c in cols[:3])
-    if not (ox or oy or oz):
-        return [px, py, pz]
-    w, ux, uy, uz = (trace[c][keep] for c in cols[3:])
-    v0 = (uy * oz - uz * oy) + w * ox
-    v1 = (uz * ox - ux * oz) + w * oy
-    v2 = (ux * oy - uy * ox) + w * oz
-    return [
-        px + (ox + 2.0 * (uy * v2 - uz * v1)),
-        py + (oy + 2.0 * (uz * v0 - ux * v2)),
-        pz + (oz + 2.0 * (ux * v1 - uy * v0)),
-    ]
-
-
 _FORCE_BLOCK = 1024  # rows per block of the force magnitudes' n x 3 copy
 
 
-def interval_stats(
-    trace: Trace, intervals: list, empty: float | None = None
-) -> tuple[list, list]:
+def interval_stats(trace: Trace, intervals: list) -> tuple[list, list]:
     """Per-interval arithmetic means of alpha and of the force magnitude.
 
     Intervals are (start, end) pairs over half-open spans [start, end).  An
-    interval containing no samples raises, unless `empty` is given: then it
-    stands for both of that interval's means.
+    interval containing no samples (one an early stop never reached) reads
+    nan for both of its means.
     """
     if not intervals:
         return [], []
@@ -460,10 +410,8 @@ def interval_stats(
     for lo, hi in intervals:
         mask = (t >= lo) & (t < hi)
         if not mask.any():
-            if empty is None:
-                raise ValueError(f"interval [{lo}, {hi}) contains no samples")
-            mean_a.append(empty)
-            mean_f.append(empty)
+            mean_a.append(math.nan)
+            mean_f.append(math.nan)
             continue
         mean_a.append(float(alphas[mask].mean()))
         mean_f.append(float(forces[mask].mean()))

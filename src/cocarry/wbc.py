@@ -20,13 +20,7 @@ import numpy as np
 
 from . import _linalg
 from .geometry import pose_error
-from .kinematics import (
-    BASE_DOFS,
-    ChainState,
-    KinematicModel,
-    chain_state,
-    damping_factor,
-)
+from .kinematics import BASE_DOFS, ChainState, KinematicModel, damping_factor
 
 
 class WbcError(RuntimeError):
@@ -58,18 +52,19 @@ class WbcParams:
     w_damp: np.ndarray
     w_posture: np.ndarray
     q_def: np.ndarray
+    qdot_limits: np.ndarray
     posture_gain: float = 0.5
-    qdot_limits: np.ndarray | None = None
     # posture_gain * w_posture, -qdot_limits and k_gain as 6 floats.
     _posture_scale: np.ndarray = field(init=False, repr=False, compare=False)
-    _lower_limits: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _lower_limits: np.ndarray = field(init=False, repr=False, compare=False)
     _k_gain: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def put(name, value, size=-1):
-            if value is not None:
-                value = np.array(value, dtype=float).reshape(size)
-                value.flags.writeable = False
+            value = np.array(value, dtype=float).reshape(size)
+            if not np.isfinite(value).all():
+                raise WbcError(f"{name} must be finite")
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
         put("k_gain", self.k_gain, 6)
@@ -78,14 +73,16 @@ class WbcParams:
         put("w_posture", self.w_posture)
         put("q_def", self.q_def)
         put("qdot_limits", self.qdot_limits)
+        if not math.isfinite(self.posture_gain):
+            raise WbcError("posture_gain must be finite")
         put("_posture_scale", self.posture_gain * self.w_posture)
-        put("_lower_limits", None if self.qdot_limits is None else -self.qdot_limits)
+        put("_lower_limits", -self.qdot_limits)
         object.__setattr__(self, "_k_gain", self.k_gain.tolist())
         if np.any(self.w_task <= 0.0) or np.any(self.w_damp <= 0.0):
             raise WbcError("task and damping weights must be positive")
         if np.any(self.w_posture < 0.0):
             raise WbcError("posture weights must be non-negative")
-        if self.qdot_limits is not None and np.any(self.qdot_limits <= 0.0):
+        if np.any(self.qdot_limits <= 0.0):
             raise WbcError("velocity limits must be positive")
 
     @classmethod
@@ -170,28 +167,24 @@ def compute(
     x_d,
     xdot_d,
     params: WbcParams,
-    chain: ChainState | None = None,
+    chain: ChainState,
 ) -> np.ndarray:
     """Full hierarchical command J# b + (I - J# J) s for the posture velocity s.
 
-    x_d is the reference pose as 7 floats (position, then the (w, x, y, z)
-    quaternion) and xdot_d the reference twist as 6 floats (linear, then
-    angular).  The command is formed as s + J# (b - J s), which needs one
-    solve and no projector.
+    `chain` is `kinematics.chain_state(model, q)`.  x_d is the reference pose
+    as 7 floats (position, then the (w, x, y, z) quaternion) and xdot_d the
+    reference twist as 6 floats (linear, then angular).  The command is
+    formed as s + J# (b - J s), which needs one solve and no projector.
 
-    The still-tick rule: a given `chain` keeps its last command and returns
-    it again while the inputs keep their bits: q, the 13 reference floats (a
+    The still-tick rule: the chain keeps its last command and returns it
+    again while the inputs keep their bits: q, the 13 reference floats (a
     0.0 that turns -0.0 counts as a change), the same `params` object and
     the same damping factor k (the model is mutable; k is what the command
     reads of it).  A robot that stands still under a still reference thus
-    solves once.  Any other input, or a chain evaluated here, is solved; a
-    call that raises keeps nothing.  Every call returns an array of its own.
+    solves once.  Any other input is solved; a call that raises keeps
+    nothing.  Every call returns an array of its own.
     """
-    if chain is None:
-        chain = chain_state(model, q)
-        key = None
-    else:
-        key = (q.tobytes(), tuple(x_d), tuple(xdot_d))
+    key = (q.tobytes(), tuple(x_d), tuple(xdot_d))
     k = damping_factor(chain.manipulability, model)
     kept = chain.command
     if kept is not None and kept[1] is params and kept[2] == k and _same_bits(kept[0], key):
@@ -200,14 +193,10 @@ def compute(
     b = tracking_objective(chain.pose, x_d, xdot_d, params)
     s = solve_secondary(q, params)
     qdot = s + solve_tracking(J, b - J.dot(s), k, params.w_task, params.w_damp)
-    if key is not None:
-        chain.command = (key, params, k, qdot)
-        return qdot.copy()
-    return qdot
+    chain.command = (key, params, k, qdot)
+    return qdot.copy()
 
 
 def clamp_velocities(qdot: np.ndarray, params: WbcParams) -> np.ndarray:
     """Component-wise saturation to the per-joint velocity limits."""
-    if params.qdot_limits is None:
-        return qdot
     return np.asarray(qdot).clip(params._lower_limits, params.qdot_limits)

@@ -2,12 +2,16 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
 from cocarry.aci import Mode
+from cocarry.human import HumanParams
+from cocarry.kinematics import ArmJoint, default_model
+from cocarry.objects import ObjectModel
 from cocarry.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -15,6 +19,7 @@ from cocarry.scenario import (
     scenario_path,
     validate_config,
 )
+from cocarry.wbc import WbcError, WbcParams
 
 GOOD = {
     "name": "t",
@@ -228,6 +233,44 @@ def test_bad_joint_axis_reported_as_config_error(tmp_path):
     raw["model"] = {"arm": [{"axis": [0, 0, 2]} for _ in range(7)]}
     with pytest.raises(ConfigError, match="unit vector"):
         load_scenario(write(tmp_path, raw))
+
+
+def _wbc_with(name, value):
+    """The default WBC parameters with the first entry of `name` set to value."""
+    base = WbcParams.defaults(default_model())
+    if name != "posture_gain":
+        value = np.r_[value, getattr(base, name)[1:]]
+    return replace(base, **{name: value})
+
+
+_HUMAN = ("hand_mass", "hand_stiffness", "hand_damping", "velocity_deadband",
+          "yaw_filter_cutoff")  # fmt: skip
+_OBJECT = ("axial_stiffness_tension", "axial_stiffness_compression",
+           "lateral_stiffness", "damping", "slack_length", "ref_yaw")  # fmt: skip
+_WBC_FIELDS = ("k_gain", "w_task", "w_damp", "w_posture", "q_def", "posture_gain",
+               "qdot_limits")  # fmt: skip
+NON_FINITE_BUILDS = {
+    **{f"human.{n}": (lambda v, n=n: HumanParams(**{n: v})) for n in _HUMAN},
+    "human.noise": lambda v: HumanParams(noise={"torso_yaw": v}),
+    **{f"object.{n}": (lambda v, n=n: ObjectModel(**{n: v})) for n in _OBJECT},
+    "object.rest_vector": lambda v: ObjectModel(rest_vector=[0.0, v, 0.0]),
+    "model.w_threshold": lambda v: default_model(w_threshold=v),
+    "model.k_max": lambda v: default_model(k_max=v),
+    "joint.axis": lambda v: ArmJoint(axis=[0.0, 0.0, v]),
+    **{f"wbc.{n}": (lambda v, n=n: _wbc_with(n, v)) for n in _WBC_FIELDS},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("build", list(NON_FINITE_BUILDS))
+def test_parameter_classes_reject_non_finite_values(build, value):
+    # The scenario reader rejects these first; built from Python, the
+    # classes must too.  A NaN passes every `x <= 0` check: a NaN yaw filter
+    # cutoff left rotation_showcase with no rotation, and a NaN w_threshold
+    # switched singularity damping off.
+    match = "unit vector" if build == "joint.axis" else "finite"
+    with pytest.raises((ValueError, WbcError), match=match):
+        NON_FINITE_BUILDS[build](value)
 
 
 def test_packaged_scenarios_load():

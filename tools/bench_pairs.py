@@ -14,8 +14,11 @@ For each metric the script prints both sides' medians, the parent's
 quartiles, how many pairs the change won, and two verdicts:
   - claim: the change won at least 9 in 10 of the pairs and its median is
     better than the parent's by more than the parent's interquartile range;
-  - bound: the change's median is not worse than the parent's by more than
-    the metric's bound (a fraction of the parent's median).
+  - bound: "kept" when the change's median is not worse than the parent's
+    by more than the metric's bound (a fraction of the parent's median),
+    "EXCEEDED" when it is; "unresolved" in place of "kept" when the parent's
+    interquartile range is wider than bound x median, so the runs spread too
+    widely to tell, unless every change run beats every parent run.
 It also prints how many runs of each side passed the benchmark's outcome
 check and each side's mean and largest share of failed runs.  When any run
 failed its outcome check, or the change's mean fail_frac exceeds the
@@ -82,14 +85,21 @@ def compare(parent: list, change: list, better: str) -> dict:
 
 
 def verdicts(entry: dict, better: str, bound: float) -> tuple:
-    """(claim holds, within bound, relative change of the median)."""
+    """(claim holds, bound verdict, relative change of the median); the bound
+    verdict is "kept", "unresolved" or "EXCEEDED" (see the module doc)."""
     sign = 1.0 if better == "lower" else -1.0
     p, c = entry["parent_quartiles"], entry["change_quartiles"]
     pairs = len(entry["parent"])
+    iqr = p["q3"] - p["q1"]
     gain = sign * (p["median"] - c["median"])
-    claim = entry["change_wins"] >= math.ceil(0.9 * pairs) and gain > p["q3"] - p["q1"]
+    claim = entry["change_wins"] >= math.ceil(0.9 * pairs) and gain > iqr
     rel = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
-    return claim, sign * rel <= bound, rel
+    if sign * rel > bound:
+        return claim, "EXCEEDED", rel
+    beats_all = max(sign * v for v in entry["change"]) < min(sign * v for v in entry["parent"])
+    if iqr > bound * abs(p["median"]) and not beats_all:
+        return claim, "unresolved", rel
+    return claim, "kept", rel
 
 
 def git_head(checkout: Path) -> str:
@@ -173,13 +183,13 @@ def main(argv=None) -> int:
             values("change", lambda r: r["metrics"][name]),
             m["better"],
         )
-        claim, within, rel = verdicts(e, m["better"], m["bound"])
+        claim, bound_verdict, rel = verdicts(e, m["better"], m["bound"])
         p, c = e["parent_quartiles"], e["change_quartiles"]
         print(
             f"  {name:12s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f"  change {c['median']:.6g}  ({rel:+.1%})  change wins {e['change_wins']}"
             f"/{args.pairs}  claim {'holds' if claim and not faults else 'fails'}"
-            f"  bound {m['bound']:.0%} {'kept' if within else 'EXCEEDED'}"
+            f"  bound {m['bound']:.0%} {bound_verdict}"
         )
     if faults:
         print(f"  no claim can stand: {'; '.join(faults)}")
