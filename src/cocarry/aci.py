@@ -48,14 +48,14 @@ class Mode(enum.Enum):
 class AdmittanceParams:
     """Diagonal virtual mass and damping of the translational admittance.
 
-    Frozen, with read-only arrays, because the decay of the last dt is kept:
-    `dataclasses.replace` makes a changed copy.
+    Frozen, with read-only arrays, because the tick reads the damping as
+    floats and a controller forms its decay once: `dataclasses.replace`
+    makes a changed copy.
     """
 
     mass: np.ndarray = field(default_factory=lambda: np.full(3, 6.0))
     damping: np.ndarray = field(default_factory=lambda: np.full(3, 30.0))
     _damping: list = field(init=False, repr=False, compare=False)
-    _decay: tuple = field(init=False, repr=False, compare=False)  # (dt, decay)
 
     def __post_init__(self):
         for name in ("mass", "damping"):
@@ -65,17 +65,12 @@ class AdmittanceParams:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_damping", self.damping.tolist())
-        object.__setattr__(self, "_decay", (None, None))
 
     def decay(self, dt: float) -> list:
-        """Per-axis zero-order-hold decay exp(-D/M dt), formed once per dt."""
-        key, decay = self._decay
-        if key != dt:
-            decay = np.exp(
-                [-(d / m) * dt for d, m in zip(self._damping, self.mass.tolist())]
-            ).tolist()
-            object.__setattr__(self, "_decay", (dt, decay))
-        return decay
+        """Per-axis zero-order-hold decay exp(-D/M dt) of one step of dt."""
+        return np.exp(
+            [-(d / m) * dt for d, m in zip(self._damping, self.mass.tolist())]
+        ).tolist()
 
 
 @dataclass
@@ -103,10 +98,11 @@ class AciParams:
             raise ValueError("angle thresholds must satisfy 0 < lower < upper")
 
 
-def admittance_step(force, v_prev, dt: float, params: AdmittanceParams) -> tuple:
+def admittance_step(force, v_prev, decay, params: AdmittanceParams) -> tuple:
     """Advance the admittance velocity one step under a constant force.
 
-    Force and velocities are float triples.  Each axis is the first-order
+    Force and velocities are float triples, and `decay` is
+    `params.decay(dt)` for the step length dt.  Each axis is the first-order
     system M vdot + D v = F discretized exactly under a zero-order hold, so
     the update is stable for any dt and matches the continuous response at
     the sample instants.
@@ -117,7 +113,7 @@ def admittance_step(force, v_prev, dt: float, params: AdmittanceParams) -> tuple
         raise ValueError("non-finite force input to admittance (sensor fault?)")
     return tuple([
         e * v + (1.0 - e) * f / d
-        for e, v, f, d in zip(params.decay(dt), v_prev, force, params._damping)
+        for e, v, f, d in zip(decay, v_prev, force, params._damping)
     ])
 
 
@@ -347,7 +343,8 @@ class AciController:
     While a rotation runs (zeta = 1) the reference twist is the trajectory's,
     otherwise it is the translational command with no rotation.  The
     reference pose `x_d` (7 floats) is the running integral of the chosen
-    twist, started at the initial EE pose.
+    twist, started at the initial EE pose.  Each tick lasts `dt`, and its
+    time is the caller's.
     """
 
     def __init__(
@@ -357,10 +354,13 @@ class AciController:
         mode: Mode,
         initial_ee_pose: Pose,
         initial_torso_pose: Pose,
+        dt: float,
     ):
         self.params = params
         self.admittance = admittance
         self.mode = mode
+        self.dt = dt
+        self._decay = admittance.decay(dt)
         self.index = AdaptiveIndex(params)
         self.detector = IntentionDetector(params)
         ee0 = initial_ee_pose
@@ -369,10 +369,9 @@ class AciController:
         self.v_adm = (0.0, 0.0, 0.0)
         self.trajectory: CubicTrajectory | None = None
 
-    def step(self, t: float, force, human, dt: float) -> AciOutput:
-        """Advance one control tick from the measured force (3 floats) and
-        the human state."""
-        self.v_adm = admittance_step(force, self.v_adm, dt, self.admittance)
+    def step(self, t: float, force, human) -> AciOutput:
+        """Advance to time t from the measured force (3 floats) and the human state."""
+        self.v_adm = admittance_step(force, self.v_adm, self._decay, self.admittance)
         v_h = human.hand_velocity
         alpha = self.index.update(t, self.v_adm, v_h)
         if self.mode is Mode.ADMITTANCE:
@@ -416,5 +415,5 @@ class AciController:
                     zeta = 1
                     xdot_d = self.trajectory.twist(t)
 
-        self.x_d = integrate_pose(self.x_d, xdot_d, dt)
+        self.x_d = integrate_pose(self.x_d, xdot_d, self.dt)
         return AciOutput(self.x_d, xdot_d, self.v_adm, v_trans, alpha, zeta)

@@ -122,17 +122,25 @@ class MotionScript:
 
     Translations move the hand target; TorsoYaw turns only the torso while
     the hand grip stays put in the world, and HandYaw turns only the hand.
-    Each segment starts where the previous one ended.
+    Each segment starts where the previous one ended.  Every value is finite.
     """
 
     def __init__(self, segments, hand0, torso_yaw0: float = 0.0, hand_yaw0=None):
         self.segments = list(segments)
-        for seg in self.segments:
-            if seg.duration <= 0.0:
-                raise ValueError("script segment durations must be positive")
         self.hand0 = np.asarray(hand0, dtype=float).reshape(3)
         self.torso_yaw0 = float(torso_yaw0)
         self.hand_yaw0 = float(torso_yaw0 if hand_yaw0 is None else hand_yaw0)
+        start = ("hand0", "torso_yaw0", "hand_yaw0")
+        values = [(f"script {name}", getattr(self, name)) for name in start]
+        for i, seg in enumerate(self.segments):
+            kind = f"script segment {i} ({type(seg).__name__}):"
+            values += [(f"{kind} {name}", value) for name, value in vars(seg).items()]
+        for name, value in values:
+            floats = value.tolist() if isinstance(value, np.ndarray) else [value]
+            if not all(map(math.isfinite, floats)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if any(seg.duration <= 0.0 for seg in self.segments):
+            raise ValueError("script segment durations must be positive")
         # (start time, hand target triple, torso yaw, hand yaw) per segment.
         self._starts = []
         t = 0.0
@@ -201,18 +209,16 @@ class SimulatedHuman:
     The torso translates with the scripted hand target (the partner walks
     with the object) and yaws kinematically; the hand obeys
     m a = K (x_des - x) + D (v_des - v) + F_obj with semi-implicit Euler
-    integration, which keeps the stiff contact loop stable at 1 kHz.
+    integration, which keeps the stiff contact loop stable at 1 kHz.  Each
+    step lasts `dt`, and its time is the caller's.
     """
 
-    def __init__(
-        self,
-        params: HumanParams,
-        script: MotionScript,
-        torso_position,
-        seed: int = 0,
-    ):
+    def __init__(self, params: HumanParams, script: MotionScript, torso_position, dt, seed=0):
         self.params = params
         self.script = script
+        self.dt = dt
+        tau = 1.0 / (2.0 * math.pi * params.yaw_filter_cutoff)
+        self._beta = dt / (tau + dt)
         self.torso_position0 = tuple(
             np.asarray(torso_position, dtype=float).reshape(3).tolist()
         )
@@ -221,9 +227,6 @@ class SimulatedHuman:
         # before the first step is the one read.
         self._normals: list = []
         self._next_normal = 0
-        # Time is the step count times dt, never a running sum of dt.
-        self.steps = 0
-        self.t = 0.0
         # The hand state as float triples.
         self._hand0 = tuple(script.hand0.tolist())
         self.hand_position = self._hand0
@@ -231,16 +234,15 @@ class SimulatedHuman:
         self._prev_torso_yaw = script.torso_yaw0
         self._torso_rate_filt = 0.0
 
-    def step(self, force_on_hand, dt: float) -> HumanState:
-        """Advance one tick under the object force on the hand (3 floats)."""
+    def step(self, t: float, force_on_hand) -> HumanState:
+        """Advance to time t under the object force on the hand (3 floats)."""
         if len(force_on_hand) != 3:
             raise ValueError("force on the hand must have 3 components")
         if not all(map(math.isfinite, force_on_hand)):
             raise ValueError("non-finite force applied to the human hand")
         p = self.params
-        self.steps += 1
-        self.t = self.steps * dt
-        target_pos, target_vel, torso_yaw, _, hand_yaw = self.script.sample(self.t)
+        dt = self.dt
+        target_pos, target_vel, torso_yaw, _, hand_yaw = self.script.sample(t)
 
         # Component-wise float arithmetic in the same order as the vector form.
         k, d, m = p.hand_stiffness, p.hand_damping, p.hand_mass
@@ -259,9 +261,7 @@ class SimulatedHuman:
         # finite-difference + first-order low-pass path a mocap stack uses.
         raw_rate = (torso_yaw - self._prev_torso_yaw) / dt
         self._prev_torso_yaw = torso_yaw
-        tau = 1.0 / (2.0 * math.pi * p.yaw_filter_cutoff)
-        beta = dt / (tau + dt)
-        self._torso_rate_filt += beta * (raw_rate - self._torso_rate_filt)
+        self._torso_rate_filt += self._beta * (raw_rate - self._torso_rate_filt)
 
         return self._measure(target_pos, torso_yaw, hand_yaw)
 

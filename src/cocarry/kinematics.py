@@ -20,6 +20,11 @@ class KinematicsError(ValueError):
     pass
 
 
+def _check_offset(offset: Pose, name: str):
+    if not all(map(math.isfinite, offset.position.tolist() + offset.orientation.tolist())):
+        raise KinematicsError(f"{name} must be finite, got {offset}")
+
+
 @dataclass
 class ArmJoint:
     """Revolute joint: rotation `axis` (unit, local frame) after a fixed `offset`."""
@@ -32,6 +37,7 @@ class ArmJoint:
         n = np.linalg.norm(self.axis)
         if not abs(n - 1.0) <= 1e-6:  # a NaN axis fails too
             raise KinematicsError(f"joint axis must be a unit vector, got norm {n:.6g}")
+        _check_offset(self.offset, "joint offset")
 
 
 @dataclass
@@ -52,6 +58,9 @@ class KinematicModel:
             raise KinematicsError(
                 "w_threshold must be positive and k_max non-negative, both finite"
             )
+        for i, joint in enumerate(self.arm):
+            _check_offset(joint.offset, f"arm joint {i} offset")
+        _check_offset(self.ee_offset, "ee_offset")
         # Fixed per-joint quantities as float tuples, cached so the chain
         # walk runs on Python floats.  Identity offset rotations are stored
         # as None and skipped outright.
@@ -80,7 +89,7 @@ class KinematicModel:
 
 
 def _check_q(model: KinematicModel, q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
+    q = np.array(q, dtype=float).reshape(-1)  # an array of its own
     if q.shape[0] != model.n_joints:
         raise KinematicsError(
             f"expected {model.n_joints} joint values, got {q.shape[0]}"
@@ -156,16 +165,17 @@ def _chain(model: KinematicModel, q: np.ndarray):
 
 @dataclass
 class ChainState:
-    """One chain evaluation shared by everything that needs it in a tick.
+    """One chain evaluation, at the joint vector `q`, shared within a tick.
 
     The EE pose is 7 floats: position, then the (w, x, y, z) quaternion.
     """
 
+    q: np.ndarray
     pose: list
     jacobian: np.ndarray
     manipulability: float
     # The last command `wbc.compute` solved at this chain, after the inputs
-    # it was solved for: ((q bytes, x_d, xdot_d), params, k, command).
+    # it was solved for: (packed reference, params, k, command).
     command: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -178,6 +188,7 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
     For a square Ja (a six-joint arm) it is taken as the equal |det Ja|.
     """
     q = _check_q(model, q)
+    q.flags.writeable = False  # the chain's q cannot leave its pose and J
     origins, axes, R_ee, p_ee = _chain(model, q)
     ex, ey, ez = p_ee
     qx, qy = q[:2].tolist()
@@ -208,7 +219,7 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
         w = abs(_linalg.det(Ja))
     else:
         w = math.sqrt(max(_linalg.det(Ja.dot(Ja.T)), 0.0))
-    return ChainState([*p_ee, *quat_from_matrix(R_ee)], J, w)
+    return ChainState(q, [*p_ee, *quat_from_matrix(R_ee)], J, w)
 
 
 def forward_kinematics(model: KinematicModel, q: np.ndarray) -> Pose:

@@ -79,6 +79,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.q0 is None:
             self.q0 = np.zeros(self.model.n_joints)
+        # The human starts where its script does, the rest of the run here.
+        yaw = self.torso_yaw0 if self.hand_yaw0 is None else self.hand_yaw0
+        start = {"hand0": self.hand0, "torso_yaw0": self.torso_yaw0, "hand_yaw0": yaw}
+        for name, here in start.items():
+            scripted = getattr(self.script, name)
+            if np.asarray(here, dtype=float).tolist() != np.asarray(scripted).tolist():
+                raise ValueError(f"script starts at {name} {scripted}, not at {here}")
 
 
 def scenario_path(name: str) -> str:

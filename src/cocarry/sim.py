@@ -4,24 +4,22 @@ One tick advances the world in a fixed order: the human moves under the
 previous object reaction, the coupling force is evaluated once from the
 fresh states, the collaborative interface turns force and human motion into
 an EE reference, the whole-body controller resolves it to saturated joint
-velocities, and the robot integrates.  Every tick appends one trace row.
-The layers hand each other Python floats and the float64 arrays of the
-Jacobian and joint vectors.  The EE and reference poses are 7 floats each,
-in the trace's column order (position, then the (w, x, y, z) quaternion),
-and a tick builds no `Pose`, except the tick a rotation fires on (its goal
-and start).  `Pose` holds values set up once, such as `Simulation.ee0`.
-The still-tick rule: the chain state (EE pose, Jacobian, manipulability)
-is a pure function of q, so it is kept while q keeps its bits, and the
-whole-body command solved at a chain is kept while its inputs (q, x_d,
-xdot_d, the WBC parameters and the damping factor) keep theirs.  A robot
-that stands still keeps its chain, under a still reference its command
-too, and the EE velocity J qdot it starts a tick with is the previous
-tick's EE twist.
-numpy runs only the matrix work (the Jacobian and 6x6 products, the 6x6
-solve, the determinant, the joint-angle cos/sin); every 3-, 4- and 7-vector
-and scalar is Python floats, and the trace rows go to a flat `array('d')`.
-The whole pipeline is deterministic: identical configuration and seed give
-bitwise-identical traces on a host, and the small-vector results do not
+velocities, and the robot integrates.  Every tick appends one trace row to
+a flat `array('d')`.  numpy runs only the matrix work (the Jacobian and 6x6
+products, the 6x6 solve, the determinant, the joint-angle cos/sin); every
+3-, 4- and 7-vector and scalar is Python floats.  The EE and reference
+poses are 7 floats in the trace's column order (position, then the
+(w, x, y, z) quaternion); a tick builds a `Pose` only when a rotation fires.
+Each value a tick reads has one holder: the simulation is the clock (tick
+n ends at n * dt; the human and the interface take dt once) and the chain
+state holds q.  The still-tick rule: the chain state (q, EE pose, Jacobian,
+manipulability) is a pure function of q, so it is kept while q keeps its
+bits, and the whole-body command solved at a chain is kept while its other
+inputs (x_d, xdot_d, the WBC parameters and the damping factor) keep
+theirs.  A robot that stands still keeps its chain, under a still
+reference its command too, and the EE velocity J qdot it starts a tick
+with is the previous tick's EE twist.  Identical configuration and seed
+give bitwise-identical traces on a host; the small-vector results do not
 depend on the BLAS kernel numpy picks.
 """
 
@@ -171,16 +169,12 @@ class Simulation:
         self.model = config.model
         self.dt = config.dt
         self.ticks = 0
-        self.q = np.array(config.q0, dtype=float)
-        self.qdot = np.zeros_like(self.q)
+        self._chain = chain_state(self.model, config.q0)
+        # The EE velocity J qdot[:3] that the next tick starts with.
+        self._ee_velocity = self._chain.jacobian.dot(np.zeros(len(self.q)))[:3].tolist()
         self.human = SimulatedHuman(
-            config.human, config.script, config.torso0, seed=config.seed
+            config.human, config.script, config.torso0, self.dt, seed=config.seed
         )
-        self._chain = chain_state(self.model, self.q)
-        self._chain_q = self.q.tobytes()  # the q that _chain was evaluated at
-        # J qdot[:3] at the start of the next tick, carried while the chain
-        # is kept; None when the chain is new.
-        self._ee_velocity = None
         ee0 = self.ee0 = Pose(self._chain.pose[:3], self._chain.pose[3:])
         rest_world = ee0.position - config.hand0
         self.object_model = config.object_model.with_rest(
@@ -188,7 +182,7 @@ class Simulation:
         )
         torso0_pose = Pose(config.torso0, quat_from_yaw(config.torso_yaw0))
         self.aci = AciController(
-            config.aci, config.admittance, config.mode, ee0, torso0_pose
+            config.aci, config.admittance, config.mode, ee0, torso0_pose, self.dt
         )
         self.wbc_params = config.wbc
         self.force_on_hand = (0.0, 0.0, 0.0)
@@ -205,6 +199,11 @@ class Simulation:
     def t(self) -> float:
         """Simulated time: the tick count times dt, never a running sum of dt."""
         return self.ticks * self.dt
+
+    @property
+    def q(self) -> np.ndarray:
+        """The joint vector (read-only): the one the current chain holds."""
+        return self._chain.q
 
     @property
     def trace(self) -> Trace:
@@ -227,47 +226,39 @@ class Simulation:
         the part it came from: human, objects, aci, wbc, kinematics or trace.
         """
         dt = self.dt
+        t_new = (self.ticks + 1) * dt
+        chain = self._chain
         layer = "human"
         try:
-            human_state = self.human.step(self.force_on_hand, dt)
+            human_state = self.human.step(t_new, self.force_on_hand)
 
             layer = "objects"
-            chain = self._chain  # evaluated at the bits of self.q
-            J = chain.jacobian
-            ee_velocity = self._ee_velocity
-            if ee_velocity is None:
-                ee_velocity = J.dot(self.qdot)[:3].tolist()
             force = object_wrench(
                 self.object_model,
                 human_state.hand_position,
                 human_state.hand_velocity,
                 chain.pose,
-                ee_velocity,
+                self._ee_velocity,
             )
             fx, fy, fz = force
             self.force_on_hand = (-fx, -fy, -fz)
 
             layer = "aci"
-            t_new = (self.ticks + 1) * dt
-            out = self.aci.step(t_new, force, human_state, dt)
+            out = self.aci.step(t_new, force, human_state)
 
             layer = "wbc"
-            qdot_d = _wbc.compute(
-                self.model, self.q, out.x_d, out.xdot_d, self.wbc_params, chain=chain
-            )
+            qdot_d = _wbc.compute(self.model, out.x_d, out.xdot_d, self.wbc_params, chain)
             qdot_d = _wbc.clamp_velocities(qdot_d, self.wbc_params)
 
             layer = "kinematics"
-            ee_twist = J.dot(qdot_d)
-            self.q = self.q + qdot_d * dt
-            self.qdot = qdot_d
+            ee_twist = chain.jacobian.dot(qdot_d)
+            q = chain.q + qdot_d * dt
             self.ticks += 1
-            q_bytes = self.q.tobytes()
+            q_bytes = q.tobytes()
             ee_velocity = ee_twist.tolist()[:3]
-            if q_bytes != self._chain_q:  # a 0.0 that turns -0.0 counts
-                self._chain = chain_state(self.model, self.q)
-                self._chain_q = q_bytes
-                self._ee_velocity = None
+            if q_bytes != chain.q.tobytes():  # a 0.0 that turns -0.0 counts
+                self._chain = chain_state(self.model, q)
+                self._ee_velocity = self._chain.jacobian.dot(qdot_d)[:3].tolist()
             else:  # same J and qdot: next tick's J qdot is this ee_twist
                 self._ee_velocity = ee_velocity
 

@@ -31,14 +31,6 @@ class WbcError(RuntimeError):
 _REFERENCE = struct.Struct("13d")
 
 
-def _same_bits(kept, key) -> bool:
-    """Whether two (q bytes, x_d, xdot_d) keys hold the same bits.  == takes a
-    0.0 and a -0.0 for equal, so keys that compare equal are compared packed."""
-    return kept == key and (
-        _REFERENCE.pack(*kept[1], *kept[2]) == _REFERENCE.pack(*key[1], *key[2])
-    )
-
-
 @dataclass(frozen=True)
 class WbcParams:
     """Gains and weights; all weight matrices are diagonal and stored as vectors.
@@ -162,38 +154,33 @@ def solve_secondary(q: np.ndarray, params: WbcParams) -> np.ndarray:
 
 
 def compute(
-    model: KinematicModel,
-    q: np.ndarray,
-    x_d,
-    xdot_d,
-    params: WbcParams,
-    chain: ChainState,
+    model: KinematicModel, x_d, xdot_d, params: WbcParams, chain: ChainState
 ) -> np.ndarray:
     """Full hierarchical command J# b + (I - J# J) s for the posture velocity s.
 
-    `chain` is `kinematics.chain_state(model, q)`.  x_d is the reference pose
-    as 7 floats (position, then the (w, x, y, z) quaternion) and xdot_d the
-    reference twist as 6 floats (linear, then angular).  The command is
-    formed as s + J# (b - J s), which needs one solve and no projector.
+    The command is solved at the chain's q, for the reference pose x_d as
+    7 floats (position, then the (w, x, y, z) quaternion) and the reference
+    twist xdot_d as 6 floats (linear, then angular).  It is formed as
+    s + J# (b - J s), which needs one solve and no projector.
 
     The still-tick rule: the chain keeps its last command and returns it
-    again while the inputs keep their bits: q, the 13 reference floats (a
-    0.0 that turns -0.0 counts as a change), the same `params` object and
-    the same damping factor k (the model is mutable; k is what the command
-    reads of it).  A robot that stands still under a still reference thus
-    solves once.  Any other input is solved; a call that raises keeps
-    nothing.  Every call returns an array of its own.
+    again while the other inputs keep their bits: the 13 reference floats,
+    packed (a 0.0 that turns -0.0 counts as a change), the same `params`
+    object and the same damping factor k (the model is mutable; k is what
+    the command reads of it).  A still robot keeps its chain, so under a
+    still reference it solves once.  A call that raises keeps nothing.
+    Every call returns an array of its own.
     """
-    key = (q.tobytes(), tuple(x_d), tuple(xdot_d))
+    reference = _REFERENCE.pack(*x_d, *xdot_d)
     k = damping_factor(chain.manipulability, model)
     kept = chain.command
-    if kept is not None and kept[1] is params and kept[2] == k and _same_bits(kept[0], key):
+    if kept is not None and kept[0] == reference and kept[1] is params and kept[2] == k:
         return kept[3].copy()
     J = chain.jacobian
     b = tracking_objective(chain.pose, x_d, xdot_d, params)
-    s = solve_secondary(q, params)
+    s = solve_secondary(chain.q, params)
     qdot = s + solve_tracking(J, b - J.dot(s), k, params.w_task, params.w_damp)
-    chain.command = (key, params, k, qdot)
+    chain.command = (reference, params, k, qdot)
     return qdot.copy()
 
 

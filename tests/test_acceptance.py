@@ -83,7 +83,6 @@ def test_time_is_tick_count_times_dt(reference_run):
     assert rigid_teleop.cfg.dt == 1e-3
     assert len(rigid_teleop.trace) == 24000
     assert rigid_teleop.sim.t == 24.0
-    assert rigid_teleop.sim.human.t == 24.0
     assert rigid_teleop.trace["t"][-1] == 24.0
 
 
@@ -199,8 +198,9 @@ def test_criterion_06_admittance_fidelity():
     v = np.zeros(3)
     worst = 0.0
     at_tau = None
+    decay = params.decay(dt)
     for i in range(1, 2001):
-        v = admittance_step(force, v, dt, params)
+        v = admittance_step(force, v, decay, params)
         analytic = v_ss * (1.0 - math.exp(-i * dt / 0.2))
         worst = max(worst, float(np.max(np.abs(v - analytic) / np.abs(v_ss))))
         if i == 200:

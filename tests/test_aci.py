@@ -43,13 +43,13 @@ from cocarry.human import HumanState
 def test_admittance_zero_input():
     p = AdmittanceParams()
     np.testing.assert_allclose(
-        admittance_step(np.zeros(3), np.zeros(3), 1e-3, p), np.zeros(3)
+        admittance_step(np.zeros(3), np.zeros(3), p.decay(1e-3), p), np.zeros(3)
     )
 
 
 def test_admittance_single_step_value():
     p = AdmittanceParams()
-    v = admittance_step(np.array([6.0, 0, 0]), np.zeros(3), 0.01, p)
+    v = admittance_step(np.array([6.0, 0, 0]), np.zeros(3), p.decay(0.01), p)
     assert v[0] == pytest.approx((1 - np.exp(-0.05)) * 0.2, abs=1e-9)
     assert v[0] == pytest.approx(0.009754, abs=5e-7)
 
@@ -58,11 +58,12 @@ def test_admittance_step_response_matches_analytic():
     # constant 30 N along x: v(t) = 1 - exp(-t / 0.2), checked at every sample
     p = AdmittanceParams()
     dt = 1e-3
+    decay = p.decay(dt)
     f = np.array([30.0, 0.0, 0.0])
     v = np.zeros(3)
     worst = 0.0
     for i in range(2000):
-        v = admittance_step(f, v, dt, p)
+        v = admittance_step(f, v, decay, p)
         t = (i + 1) * dt
         analytic = 1.0 - np.exp(-t / 0.2)
         worst = max(worst, abs(v[0] - analytic))
@@ -71,7 +72,7 @@ def test_admittance_step_response_matches_analytic():
     # value at one time constant
     v = np.zeros(3)
     for _ in range(200):
-        v = admittance_step(f, v, dt, p)
+        v = admittance_step(f, v, decay, p)
     assert v[0] == pytest.approx(1 - np.exp(-1.0), abs=1e-6)
 
 
@@ -79,18 +80,20 @@ def test_admittance_anisotropic_axes():
     p = AdmittanceParams(mass=[6.0, 3.0, 1.0], damping=[30.0, 30.0, 10.0])
     f = np.array([30.0, 30.0, 10.0])
     v = np.zeros(3)
+    decay = p.decay(1e-3)
     for _ in range(5000):
-        v = admittance_step(f, v, 1e-3, p)
+        v = admittance_step(f, v, decay, p)
     np.testing.assert_allclose(v, [1.0, 1.0, 1.0], atol=1e-3)
 
 
 def test_admittance_rejects_bad_inputs():
+    p = AdmittanceParams()
     with pytest.raises(ValueError):
-        admittance_step(np.array([np.nan, 0, 0]), np.zeros(3), 1e-3, AdmittanceParams())
+        admittance_step(np.array([np.nan, 0, 0]), np.zeros(3), p.decay(1e-3), p)
     with pytest.raises(ValueError):
-        admittance_step(np.zeros(2), np.zeros(3), 1e-3, AdmittanceParams())
+        admittance_step(np.zeros(2), np.zeros(3), p.decay(1e-3), p)
     with pytest.raises(ValueError):
-        admittance_step(np.zeros(3), np.zeros(4), 1e-3, AdmittanceParams())
+        admittance_step(np.zeros(3), np.zeros(4), p.decay(1e-3), p)
     with pytest.raises(ValueError):
         AdmittanceParams(mass=[0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
@@ -536,7 +539,7 @@ def test_reference_integrates_constant_velocity():
     t = 0.0
     for _ in range(2000):
         t += dt
-        out = ctrl.step(t, np.zeros(3), human_sample(v=(0.1, 0.0, 0.0)), dt)
+        out = ctrl.step(t, np.zeros(3), human_sample(v=(0.1, 0.0, 0.0)))
     assert out.x_d is ctrl.x_d
     np.testing.assert_allclose(ctrl.x_d[:3], [0.7, 0, 1.0], atol=1e-12)
     assert ctrl.x_d[3:] == [1.0, 0.0, 0.0, 0.0]
@@ -550,12 +553,12 @@ def test_reference_rotation_branch_overrides_translation():
     t = 0.0
     for tt in np.linspace(0.0, -0.5, 400):
         t += dt
-        ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=-1.25), dt)
+        ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=-1.25))
     rotating = 0
     for _ in range(300):
         t += dt
         sample = human_sample(torso_yaw=-0.5, v=(0.3, 0.2, 0.1))
-        out = ctrl.step(t, (9.0, 9.0, 9.0), sample, dt)
+        out = ctrl.step(t, (9.0, 9.0, 9.0), sample)
         if out.zeta:
             rotating += 1
             assert out.xdot_d == ctrl.trajectory.twist(t)
@@ -593,48 +596,49 @@ def human_sample(hand_yaw=0.0, torso_yaw=0.0, rate=0.0, v=(0, 0, 0)):
     )
 
 
-def make_controller(mode, ee=None, torso=None):
+def make_controller(mode, ee=None, torso=None, dt=1e-3):
     return AciController(
         AciParams(),
         AdmittanceParams(),
         mode,
         Pose([0.5, 0, 1.0]) if ee is None else ee,
         Pose([1.5, 0, 1.0]) if torso is None else torso,
+        dt,
     )
 
 
 def run_controller(mode, force, v_h, ticks=300, dt=1e-3):
-    ctrl = make_controller(mode)
+    ctrl = make_controller(mode, dt=dt)
     out = None
     t = 0.0
     for _ in range(ticks):
         t += dt
-        out = ctrl.step(t, np.array(force, dtype=float), human_sample(v=v_h), dt)
+        out = ctrl.step(t, np.array(force, dtype=float), human_sample(v=v_h))
     return out
 
 
 def test_controller_admittance_matches_fresh_step_across_dt():
-    # The admittance decay is kept per dt.  Stepped with two alternating
-    # dts, the controller's v_adm must equal, bit for bit, an admittance
-    # step computed from scratch with fresh parameters on every tick.
+    # A controller forms its admittance decay once, for its own dt.  Stepped
+    # at that dt, its v_adm must equal, bit for bit, an admittance step
+    # computed from scratch with fresh parameters on every tick.
     mass, damping = [6.0, 3.0, 1.5], [30.0, 12.0, 9.0]
-    ctrl = AciController(
-        AciParams(),
-        AdmittanceParams(mass, damping),
-        Mode.ADMITTANCE,
-        Pose([0.5, 0, 1.0]),
-        Pose([1.5, 0, 1.0]),
-    )
     rng = np.random.default_rng(60)
-    v = (0.0, 0.0, 0.0)
-    t = 0.0
-    for i in range(400):
-        dt = (1e-3, 2.5e-3)[i % 2]
-        t += dt
-        force = tuple(rng.normal(scale=20.0, size=3).tolist())
-        out = ctrl.step(t, force, human_sample(), dt)
-        v = admittance_step(force, v, dt, AdmittanceParams(mass, damping))
-        assert np.array(out.v_adm).tobytes() == np.array(v).tobytes()
+    for dt in (1e-3, 2.5e-3):
+        ctrl = AciController(
+            AciParams(),
+            AdmittanceParams(mass, damping),
+            Mode.ADMITTANCE,
+            Pose([0.5, 0, 1.0]),
+            Pose([1.5, 0, 1.0]),
+            dt,
+        )
+        v = (0.0, 0.0, 0.0)
+        for i in range(1, 201):
+            force = tuple(rng.normal(scale=20.0, size=3).tolist())
+            out = ctrl.step(i * dt, force, human_sample())
+            fresh = AdmittanceParams(mass, damping)
+            v = admittance_step(force, v, fresh.decay(dt), fresh)
+            assert np.array(out.v_adm).tobytes() == np.array(v).tobytes()
 
 
 def test_reference_mode_pins_blend():
@@ -677,16 +681,16 @@ def test_controller_rotation_cycle():
     # settle period, then torso-led turn of -0.5 rad
     for _ in range(100):
         t += dt
-        out = ctrl.step(t, np.zeros(3), human_sample(), dt)
+        out = ctrl.step(t, np.zeros(3), human_sample())
         assert out.zeta == 0
     for tt in np.linspace(0.0, -0.5, 400):
         t += dt
-        out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=-1.25), dt)
+        out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=-1.25))
         assert out.zeta == 0  # torso still moving
     fire_t = None
     for _ in range(3000):
         t += dt
-        out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=-0.5, rate=0.0), dt)
+        out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=-0.5, rate=0.0))
         if out.zeta and fire_t is None:
             fire_t = t
         if fire_t is not None and not out.zeta:
@@ -711,11 +715,11 @@ def test_controller_no_rotation_outside_aci_mode():
         t = 0.0
         for tt in np.linspace(0.0, -0.5, 300):
             t += dt
-            out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=0.0), dt)
+            out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=tt, rate=0.0))
             assert out.zeta == 0
         for _ in range(500):
             t += dt
-            out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=-0.5, rate=0.0), dt)
+            out = ctrl.step(t, np.zeros(3), human_sample(torso_yaw=-0.5, rate=0.0))
             assert out.zeta == 0
 
 

@@ -1,7 +1,7 @@
 """The verdicts of tools/bench_pairs.py on hand-made pairs of runs."""
 
 import pytest
-from bench_pairs import compare, verdicts
+from bench_pairs import compare, info_lines, verdicts
 
 
 def verdict(parent, change, better="lower", bound=0.24):
@@ -36,3 +36,17 @@ def test_change_that_beats_every_parent_run_stays_kept_under_a_wide_spread(bette
     claim, bound, _ = verdict(parent, change, better=better)
     assert bound == "kept"
     assert claim
+
+
+def test_info_lines_print_each_sides_median():
+    # run_s and the tick percentiles are stored under "info"; the report
+    # shows each side's median beside the end-to-end verdicts.
+    info = {
+        "run_s": {"parent": [1.0, 3.0, 2.0], "change": [2.4, 2.0, 2.2]},
+        "tick_p50_us": {"parent": [100.0, 120.0], "change": [99.0, 99.0]},
+    }
+    lines = info_lines(info)
+    assert [line.split() for line in lines] == [
+        ["run_s", "parent", "2", "change", "2.2", "(+10.0%)", "info"],
+        ["tick_p50_us", "parent", "110", "change", "99", "(-10.0%)", "info"],
+    ]

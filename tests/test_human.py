@@ -1,5 +1,7 @@
 """Scripted partner: impedance hand and yaw channels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,13 @@ DT = 1e-3
 def make_human(segments, hand0=(1.0, 0.0, 1.0), torso0=(1.5, 0.0, 1.0), **kw):
     params = HumanParams(**kw)
     script = MotionScript(segments, hand0)
-    return SimulatedHuman(params, script, torso0)
+    return SimulatedHuman(params, script, torso0, DT)
 
 
 def run_free(human, steps):
     state = None
-    for _ in range(steps):
-        state = human.step(np.zeros(3), DT)
+    for n in range(1, steps + 1):
+        state = human.step(n * DT, np.zeros(3))
     return state
 
 
@@ -56,9 +58,9 @@ def test_series_spring_statics():
     human = make_human([Translate([0.1, 0.0, 0.0], 1.0), Hold(4.0)])
     anchor = np.array(human.hand_position)
     state = None
-    for _ in range(5000):
+    for n in range(1, 5001):
         force = -k * (np.array(human.hand_position) - anchor)
-        state = human.step(force, DT)
+        state = human.step(n * DT, force)
     expected = 600.0 * 0.1 / (600.0 + k)
     got = state.hand_position[0] - anchor[0]
     assert got == pytest.approx(expected, rel=1e-3)
@@ -78,8 +80,8 @@ def test_hand_impedance_is_passive():
         return 0.5 * p.hand_mass * v2 + 0.5 * p.hand_stiffness * float(d @ d)
 
     prev = energy()
-    for _ in range(2000):
-        human.step(np.zeros(3), DT)
+    for n in range(1, 2001):
+        human.step(n * DT, np.zeros(3))
         cur = energy()
         assert cur <= prev + 1e-12
         prev = cur
@@ -97,8 +99,8 @@ def test_torso_yaw_rate_is_filtered_finite_difference():
     human = make_human([TorsoYaw(0.5, 1.0), Hold(1.0)])
     rates = []
     yaws = []
-    for _ in range(2000):
-        s = human.step(np.zeros(3), DT)
+    for n in range(1, 2001):
+        s = human.step(n * DT, np.zeros(3))
         rates.append(s.thetadot_t_w)
         yaws.append(s.theta_t_w)
     # oracle: same finite difference + first-order low-pass on the yaw stream
@@ -120,8 +122,8 @@ def test_torso_yaw_rate_is_filtered_finite_difference():
 def test_hand_yaw_channel_independent_of_torso():
     human = make_human([TorsoYaw(0.6, 1.0), HandYaw(0.3, 1.0), Hold(0.5)])
     seen = []
-    for _ in range(2500):
-        s = human.step(np.zeros(3), DT)
+    for n in range(1, 2501):
+        s = human.step(n * DT, np.zeros(3))
         seen.append((s.theta_h_w, s.theta_t_w, s.theta_h_t))
     # during the torso turn the hand yaw stayed put in the world
     mid = seen[900]
@@ -160,6 +162,47 @@ def test_script_timeline():
         MotionScript([Hold(0.0)], hand0=[0, 0, 0])
 
 
+# name -> (script built with the value v, what the message names)
+NON_FINITE_SCRIPTS = {
+    "hold": (lambda v: MotionScript([Hold(v)], (0, 0, 0)), r"segment 0 \(Hold\): duration"),
+    "translate": (
+        lambda v: MotionScript([Hold(1.0), Translate([0, v, 0], 1.0)], (0, 0, 0)),
+        r"segment 1 \(Translate\): offset",
+    ),
+    "translate_duration": (
+        lambda v: MotionScript([Translate([0, 0, 0.1], v)], (0, 0, 0)),
+        r"segment 0 \(Translate\): duration",
+    ),
+    "torso_yaw": (
+        lambda v: MotionScript([Hold(1.0), Hold(1.0), TorsoYaw(v, 1.0)], (0, 0, 0)),
+        r"segment 2 \(TorsoYaw\): target",
+    ),
+    "hand_yaw": (
+        lambda v: MotionScript([HandYaw(v, 1.0)], (0, 0, 0)),
+        r"segment 0 \(HandYaw\): target",
+    ),
+    "hand0": (lambda v: MotionScript([Hold(1.0)], (0, v, 0)), "script hand0"),
+    "torso_yaw0": (
+        lambda v: MotionScript([Hold(1.0)], (0, 0, 0), torso_yaw0=v),
+        "script torso_yaw0",
+    ),
+    "hand_yaw0": (
+        lambda v: MotionScript([Hold(1.0)], (0, 0, 0), hand_yaw0=v),
+        "script hand_yaw0",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("case", list(NON_FINITE_SCRIPTS))
+def test_script_rejects_non_finite_values(case, value):
+    # The scenario reader rejects these first; built from Python, a NaN hold
+    # ended in "unreachable" at tick 0 and a NaN torso yaw ran without a word.
+    build, names = NON_FINITE_SCRIPTS[case]
+    with pytest.raises(ValueError, match=f"{names} must be finite"):
+        build(value)
+
+
 def test_determinism_with_noise():
     noise = {"hand_position": 0.001, "hand_velocity": 0.002, "torso_yaw": 0.0005}
     runs = []
@@ -169,16 +212,16 @@ def test_determinism_with_noise():
         )
         human.rng = np.random.default_rng(123)
         rows = []
-        for _ in range(1000):
-            s = human.step(np.zeros(3), DT)
+        for n in range(1, 1001):
+            s = human.step(n * DT, np.zeros(3))
             rows.append(np.concatenate([s.hand_position, s.hand_velocity]))
         runs.append(np.array(rows))
     assert np.array_equal(runs[0], runs[1])
     # and the noise actually perturbs the measurements
     clean = make_human([Translate([0.2, 0, 0], 0.5), Hold(0.5)])
     rows = []
-    for _ in range(1000):
-        s = clean.step(np.zeros(3), DT)
+    for n in range(1, 1001):
+        s = clean.step(n * DT, np.zeros(3))
         rows.append(np.concatenate([s.hand_position, s.hand_velocity]))
     assert not np.array_equal(runs[0], np.array(rows))
 
@@ -205,7 +248,7 @@ def test_noise_matches_per_channel_normal_calls(noise):
         hand0=(1.0, 0.0, 1.0),
     )
     params = HumanParams(noise=noise, velocity_deadband=0.0)
-    human = SimulatedHuman(params, script, (1.5, 0.0, 1.0), seed=77)
+    human = SimulatedHuman(params, script, (1.5, 0.0, 1.0), DT, seed=77)
     oracle = np.random.default_rng(77)
     draws_per_tick = sum(3 if k in ("hand_position", "hand_velocity") else 1 for k in noise)
     ticks = 2 * _NOISE_BLOCK // draws_per_tick + 50
@@ -219,11 +262,11 @@ def test_noise_matches_per_channel_normal_calls(noise):
             return oracle.normal(0.0, std, size=n).tolist()
         return float(oracle.normal(0.0, std))
 
-    for _ in range(ticks):
-        state = human.step((0.0, 0.0, 0.0), DT)
+    for n in range(1, ticks + 1):
+        state = human.step(n * DT, (0.0, 0.0, 0.0))
         j_pos, j_vel = draw("hand_position", 3), draw("hand_velocity", 3)
         j_torso, j_hand = draw("torso_yaw", 0), draw("hand_yaw", 0)
-        _, _, torso_yaw, _, hand_yaw = script.sample(human.t)
+        _, _, torso_yaw, _, hand_yaw = script.sample(n * DT)
         assert bits(state.hand_position) == bits(
             [x + j for x, j in zip(human.hand_position, j_pos)]
         )
@@ -259,10 +302,10 @@ def test_noise_settings_validated():
 def test_rejects_non_finite_force():
     human = make_human([Hold(1.0)])
     with pytest.raises(ValueError):
-        human.step(np.array([np.inf, 0, 0]), DT)
+        human.step(DT, np.array([np.inf, 0, 0]))
 
 
 def test_rejects_wrong_length_force():
     human = make_human([Hold(1.0)])
     with pytest.raises(ValueError):
-        human.step(np.zeros(2), DT)
+        human.step(DT, np.zeros(2))

@@ -4,6 +4,8 @@ The FK oracle composes homogeneous matrices with scipy rotations; the
 Jacobian oracle uses central finite differences of the FK.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -163,6 +165,19 @@ def test_chain_state_consistent_with_pieces():
         assert st.pose == pose.position.tolist() + pose.orientation.tolist()
 
 
+def test_chain_holds_a_read_only_copy_of_q():
+    # The chain's q is the one its pose and Jacobian were evaluated at: a
+    # later change to the caller's array does not reach it, and it cannot be
+    # written through.
+    model = default_model()
+    q = HOME.copy()
+    st = chain_state(model, q)
+    q[4] += 0.1
+    assert st.q.tobytes() == HOME.tobytes()
+    with pytest.raises(ValueError):
+        st.q[4] = 0.1
+
+
 def test_manipulability_base_invariant():
     # The six-joint arm's square Ja takes |det Ja|; a seven-joint arm keeps
     # sqrt(det(Ja Ja^T)).  Both must equal the Gram form and ignore the base.
@@ -219,6 +234,35 @@ def test_model_validation():
         KinematicModel(arm=[ArmJoint(axis=[0, 0, 1.0]) for _ in range(3)])
     with pytest.raises(KinematicsError):
         default_model(w_threshold=0.0)
+
+
+def _model_with_joint_offset(v):
+    """The default model, its joint 2 offset made non-finite after it was built."""
+    arm = default_model().arm
+    arm[2].offset = Pose([0.478, v, 0.0])
+    return KinematicModel(arm, ee_offset=Pose([0.0, 0.0, 0.0925]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda v: KinematicModel(default_model().arm, ee_offset=Pose([0, v, 0.09])), "ee_offset"),
+        (
+            lambda v: KinematicModel(default_model().arm, ee_offset=Pose([0, 0, 0.09], [v, 0, 0, 0])),
+            "ee_offset",
+        ),
+        (lambda v: ArmJoint([0, 0, 1.0], Pose([v, 0, 0])), "joint offset"),
+        (lambda v: ArmJoint([0, 0, 1.0], Pose([0, 0, 0], [1.0, 0, v, 0])), "joint offset"),
+        (_model_with_joint_offset, "arm joint 2 offset"),
+    ],
+    ids=["ee_position", "ee_quaternion", "joint_position", "joint_quaternion", "joint_index"],
+)
+def test_non_finite_offsets_rejected_by_name(build, names, value):
+    # A NaN tool offset used to build, and the simulation then failed in the
+    # object's rest pose with a message that named neither.
+    with pytest.raises(KinematicsError, match=f"{names} must be finite"):
+        build(value)
 
 
 def test_non_identity_offset_rotation():

@@ -126,9 +126,9 @@ def test_action_reaction_exact():
         on_hand = []
         real_step = sim.human.step
 
-        def spy_step(force, dt):
+        def spy_step(t, force):
             on_hand.append(tuple(force))
-            return real_step(force, dt)
+            return real_step(t, force)
 
         sim.human.step = spy_step
         for _ in range(201):

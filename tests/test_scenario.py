@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from cocarry.aci import Mode
-from cocarry.human import HumanParams
+from cocarry.human import HumanParams, MotionScript
 from cocarry.kinematics import ArmJoint, default_model
 from cocarry.objects import ObjectModel
 from cocarry.scenario import (
@@ -233,6 +233,28 @@ def test_bad_joint_axis_reported_as_config_error(tmp_path):
     raw["model"] = {"arm": [{"axis": [0, 0, 2]} for _ in range(7)]}
     with pytest.raises(ConfigError, match="unit vector"):
         load_scenario(write(tmp_path, raw))
+
+
+@pytest.mark.parametrize(
+    "name, start",
+    [
+        ("hand0", {"hand0": [0.05, 0.0, 0.0]}),  # added to the scenario's
+        ("torso_yaw0", {"torso_yaw0": 0.3}),
+        ("hand_yaw0", {"hand_yaw0": 0.3}),
+    ],
+)
+def test_script_must_start_at_the_scenario_start_pose(name, start):
+    # The object's rest pose and the ACI's torso frame come from the
+    # scenario, the human's start from its script.  A disagreement ran:
+    # a hand 5 cm off put 500 N on the first tick.
+    cfg = load_scenario(scenario_path("smoke"))
+    start = {**start, "hand0": cfg.hand0 + start.get("hand0", 0.0)}
+    moved = MotionScript(cfg.script.segments, **start)
+    with pytest.raises(ValueError, match=f"script starts at {name} "):
+        replace(cfg, script=moved)
+    # A None hand_yaw0 is torso_yaw0, given or not.
+    same = MotionScript(cfg.script.segments, cfg.hand0, hand_yaw0=cfg.torso_yaw0)
+    assert replace(cfg, script=same).script is same
 
 
 def _wbc_with(name, value):

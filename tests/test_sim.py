@@ -317,16 +317,16 @@ def test_tick_order_and_single_evaluation(tmp_path, monkeypatch):
 
     real_human = sim.human.step
 
-    def spy_human(force, dt):
+    def spy_human(t, force):
         calls.append("human")
-        return real_human(force, dt)
+        return real_human(t, force)
 
     real_aci = sim.aci.step
 
-    def spy_aci(t, force, human_state, dt):
+    def spy_aci(t, force, human_state):
         calls.append("aci")
         aci_forces.append(np.asarray(force, dtype=float).copy())
-        return real_aci(t, force, human_state, dt)
+        return real_aci(t, force, human_state)
 
     sim.human.step = spy_human
     sim.aci.step = spy_aci
@@ -385,9 +385,9 @@ def test_command_solved_only_when_its_inputs_change_bits(scenario, monkeypatch):
         solves.append(None)
         return real_solve(*args)
 
-    def spy_compute(model, q, x_d, xdot_d, params, chain):
-        out = real_compute(model, q, x_d, xdot_d, params, chain=chain)
-        commands.append((q.copy(), list(x_d), list(xdot_d), out))
+    def spy_compute(model, x_d, xdot_d, params, chain):
+        out = real_compute(model, x_d, xdot_d, params, chain)
+        commands.append((chain.q.copy(), list(x_d), list(xdot_d), out))
         return out
 
     monkeypatch.setattr(cocarry.wbc, "solve_tracking", spy_solve)
@@ -401,7 +401,7 @@ def test_command_solved_only_when_its_inputs_change_bits(scenario, monkeypatch):
         last = inputs
         n_solves = len(solves)
         fresh = real_compute(
-            sim.model, q, x_d, xdot_d, sim.wbc_params, chain=sim_mod.chain_state(sim.model, q)
+            sim.model, x_d, xdot_d, sim.wbc_params, sim_mod.chain_state(sim.model, q)
         )
         del solves[n_solves:]  # the fresh solve is not the simulation's
         assert out.tobytes() == fresh.tobytes()

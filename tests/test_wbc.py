@@ -272,7 +272,7 @@ def test_compute_reduces_to_primary_without_posture_weight():
     q = random_q(rng, model)
     st = chain_state(model, q)
     x_d = [st.pose[0] + 0.05, *st.pose[1:]]
-    out = wbc.compute(model, q, x_d, np.zeros(6), params, chain=chain_state(model, q))
+    out = wbc.compute(model, x_d, np.zeros(6), params, chain=chain_state(model, q))
     prim = primary(model, st, x_d, params)
     np.testing.assert_allclose(out, prim, atol=1e-12)
 
@@ -285,7 +285,7 @@ def test_posture_drifts_without_disturbing_tracking():
     st = chain_state(model, q)
     assert chain_state(model, q).manipulability > model.w_threshold  # so k = 0
     x_d = st.pose
-    out = wbc.compute(model, q, x_d, np.zeros(6), params, chain=chain_state(model, q))
+    out = wbc.compute(model, x_d, np.zeros(6), params, chain=chain_state(model, q))
     prim = primary(model, st, x_d, params)
     # secondary motion present and pointed toward q_def on the arm...
     assert np.linalg.norm(out - prim) > 1e-4
@@ -298,7 +298,7 @@ def test_compute_zero_at_converged_rest():
     model = default_model()
     params = default_params(model, q_def=HOME)
     chain = chain_state(model, HOME)
-    out = wbc.compute(model, HOME.copy(), chain.pose, np.zeros(6), params, chain=chain)
+    out = wbc.compute(model, chain.pose, np.zeros(6), params, chain=chain)
     np.testing.assert_allclose(out, np.zeros(9), atol=1e-12)
 
 
@@ -310,7 +310,7 @@ def closed_loop_errors(x_d, q0, steps, dt=1e-3):
     for i in range(steps):
         chain = chain_state(model, q)
         qd = wbc.clamp_velocities(
-            wbc.compute(model, q, x_d, np.zeros(6), params, chain=chain), params
+            wbc.compute(model, x_d, np.zeros(6), params, chain=chain), params
         )
         q = q + qd * dt
         e = pose_error(x_d, chain.pose)
@@ -373,26 +373,23 @@ def test_kept_command_returned_while_inputs_keep_their_bits(counted_solves):
     params = default_params(model)
     chain = chain_state(model, HOME)
     x_d = [chain.pose[0] + 0.01, *chain.pose[1:]]
-    first = wbc.compute(model, HOME.copy(), x_d, [0.0] * 6, params, chain=chain)
-    again = wbc.compute(model, HOME.copy(), list(x_d), (0.0,) * 6, params, chain=chain)
+    first = wbc.compute(model, x_d, [0.0] * 6, params, chain=chain)
+    again = wbc.compute(model, list(x_d), (0.0,) * 6, params, chain=chain)
     assert len(counted_solves) == 1
     assert again.tobytes() == first.tobytes()
-    fresh = wbc.compute(model, HOME, x_d, [0.0] * 6, params, chain=chain_state(model, HOME))
+    fresh = wbc.compute(model, x_d, [0.0] * 6, params, chain=chain_state(model, HOME))
     assert again.tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("change", ["negative_zero", "replaced_params", "damping", "q"])
+@pytest.mark.parametrize("change", ["negative_zero", "replaced_params", "damping"])
 def test_changed_input_misses_the_kept_command(change, counted_solves):
     model = default_model()
     params = default_params(model)
     chain = chain_state(model, HOME)
     x_d = [chain.pose[0] + 0.01, *chain.pose[1:]]
     xdot_d = [0.0] * 6
-    q = HOME.copy()
-    wbc.compute(model, q, x_d, xdot_d, params, chain=chain)
-    if change == "q":  # the posture term reads q itself
-        q[5] += 1e-3
-    elif change == "negative_zero":
+    wbc.compute(model, x_d, xdot_d, params, chain=chain)
+    if change == "negative_zero":
         xdot_d = [0.0, 0.0, -0.0, 0.0, 0.0, 0.0]
     elif change == "replaced_params":
         params = replace(params)  # equal values, another object
@@ -400,9 +397,9 @@ def test_changed_input_misses_the_kept_command(change, counted_solves):
         k_before = damping_factor(chain.manipulability, model)
         model.w_threshold = 2.0 * chain.manipulability
         assert damping_factor(chain.manipulability, model) != k_before
-    out = wbc.compute(model, q, x_d, xdot_d, params, chain=chain)
+    out = wbc.compute(model, x_d, xdot_d, params, chain=chain)
     assert len(counted_solves) == 2
-    fresh = wbc.compute(model, q, x_d, xdot_d, params, chain=chain_state(model, HOME))
+    fresh = wbc.compute(model, x_d, xdot_d, params, chain=chain_state(model, HOME))
     assert out.tobytes() == fresh.tobytes()
 
 
@@ -411,10 +408,10 @@ def test_failed_solve_keeps_nothing(counted_solves):
     params = default_params(model)
     J = np.zeros((6, model.n_joints))
     J[0, 0] = 1.0  # rank 1, undamped: the solve raises
-    chain = ChainState(chain_state(model, HOME).pose, J, 2.0 * model.w_threshold)
+    chain = ChainState(HOME, chain_state(model, HOME).pose, J, 2.0 * model.w_threshold)
     for _ in range(2):
         with pytest.raises(wbc.WbcError, match="damping"):
-            wbc.compute(model, HOME, chain.pose, [0.0] * 6, params, chain=chain)
+            wbc.compute(model, chain.pose, [0.0] * 6, params, chain=chain)
     assert len(counted_solves) == 2
     assert chain.command is None
 
@@ -426,7 +423,7 @@ def test_returned_command_cannot_change_the_kept_one():
     x_d = [chain.pose[0] + 0.01, *chain.pose[1:]]
     kept = None
     for _ in range(3):  # solved, then kept twice
-        out = wbc.compute(model, HOME, x_d, [0.0] * 6, params, chain=chain)
+        out = wbc.compute(model, x_d, [0.0] * 6, params, chain=chain)
         kept = kept or out.tobytes()
         assert out.tobytes() == kept
         out[:] = 1.0

@@ -19,11 +19,13 @@ quartiles, how many pairs the change won, and two verdicts:
     "EXCEEDED" when it is; "unresolved" in place of "kept" when the parent's
     interquartile range is wider than bound x median, so the runs spread too
     widely to tell, unless every change run beats every parent run.
-It also prints how many runs of each side passed the benchmark's outcome
-check and each side's mean and largest share of failed runs.  When any run
-failed its outcome check, or the change's mean fail_frac exceeds the
-parent's, no claim can stand: every claim verdict reads "fails", the script
-says why and exits 1.
+Beside them it prints each side's median of the informational metrics the
+benchmark stores under `info` (run_s, tick_p50_us, tick_p99_us), which carry
+no verdict.  It also prints how many runs of each side passed the
+benchmark's outcome check and each side's mean and largest share of failed
+runs.  When any run failed its outcome check, or the change's mean
+fail_frac exceeds the parent's, no claim can stand: every claim verdict
+reads "fails", the script says why and exits 1.
 With --out, the pairs are stored in FILE under "pairs" as "W.seedN", in the
 layout of the BENCH_*.json files; an existing FILE keeps its other entries.
 The parent's commit is read from PARENT_DIR with git before any pair runs,
@@ -100,6 +102,17 @@ def verdicts(entry: dict, better: str, bound: float) -> tuple:
     if iqr > bound * abs(p["median"]) and not beats_all:
         return claim, "unresolved", rel
     return claim, "kept", rel
+
+
+def info_lines(info: dict) -> list:
+    """One line per informational metric: each side's median and the
+    change's relative to the parent's."""
+    lines = []
+    for name, sides in info.items():
+        p, c = (float(np.median(sides[side])) for side in SIDES)
+        rel = (c - p) / p if p else 0.0
+        lines.append(f"  {name:12s} parent {p:.6g}  change {c:.6g}  ({rel:+.1%})  info")
+    return lines
 
 
 def git_head(checkout: Path) -> str:
@@ -191,12 +204,13 @@ def main(argv=None) -> int:
             f"/{args.pairs}  claim {'holds' if claim and not faults else 'fails'}"
             f"  bound {m['bound']:.0%} {bound_verdict}"
         )
-    if faults:
-        print(f"  no claim can stand: {'; '.join(faults)}")
     entry["info"] = {
         name: {side: values(side, lambda r: r["info"][name]) for side in SIDES}
         for name in INFO
     }
+    print("\n".join(info_lines(entry["info"])))
+    if faults:
+        print(f"  no claim can stand: {'; '.join(faults)}")
 
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -19,9 +19,10 @@ With --digests, the 11 runs go in memory only, and the SHA-256 digests of
 each run's trace data and metrics go to tests/reference_digests.json, next
 to the numpy and BLAS build they were computed with.  For the runs in
 TEXT_RUNS the digest of the text `write_trace` makes of the trace goes
-there too, so the trace writer is checked as well as the numbers.  The
-tier-1 test tests/test_reference_digests.py recomputes them; a change that
-names a numeric change re-records them with this command.
+there too, so the trace writer is checked as well as the numbers, and so
+does the digest of each demo's stdout.  The tier-1 tests
+tests/test_reference_digests.py and tests/test_demos.py recompute them; a
+change that names a numeric change re-records them with this command.
 """
 
 import hashlib
@@ -43,6 +44,7 @@ from cocarry import Simulation, load_scenario, scenario_path  # noqa: E402
 from cocarry.sim import write_trace  # noqa: E402
 
 DIGEST_FILE = ROOT / "tests" / "reference_digests.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 PACKAGED = (
     "hand_rotation_null",
@@ -114,6 +116,11 @@ def trace_text_digest(trace, path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def text_digest(text: str) -> str:
+    """SHA-256 of a program's stdout, as UTF-8."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def record_digests():
     runs, texts = {}, {}
     for run, (scenario, overrides) in RUNS.items():
@@ -124,7 +131,16 @@ def record_digests():
             with tempfile.TemporaryDirectory() as tmp:
                 texts[run] = trace_text_digest(trace, Path(tmp) / "trace.csv")
         print(f"{run}: digested", flush=True)
-    doc = {"environment": environment(), "runs": runs, "trace_text": texts}
+    demos = {}
+    for demo in DEMOS:
+        demos[demo.name] = text_digest(stdout_of(demo.name, [sys.executable, str(demo)]))
+        print(f"{demo.name}: digested", flush=True)
+    doc = {
+        "environment": environment(),
+        "runs": runs,
+        "trace_text": texts,
+        "demo_stdout": demos,
+    }
     DIGEST_FILE.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"written to {DIGEST_FILE}")
 
@@ -139,24 +155,26 @@ def write_runs(out: Path):
         print(f"{run}: written", flush=True)
 
 
-def write_stdout(out: Path):
+def stdout_of(name: str, argv: list) -> str:
+    """The stdout of one command, run on this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    commands = {
-        f"demo_{demo.stem}": [sys.executable, str(demo)]
-        for demo in sorted((ROOT / "demos").glob("*.py"))
-    }
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{name} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def write_stdout(out: Path):
+    commands = {f"demo_{demo.stem}": [sys.executable, str(demo)] for demo in DEMOS}
     commands["compare_peanut_bag"] = [
         sys.executable, "-m", "cocarry.cli",
         "compare", "--scenario", scenario_path("peanut_bag"),
     ]  # fmt: skip
     for name, argv in commands.items():
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise SystemExit(f"{name} exited {done.returncode}:\n{done.stderr}")
-        (out / f"{name}.txt").write_text(done.stdout)
+        (out / f"{name}.txt").write_text(stdout_of(name, argv))
         print(f"{name}: written", flush=True)
 
 
