@@ -8,7 +8,7 @@ different level in each, ordered by how much force the bag can pass.
 Run:  python3 demos/bag_direction_sweep.py
 """
 
-from cocarry import load_scenario, run_scenario, scenario_path
+from cocarry import Simulation, load_scenario, scenario_path
 
 LABELS = [
     "lower then lift",
@@ -19,7 +19,7 @@ LABELS = [
 ]
 
 cfg = load_scenario(scenario_path("peanut_bag"))
-_, metrics = run_scenario(cfg)
+_, metrics = Simulation(cfg).run()
 
 print(f"completed: {metrics.completed}   completion time: {metrics.t_c:.2f} s\n")
 print("direction            window         mean alpha   mean |F|")

@@ -12,7 +12,7 @@ Run:  python3 demos/rigid_rod_deadlock.py
 
 import numpy as np
 
-from cocarry import load_scenario, run_scenario, scenario_path
+from cocarry import Simulation, load_scenario, scenario_path
 from cocarry.kinematics import forward_kinematics
 
 
@@ -20,7 +20,7 @@ def main():
     path = scenario_path("rigid_rod")
 
     cfg = load_scenario(path)
-    _, metrics = run_scenario(cfg)
+    _, metrics = Simulation(cfg).run()
     print("adaptive interface on the rigid rod")
     print(f"  completed waypoints : {metrics.completed}")
     print(f"  completion time     : {metrics.t_c:.2f} s")
@@ -31,7 +31,7 @@ def main():
     # same scenario, same hand script, but pure displacement teleoperation;
     # give it twice the adaptive completion time and then some
     cfg_t = load_scenario(path, overrides={"mode": "teleop", "duration": 24.0})
-    trace_t, metrics_t = run_scenario(cfg_t)
+    trace_t, metrics_t = Simulation(cfg_t).run()
     ee0 = forward_kinematics(cfg_t.model, cfg_t.q0).position
     script = cfg_t.script
     commanded = np.linalg.norm(script.target(script.duration).position - cfg_t.hand0)

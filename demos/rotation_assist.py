@@ -11,14 +11,14 @@ Run:  python3 demos/rotation_assist.py
 
 import numpy as np
 
-from cocarry import Pose, load_scenario, run_scenario, scenario_path
+from cocarry import Pose, Simulation, load_scenario, scenario_path
 from cocarry.geometry import quat_from_yaw, wrap_angle, yaw_from_quat
 from cocarry.kinematics import forward_kinematics
 
 
 def main():
     cfg = load_scenario(scenario_path("rotation_showcase"))
-    trace, _ = run_scenario(cfg)
+    trace, _ = Simulation(cfg).run()
 
     fired = np.flatnonzero(trace["zeta"] == 1)[0]
     turn = trace["torso_yaw"][fired]
@@ -39,7 +39,7 @@ def main():
     print(f"  yaw error                            : {yaw_err * 1000:.2f} mrad")
 
     cfg_null = load_scenario(scenario_path("hand_rotation_null"))
-    null_trace, _ = run_scenario(cfg_null)
+    null_trace, _ = Simulation(cfg_null).run()
     fires = int(null_trace["zeta"].sum())
     print(f"\nhand-only rotation of 0.5 rad: detector fired {fires} times (wrist "
           "action is not a carry intention)")

@@ -11,13 +11,13 @@ Run:  python3 demos/slack_rope_regime.py
 
 import numpy as np
 
-from cocarry import load_scenario, run_scenario, scenario_path
+from cocarry import Simulation, load_scenario, scenario_path
 from cocarry.kinematics import forward_kinematics
 
 path = scenario_path("slack_rope")
 
 cfg_adm = load_scenario(path, overrides={"mode": "admittance"})
-trace, _ = run_scenario(cfg_adm)
+trace, _ = Simulation(cfg_adm).run()
 ee0 = forward_kinematics(cfg_adm.model, cfg_adm.q0).position
 moved = np.linalg.norm(trace[["ee_px", "ee_py", "ee_pz"]] - ee0, axis=1).max()
 peak_force = np.linalg.norm(trace[["fx", "fy", "fz"]], axis=1).max()
@@ -26,7 +26,7 @@ print(f"  peak coupling force      : {peak_force:.4f} N")
 print(f"  end-effector travel      : {moved * 100:.2f} cm  (the robot never hears the human)")
 
 cfg = load_scenario(path)
-_, metrics = run_scenario(cfg)
+_, metrics = Simulation(cfg).run()
 print("\nadaptive interface, same rope")
 print(f"  completed waypoints      : {metrics.completed}")
 print(f"  completion time          : {metrics.t_c:.2f} s")

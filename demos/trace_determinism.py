@@ -11,7 +11,7 @@ import filecmp
 import tempfile
 from pathlib import Path
 
-from cocarry import load_scenario, read_trace, run_scenario, scenario_path
+from cocarry import Simulation, load_scenario, read_trace, scenario_path
 from cocarry.sim import trace_columns
 
 with tempfile.TemporaryDirectory() as td:
@@ -21,7 +21,7 @@ with tempfile.TemporaryDirectory() as td:
         cfg = load_scenario(
             scenario_path("smoke"), overrides={"trace_path": str(out)}
         )
-        run_scenario(cfg)
+        Simulation(cfg).run()
 
     print(f"columns ({len(trace_columns(cfg.model.n_joints))}):")
     print("  " + " ".join(trace_columns(cfg.model.n_joints)[:8]) + " ...")

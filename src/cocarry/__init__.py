@@ -47,7 +47,6 @@ from .sim import (
     alignment_metric,
     interval_stats,
     read_trace,
-    run_scenario,
     write_trace,
 )
 from .wbc import WbcParams, compute, solve_secondary

@@ -26,6 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, ruled
 from .geometry import (
     Pose,
     quat_from_yaw,
@@ -53,17 +54,16 @@ class AdmittanceParams:
     makes a changed copy.
     """
 
-    mass: np.ndarray = field(default_factory=lambda: np.full(3, 6.0))
-    damping: np.ndarray = field(default_factory=lambda: np.full(3, 30.0))
+    mass: np.ndarray = ruled(POSITIVE, default_factory=lambda: np.full(3, 6.0))
+    damping: np.ndarray = ruled(POSITIVE, default_factory=lambda: np.full(3, 30.0))
     _damping: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("mass", "damping"):
             value = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all((value > 0.0) & np.isfinite(value)):
-                raise ValueError(f"admittance {name} must be positive and finite")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        check(self)
         object.__setattr__(self, "_damping", self.damping.tolist())
 
     def decay(self, dt: float) -> list:
@@ -77,23 +77,17 @@ class AdmittanceParams:
 class AciParams:
     """Window, guard, and threshold settings of the adaptive interface."""
 
-    window_length: float = 0.25
-    epsilon: float = 1e-4
-    deadband: float = 1e-4
-    lower_angle: float = 0.2
-    upper_angle: float = 0.4
-    velocity_threshold: float = 0.05
-    rotation_rate: float = 0.3
-    min_rotation_duration: float = 2.0
+    window_length: float = ruled(POSITIVE, 0.25)
+    epsilon: float = ruled(POSITIVE, 1e-4)
+    deadband: float = ruled(NON_NEGATIVE, 1e-4)
+    lower_angle: float = ruled(FINITE, 0.2)
+    upper_angle: float = ruled(FINITE, 0.4)
+    velocity_threshold: float = ruled(POSITIVE, 0.05)
+    rotation_rate: float = ruled(POSITIVE, 0.3)
+    min_rotation_duration: float = ruled(POSITIVE, 2.0)
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0.0 and name not in ("deadband", "lower_angle", "upper_angle"):
-                raise ValueError(f"{name} must be positive")
-        if self.deadband < 0.0:
-            raise ValueError("deadband must be non-negative")
+        check(self)
         if not 0.0 < self.lower_angle < self.upper_angle:
             raise ValueError("angle thresholds must satisfy 0 < lower < upper")
 

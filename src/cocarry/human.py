@@ -11,10 +11,11 @@ are indistinguishable from standing still.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, complaint, problems, ruled
 from .geometry import quat_from_yaw
 
 # Standard normal draws taken from the generator at once for the measurement
@@ -27,30 +28,19 @@ NOISE_CHANNELS = ("hand_position", "hand_velocity", "torso_yaw", "hand_yaw")
 
 @dataclass
 class HumanParams:
-    hand_mass: float = 2.0
-    hand_stiffness: float = 600.0
-    hand_damping: float = 40.0
-    velocity_deadband: float = 0.02
-    yaw_filter_cutoff: float = 5.0
-    noise: dict = field(default_factory=dict)
+    hand_mass: float = ruled(POSITIVE, 2.0)
+    hand_stiffness: float = ruled(NON_NEGATIVE, 600.0)
+    hand_damping: float = ruled(NON_NEGATIVE, 40.0)
+    velocity_deadband: float = ruled(NON_NEGATIVE, 0.02)
+    yaw_filter_cutoff: float = ruled(POSITIVE, 5.0)
+    noise: dict = ruled(NON_NEGATIVE, default_factory=dict)  # std per channel
 
     def __post_init__(self):
-        if not 0.0 < self.hand_mass < math.inf:
-            raise ValueError("hand mass must be positive and finite")
-        if not (0.0 <= self.hand_stiffness < math.inf and 0.0 <= self.hand_damping < math.inf):
-            raise ValueError("hand stiffness and damping must be non-negative and finite")
-        if not 0.0 <= self.velocity_deadband < math.inf:
-            raise ValueError("velocity deadband must be non-negative and finite")
-        if not 0.0 < self.yaw_filter_cutoff < math.inf:
-            raise ValueError("yaw filter cutoff must be positive and finite")
-        for channel, std in self.noise.items():
+        check(self)
+        for channel in self.noise:
             if channel not in NOISE_CHANNELS:
                 raise ValueError(
                     f"unknown noise channel {channel!r}; expected one of {NOISE_CHANNELS}"
-                )
-            if not 0.0 <= std < math.inf:
-                raise ValueError(
-                    f"noise std of {channel} must be non-negative and finite, got {std}"
                 )
 
 
@@ -75,13 +65,13 @@ class HumanState:
 
 @dataclass
 class Hold:
-    duration: float
+    duration: float = ruled(POSITIVE)
 
 
 @dataclass
 class Translate:
-    offset: np.ndarray
-    duration: float
+    offset: np.ndarray = ruled(FINITE)
+    duration: float = ruled(POSITIVE)
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float).reshape(3)
@@ -89,14 +79,14 @@ class Translate:
 
 @dataclass
 class TorsoYaw:
-    target: float
-    duration: float
+    target: float = ruled(FINITE)
+    duration: float = ruled(POSITIVE)
 
 
 @dataclass
 class HandYaw:
-    target: float
-    duration: float
+    target: float = ruled(FINITE)
+    duration: float = ruled(POSITIVE)
 
 
 def _cubic(tau: float) -> tuple[float, float]:
@@ -123,6 +113,8 @@ class MotionScript:
     Translations move the hand target; TorsoYaw turns only the torso while
     the hand grip stays put in the world, and HandYaw turns only the hand.
     Each segment starts where the previous one ended.  Every value is finite.
+    The script applies its segments' field rules, so that a message names
+    the segment's index and kind.
     """
 
     def __init__(self, segments, hand0, torso_yaw0: float = 0.0, hand_yaw0=None):
@@ -130,17 +122,13 @@ class MotionScript:
         self.hand0 = np.asarray(hand0, dtype=float).reshape(3)
         self.torso_yaw0 = float(torso_yaw0)
         self.hand_yaw0 = float(torso_yaw0 if hand_yaw0 is None else hand_yaw0)
-        start = ("hand0", "torso_yaw0", "hand_yaw0")
-        values = [(f"script {name}", getattr(self, name)) for name in start]
+        start = {n: getattr(self, n) for n in ("hand0", "torso_yaw0", "hand_yaw0")}
+        found = [f"script {n} {c}" for n, v in start.items() if (c := complaint(FINITE, v))]
         for i, seg in enumerate(self.segments):
-            kind = f"script segment {i} ({type(seg).__name__}):"
-            values += [(f"{kind} {name}", value) for name, value in vars(seg).items()]
-        for name, value in values:
-            floats = value.tolist() if isinstance(value, np.ndarray) else [value]
-            if not all(map(math.isfinite, floats)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if any(seg.duration <= 0.0 for seg in self.segments):
-            raise ValueError("script segment durations must be positive")
+            kind = f"{i} ({type(seg).__name__})"
+            found += [f"script segment {kind}: {c}" for c in problems(seg)]
+        if found:
+            raise ValueError("; ".join(found))
         # (start time, hand target triple, torso yaw, hand yaw) per segment.
         self._starts = []
         t = 0.0

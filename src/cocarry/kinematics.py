@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
+from ._rules import NON_NEGATIVE, POSITIVE, check, ruled
 from .geometry import Pose, quat_from_matrix
 
 BASE_DOFS = 3
@@ -40,24 +41,24 @@ class ArmJoint:
         _check_offset(self.offset, "joint offset")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KinematicModel:
-    """Planar base + arm chain + tool offset, with the damping schedule limits."""
+    """Planar base + arm chain + tool offset, with the damping schedule limits.
+    Frozen, with the arm a tuple, because the chain walk reads the links as
+    cached here: `dataclasses.replace` makes a changed copy."""
 
-    arm: list
+    arm: tuple
     ee_offset: Pose = field(default_factory=Pose)
-    w_threshold: float = 0.05
-    k_max: float = 0.1
+    w_threshold: float = ruled(POSITIVE, 0.05)
+    k_max: float = ruled(NON_NEGATIVE, 0.1)
 
     def __post_init__(self):
+        object.__setattr__(self, "arm", tuple(self.arm))
         if self.n_joints <= 6:
             raise KinematicsError(
                 f"redundancy requires more than 6 joints, model has {self.n_joints}"
             )
-        if not (0.0 < self.w_threshold < math.inf and 0.0 <= self.k_max < math.inf):
-            raise KinematicsError(
-                "w_threshold must be positive and k_max non-negative, both finite"
-            )
+        check(self, KinematicsError)
         for i, joint in enumerate(self.arm):
             _check_offset(joint.offset, f"arm joint {i} offset")
         _check_offset(self.ee_offset, "ee_offset")
@@ -68,7 +69,7 @@ class KinematicModel:
             R = pose.rotation_matrix()
             return None if np.array_equal(R, np.eye(3)) else tuple(R.ravel().tolist())
 
-        self._links = [
+        links = [
             (
                 tuple(j.offset.position.tolist()),
                 _flat_or_none(j.offset),
@@ -76,8 +77,9 @@ class KinematicModel:
             )
             for j in self.arm
         ]
-        self._ee_p = tuple(self.ee_offset.position.tolist())
-        self._ee_R = _flat_or_none(self.ee_offset)
+        object.__setattr__(self, "_links", links)
+        object.__setattr__(self, "_ee_p", tuple(self.ee_offset.position.tolist()))
+        object.__setattr__(self, "_ee_R", _flat_or_none(self.ee_offset))
 
     @property
     def n_arm(self) -> int:

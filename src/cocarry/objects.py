@@ -14,10 +14,11 @@ translation-only scenarios this is identical to a world-frame offset.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._rules import FINITE, NON_NEGATIVE, check, ruled
 from .geometry import yaw_from_quat
 
 
@@ -30,28 +31,18 @@ class ObjectModel:
     tension does not engage.
     """
 
-    rest_vector: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    axial_stiffness_tension: float = 0.0
-    axial_stiffness_compression: float = 0.0
-    lateral_stiffness: float = 0.0
-    damping: float = 0.0
-    slack_length: float = 0.0
-    ref_yaw: float = 0.0
+    rest_vector: np.ndarray = ruled(FINITE, default_factory=lambda: np.zeros(3))
+    axial_stiffness_tension: float = ruled(NON_NEGATIVE, 0.0)
+    axial_stiffness_compression: float = ruled(NON_NEGATIVE, 0.0)
+    lateral_stiffness: float = ruled(NON_NEGATIVE, 0.0)
+    damping: float = ruled(NON_NEGATIVE, 0.0)
+    slack_length: float = ruled(NON_NEGATIVE, 0.0)
+    ref_yaw: float = ruled(FINITE, 0.0)
     label: str = ""
 
     def __post_init__(self):
         self.rest_vector = np.asarray(self.rest_vector, dtype=float).reshape(3)
-        if not all(map(math.isfinite, [*self.rest_vector.tolist(), self.ref_yaw])):
-            raise ValueError("rest_vector and ref_yaw must be finite")
-        for name in (
-            "axial_stiffness_tension",
-            "axial_stiffness_compression",
-            "lateral_stiffness",
-            "damping",
-            "slack_length",
-        ):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        check(self)
 
     def with_rest(self, rest_vector: np.ndarray, ref_yaw: float = 0.0) -> "ObjectModel":
         """Copy of the model with the rest geometry bound to a scenario."""

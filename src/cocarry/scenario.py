@@ -1,21 +1,23 @@
 """Scenario configuration: one schema that both validates and builds.
 
 A scenario file is a YAML document mirroring ScenarioConfig.  Each key is
-declared once (end of module) with its type or shape, its range rule and the
-argument it fills.  An absent or null key leaves the dataclass default; an
+declared once (end of module) with its type or shape and the argument it
+fills.  A number read must hold to the range rule of the dataclass field it
+fills, stated on that field (`_rules`); the class applies the same rule when
+built from Python.  An absent or null key leaves the dataclass default; an
 undeclared key is an error.  One pass collects every problem, including what
 the built objects' own checks raise, or returns the ScenarioConfig.
 """
 
 import importlib.resources
 import math
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, complaint, field_rules, ruled
 from .aci import AciParams, AdmittanceParams, Mode
 from .geometry import Pose
 from .human import (
@@ -42,11 +44,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class Waypoint:
-    offset: np.ndarray
-    tolerance: float = 0.02
+    offset: np.ndarray = ruled(FINITE)
+    tolerance: float = ruled(POSITIVE, 0.02)
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float).reshape(3)
+        check(self)
 
 
 @dataclass(kw_only=True)
@@ -55,7 +58,7 @@ class ScenarioConfig:
 
     name: str = "scenario"
     model: KinematicModel
-    q0: np.ndarray | None = None  # None: every joint at zero
+    q0: np.ndarray | None = ruled(FINITE, None)  # None: every joint at zero
     mode: Mode = Mode.ACI
     wbc: WbcParams
     admittance: AdmittanceParams
@@ -63,22 +66,28 @@ class ScenarioConfig:
     human: HumanParams
     object_model: ObjectModel
     script: MotionScript
-    hand0: np.ndarray
-    torso0: np.ndarray
-    torso_yaw0: float = 0.0
-    hand_yaw0: float | None = None
+    hand0: np.ndarray = ruled(FINITE)
+    torso0: np.ndarray = ruled(FINITE)
+    torso_yaw0: float = ruled(FINITE, 0.0)
+    hand_yaw0: float | None = ruled(FINITE, None)
     waypoints: list = field(default_factory=list)
-    intervals: list = field(default_factory=list)
-    waypoint_speed: float = 0.05
-    dt: float = 1e-3
-    duration: float = 10.0
-    seed: int = 0
+    intervals: list = field(default_factory=list)  # (start, end) pairs
+    waypoint_speed: float = ruled(POSITIVE, 0.05)
+    dt: float = ruled(POSITIVE, 1e-3)
+    duration: float = ruled(POSITIVE, 10.0)
+    seed: int = ruled(NON_NEGATIVE, 0)
     trace_path: str | None = None
     metrics_path: str | None = None
 
     def __post_init__(self):
         if self.q0 is None:
             self.q0 = np.zeros(self.model.n_joints)
+        check(self)
+        if len(self.q0) != self.model.n_joints:
+            raise ValueError(f"q0 must have {self.model.n_joints} entries, got {self.q0}")
+        for i, (lo, hi) in enumerate(self.intervals):
+            if problem := _interval_problem(lo, hi, self.duration):
+                raise ValueError(f"intervals[{i}] {problem}")
         # The human starts where its script does, the rest of the run here.
         yaw = self.torso_yaw0 if self.hand_yaw0 is None else self.hand_yaw0
         start = {"hand0": self.hand0, "torso_yaw0": self.torso_yaw0, "hand_yaw0": yaw}
@@ -123,7 +132,8 @@ def _read(raw: dict) -> tuple:
     """The one pass: (ScenarioConfig, []) or (None, every problem found)."""
     top = {}
     try:
-        return ScenarioConfig(**_fields(raw, "", _SCENARIO, top, top)), []
+        rules = field_rules(ScenarioConfig)
+        return ScenarioConfig(**_fields(raw, "", _SCENARIO, top, top, rules)), []
     except _Invalid as exc:
         return None, list(exc.args)
 
@@ -143,13 +153,12 @@ class _Key(NamedTuple):
 
 
 REQUIRED = object()  # as `absent`: a missing key is an error
-POSITIVE = ("positive", lambda v: v > 0)
-NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
 
 
-def _fields(raw, path: str, keys: dict, top: dict, out: dict) -> dict:
-    """Read a mapping of declared keys into `out` as {argument: value};
-    `top` holds the top-level arguments read so far (a key may need one)."""
+def _fields(raw, path: str, keys: dict, top: dict, out: dict, rules: dict) -> dict:
+    """Read a mapping of declared keys into `out` as {argument: value}, each
+    number held to `rules` of its argument; `top` holds the top-level
+    arguments read so far (a key may need one)."""
     if not isinstance(raw, dict):
         raise _Invalid(f"field '{path}' must be a mapping, got {raw!r}")
     errors = [f"unknown field '{_sub(path, k)}'" for k in raw if k not in keys]
@@ -160,12 +169,24 @@ def _fields(raw, path: str, keys: dict, top: dict, out: dict) -> dict:
             errors.append(f"missing required field '{_sub(path, key)}'")
         elif val is not None:
             try:
-                out[to or key] = read(val, _sub(path, key), top)
+                value = read(val, _sub(path, key), top)
+                rule = rules.get(to or key)
+                if rule and not isinstance(val, dict) and complaint(rule, value):
+                    _hold(rule, val, _sub(path, key))  # a mapping's block held its own
+                out[to or key] = value
             except _Invalid as exc:
                 errors.extend(exc.args)
     if errors:
         raise _Invalid(*errors)
     return out
+
+
+def _hold(rule: str, val, path: str):
+    """Refuse the first number of `val` (one, or a list, as written) that
+    breaks `rule`, naming its path."""
+    for i, v in enumerate(val) if isinstance(val, list) else [(None, val)]:
+        if found := complaint(rule, v):
+            raise _Invalid(f"field '{path if i is None else _sub(path, i)}' {found}")
 
 
 def _sub(path: str, key) -> str:
@@ -181,10 +202,12 @@ def _build(path: str, make: Callable, *args, **kwargs):
         raise _Invalid(f"{path}: {exc}") from None
 
 
-def _block(make: Callable, keys: dict) -> Callable:
-    """A mapping of declared keys, built into make(**arguments)."""
+def _block(make: Callable, keys: dict, rules: dict | None = None) -> Callable:
+    """A mapping of declared keys, built into make(**arguments); `rules`
+    defaults to the field rules of `make`."""
+    rules = field_rules(make) if rules is None else rules
     def read(val, path, top):
-        return _build(path, make, **_fields(val, path, keys, top, {}))
+        return _build(path, make, **_fields(val, path, keys, top, {}, rules))
     return read
 
 
@@ -194,27 +217,28 @@ def _list(read_entry: Callable) -> Callable:
         if not isinstance(val, list):
             raise _Invalid(f"field '{path}' must be a list, got {val!r}")
         keys = dict.fromkeys(range(len(val)), _Key(read_entry, absent=REQUIRED))
-        return list(_fields(dict(enumerate(val)), path, keys, top, {}).values())
+        return list(_fields(dict(enumerate(val)), path, keys, top, {}, {}).values())
     return read
 
 
-def _number(rule=None, whole=False) -> Callable:
+def _number(whole=False) -> Callable:
     def read(val, path, top):
         kinds = int if whole else (int, float)
         if not isinstance(val, kinds) or isinstance(val, bool):
             what = "an integer" if whole else "a number"
             raise _Invalid(f"field '{path}' must be {what}, got {val!r}")
-        if not whole and not abs(val) <= sys.float_info.max:  # inf, nan, 10**400
-            raise _Invalid(f"field '{path}' must be finite, got {val}")
-        if rule and not rule[1](val):
-            raise _Invalid(f"field '{path}' must be {rule[0]}, got {val}")
-        return val if whole else float(val)
+        if whole:
+            return val
+        try:
+            return float(val)
+        except OverflowError:  # an integer beyond every float, e.g. 10**400
+            return math.inf if val > 0 else -math.inf
     return read
 
 
-def _vector(size, rule=None) -> Callable:
+def _vector(size) -> Callable:
     """A list of numbers; `size` is a count or "joints" (the model's)."""
-    entry = _number(rule)
+    entry = _number()
     def read(val, path, top):
         n = size
         if size == "joints":
@@ -245,7 +269,9 @@ def _object(val, path, top):
         val = {"preset": val}
     if not isinstance(val, dict):
         raise _Invalid(f"field '{path}' must be a preset name or a mapping")
-    return _OBJECT(val, path, top)
+    kwargs = _fields(val, path, _OBJECT, top, {}, field_rules(ObjectModel))
+    # Over a preset, or over ObjectModel's defaults.
+    return _build(path, replace, kwargs.pop("base", None) or ObjectModel(), **kwargs)
 
 
 def _model(arm=None, **kwargs) -> KinematicModel:
@@ -256,7 +282,7 @@ def _model(arm=None, **kwargs) -> KinematicModel:
 
 
 def _wbc(val, path, top):
-    kwargs = _fields(val, path, _WBC, top, {})
+    kwargs = _fields(val, path, _WBC, top, {}, _WBC_RULES)
     if "model" not in top:
         raise _Invalid()  # reported under 'model'
     kwargs.setdefault("q_def", top.get("q0"))
@@ -268,7 +294,7 @@ def _segment(val, path, top):
     if len(kinds) != 1:
         one_of = "/".join(_SEGMENTS)
         raise _Invalid(f"{path} must be a mapping with exactly one of {one_of}")
-    return _SEGMENTS[kinds[0]](val, path, top)
+    return _block(*_SEGMENTS[kinds[0]])(val, path, top)
 
 
 def _script(val, path, top):
@@ -281,12 +307,17 @@ def _script(val, path, top):
     return _build(path, MotionScript, segments, top["hand0"], **start)
 
 
+def _interval_problem(lo: float, hi: float, duration: float) -> str:
+    """What is wrong with the reporting interval [lo, hi), or ''."""
+    if not 0.0 <= lo < hi:  # a NaN bound fails too
+        return "must satisfy 0 <= start < end"
+    return "" if hi <= duration else "ends after the configured duration"
+
+
 def _interval(val, path, top):
     lo, hi = _vector(2)(val, path, top).tolist()
-    if lo < 0 or hi <= lo:
-        raise _Invalid(f"{path} must satisfy 0 <= start < end")
-    if hi > top.get("duration", math.inf):
-        raise _Invalid(f"{path} ends after the configured duration")
+    if problem := _interval_problem(lo, hi, top.get("duration", math.inf)):
+        raise _Invalid(f"{path} {problem}")
     return (lo, hi)
 
 
@@ -302,72 +333,65 @@ _JOINT = _block(
 _MODEL = {
     "arm": _list(_JOINT),
     "ee_offset": _block(Pose.from_xyz_rpy, _POSE),
-    "w_threshold": _number(POSITIVE),
-    "k_max": _number(NON_NEGATIVE),
+    "w_threshold": _number(),
+    "k_max": _number(),
 }
 
 _WBC = {
     "q_def": _vector("joints"),
-    "base_lin_limit": _number(POSITIVE),
-    "base_ang_limit": _number(POSITIVE),
-    "arm_limit": _number(POSITIVE),
+    "base_lin_limit": _number(),
+    "base_ang_limit": _number(),
+    "arm_limit": _number(),
     "k_gain": _vector(6),
-    "w_task": _vector(6, POSITIVE),
+    "w_task": _vector(6),
     "posture_gain": _number(),
 }
+# The limit scalars fill entries of qdot_limits, so they hold to its rule.
+_WBC_RULES = field_rules(WbcParams) | dict.fromkeys(
+    ("base_lin_limit", "base_ang_limit", "arm_limit"), field_rules(WbcParams)["qdot_limits"]
+)
 
-_ADMITTANCE = {"mass": _vector(3, POSITIVE), "damping": _vector(3, POSITIVE)}
+_ADMITTANCE = {"mass": _vector(3), "damping": _vector(3)}
 
-_ACI = {
-    "window_length": _number(POSITIVE),
-    "epsilon": _number(POSITIVE),
-    "deadband": _number(NON_NEGATIVE),
-    "lower_angle": _number(),  # 0 < lower < upper: AciParams checks it
-    "upper_angle": _number(),
-    "velocity_threshold": _number(POSITIVE),
-    "rotation_rate": _number(POSITIVE),
-    "min_rotation_duration": _number(POSITIVE),
-}
+_ACI = {f.name: _number() for f in fields(AciParams)}  # each field a number key
 
 _NOISE = {  # standard deviation of each measured channel
-    channel: _number(NON_NEGATIVE) for channel in NOISE_CHANNELS
+    channel: _number() for channel in NOISE_CHANNELS
 }
 
 _HUMAN = {
-    "mass": _Key(_number(POSITIVE), "hand_mass"),
-    "stiffness": _Key(_number(NON_NEGATIVE), "hand_stiffness"),
-    "damping": _Key(_number(NON_NEGATIVE), "hand_damping"),
-    "velocity_deadband": _number(NON_NEGATIVE),
-    "yaw_filter_cutoff": _number(POSITIVE),
-    "noise": _block(dict, _NOISE),
+    "mass": _Key(_number(), "hand_mass"),
+    "stiffness": _Key(_number(), "hand_stiffness"),
+    "damping": _Key(_number(), "hand_damping"),
+    "velocity_deadband": _number(),
+    "yaw_filter_cutoff": _number(),
+    # Each channel's std fills an entry of `noise`, so it holds to its rule.
+    "noise": _block(dict, _NOISE, dict.fromkeys(_NOISE, field_rules(HumanParams)["noise"])),
 }
 
-_OBJECT = _block(  # over a preset, or over ObjectModel's defaults
-    lambda base=None, **kwargs: replace(base or ObjectModel(), **kwargs),
-    {
-        "preset": _Key(_string("object preset", presets()), "base"),
-        "axial_stiffness_tension": _number(NON_NEGATIVE),
-        "axial_stiffness_compression": _number(NON_NEGATIVE),
-        "lateral_stiffness": _number(NON_NEGATIVE),
-        "damping": _number(NON_NEGATIVE),
-        "slack_length": _number(NON_NEGATIVE),
-        "label": _string(),
-    },
-)
+_OBJECT = {
+    "preset": _Key(_string("object preset", presets()), "base"),
+    "axial_stiffness_tension": _number(),
+    "axial_stiffness_compression": _number(),
+    "lateral_stiffness": _number(),
+    "damping": _number(),
+    "slack_length": _number(),
+    "label": _string(),
+}
 
 # A segment's kind is the key that holds its main value.
-_DURATION = _Key(_number(POSITIVE), "duration", REQUIRED)
+_DURATION = _Key(_number(), "duration", REQUIRED)
 _TIMED = {"duration": _DURATION}
 _SEGMENTS = {
-    "hold": _block(Hold, {"hold": _DURATION}),
-    "translate": _block(Translate, {"translate": _Key(_vector(3), "offset"), **_TIMED}),
-    "torso_yaw": _block(TorsoYaw, {"torso_yaw": _Key(_number(), "target"), **_TIMED}),
-    "hand_yaw": _block(HandYaw, {"hand_yaw": _Key(_number(), "target"), **_TIMED}),
+    "hold": (Hold, {"hold": _DURATION}),
+    "translate": (Translate, {"translate": _Key(_vector(3), "offset"), **_TIMED}),
+    "torso_yaw": (TorsoYaw, {"torso_yaw": _Key(_number(), "target"), **_TIMED}),
+    "hand_yaw": (HandYaw, {"hand_yaw": _Key(_number(), "target"), **_TIMED}),
 }
 
 _WAYPOINT = {
     "offset": _Key(_vector(3), absent=REQUIRED),
-    "tolerance": _number(POSITIVE),
+    "tolerance": _number(),
 }
 
 # In reading order: `model` before the joint vectors, `duration` before
@@ -377,9 +401,9 @@ _SCENARIO = {
     "name": _string(),
     "mode": _string("mode", {m.value: m for m in Mode}),
     "duration": _DURATION,
-    "dt": _number(POSITIVE),
-    "seed": _number(NON_NEGATIVE, whole=True),
-    "model": _Key(_block(_model, _MODEL), absent={}),
+    "dt": _number(),
+    "seed": _number(whole=True),
+    "model": _Key(_block(_model, _MODEL, field_rules(KinematicModel)), absent={}),
     "q0": _vector("joints"),
     "wbc": _Key(_wbc, absent={}),
     "admittance": _Key(_block(AdmittanceParams, _ADMITTANCE), absent={}),
@@ -392,7 +416,7 @@ _SCENARIO = {
     "hand_yaw0": _number(),
     "script": _Key(_script, absent=REQUIRED),
     "waypoints": _list(_block(Waypoint, _WAYPOINT)),
-    "waypoint_speed": _number(POSITIVE),
+    "waypoint_speed": _number(),
     "intervals": _list(_interval),
     "trace_path": _string(),
     "metrics_path": _string(),

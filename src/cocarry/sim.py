@@ -343,10 +343,6 @@ class Simulation:
         )
 
 
-def run_scenario(config: ScenarioConfig) -> tuple[Trace, Metrics]:
-    return Simulation(config).run()
-
-
 def alignment_metric(trace: Trace) -> float:
     """Time-averaged drift of the hand-to-EE arrangement from its first row.
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, ruled
 from .geometry import pose_error
 from .kinematics import BASE_DOFS, ChainState, KinematicModel, damping_factor
 
@@ -39,13 +40,13 @@ class WbcParams:
     are formed once here: `dataclasses.replace` makes a changed copy.
     """
 
-    k_gain: np.ndarray
-    w_task: np.ndarray
-    w_damp: np.ndarray
-    w_posture: np.ndarray
-    q_def: np.ndarray
-    qdot_limits: np.ndarray
-    posture_gain: float = 0.5
+    k_gain: np.ndarray = ruled(FINITE)
+    w_task: np.ndarray = ruled(POSITIVE)
+    w_damp: np.ndarray = ruled(POSITIVE)
+    w_posture: np.ndarray = ruled(NON_NEGATIVE)
+    q_def: np.ndarray = ruled(FINITE)
+    qdot_limits: np.ndarray = ruled(POSITIVE)
+    posture_gain: float = ruled(FINITE, 0.5)
     # posture_gain * w_posture, -qdot_limits and k_gain as 6 floats.
     _posture_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _lower_limits: np.ndarray = field(init=False, repr=False, compare=False)
@@ -54,8 +55,6 @@ class WbcParams:
     def __post_init__(self):
         def put(name, value, size=-1):
             value = np.array(value, dtype=float).reshape(size)
-            if not np.isfinite(value).all():
-                raise WbcError(f"{name} must be finite")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -65,17 +64,10 @@ class WbcParams:
         put("w_posture", self.w_posture)
         put("q_def", self.q_def)
         put("qdot_limits", self.qdot_limits)
-        if not math.isfinite(self.posture_gain):
-            raise WbcError("posture_gain must be finite")
+        check(self, WbcError)
         put("_posture_scale", self.posture_gain * self.w_posture)
         put("_lower_limits", -self.qdot_limits)
         object.__setattr__(self, "_k_gain", self.k_gain.tolist())
-        if np.any(self.w_task <= 0.0) or np.any(self.w_damp <= 0.0):
-            raise WbcError("task and damping weights must be positive")
-        if np.any(self.w_posture < 0.0):
-            raise WbcError("posture weights must be non-negative")
-        if np.any(self.qdot_limits <= 0.0):
-            raise WbcError("velocity limits must be positive")
 
     @classmethod
     def defaults(
@@ -88,7 +80,8 @@ class WbcParams:
         **fields,
     ) -> "WbcParams":
         """The standard gains and weights for `model`; keyword `fields`
-        (k_gain, w_task, posture_gain, ...) replace single entries."""
+        (k_gain, w_task, posture_gain, ...) replace single entries.  The
+        limit scalars fill `qdot_limits` and so hold to its rule."""
         m = model.n_joints
         if q_def is None:
             q_def = np.zeros(m)
@@ -166,10 +159,10 @@ def compute(
     The still-tick rule: the chain keeps its last command and returns it
     again while the other inputs keep their bits: the 13 reference floats,
     packed (a 0.0 that turns -0.0 counts as a change), the same `params`
-    object and the same damping factor k (the model is mutable; k is what
-    the command reads of it).  A still robot keeps its chain, so under a
-    still reference it solves once.  A call that raises keeps nothing.
-    Every call returns an array of its own.
+    object and the same damping factor k (what the command reads of the
+    model).  A still robot keeps its chain, so under a still reference it
+    solves once.  A call that raises keeps nothing.  Every call returns an
+    array of its own.
     """
     reference = _REFERENCE.pack(*x_d, *xdot_d)
     k = damping_factor(chain.manipulability, model)

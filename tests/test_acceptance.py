@@ -31,7 +31,7 @@ from cocarry.geometry import (
 from cocarry.kinematics import chain_state, default_model, forward_kinematics
 from cocarry.objects import ObjectModel, object_wrench
 from cocarry.scenario import load_scenario, scenario_path
-from cocarry.sim import run_scenario
+from cocarry.sim import Simulation
 from cocarry.wbc import WbcParams, solve_tracking, tracking_objective
 
 EE_P = ["ee_px", "ee_py", "ee_pz"]
@@ -371,7 +371,7 @@ def test_criterion_09_determinism(tmp_path):
             cfg = load_scenario(
                 scenario_path(name), overrides={**overrides, "trace_path": str(path)}
             )
-            run_scenario(cfg)
+            Simulation(cfg).run()
             blobs.append(path.read_bytes())
         pairs.append((name, blobs[0] == blobs[1] and len(blobs[0]) > 1000))
     verdict(9, [(f"{name} reruns byte-identical", same) for name, same in pairs])

@@ -1,6 +1,7 @@
 """Scripted partner: impedance hand and yaw channels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ def test_noise_settings_validated():
     # A misspelt channel or a negative std would otherwise run without noise.
     with pytest.raises(ValueError, match="unknown noise channel 'hand_positon'"):
         HumanParams(noise={"hand_positon": 5e-4})
-    with pytest.raises(ValueError, match="noise std of torso_yaw must be non-negative"):
+    with pytest.raises(ValueError, match=re.escape("noise must be non-negative, got {'torso_yaw'")):
         HumanParams(noise={"torso_yaw": -1.0})
     HumanParams(noise=dict.fromkeys(NOISE_CHANNELS, 0.0))
 

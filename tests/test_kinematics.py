@@ -5,6 +5,7 @@ Jacobian oracle uses central finite differences of the FK.
 """
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,25 @@ def test_model_validation():
         KinematicModel(arm=[ArmJoint(axis=[0, 0, 1.0]) for _ in range(3)])
     with pytest.raises(KinematicsError):
         default_model(w_threshold=0.0)
+
+
+def test_model_cannot_change_under_its_cached_chain():
+    # The chain walk reads the links cached at construction.  A tool offset
+    # set in place used to leave the chain at the old one, and a NaN
+    # w_threshold set in place went unchecked.
+    model = default_model()
+    with pytest.raises(FrozenInstanceError):
+        model.ee_offset = Pose([0.0, 0.0, 0.5])
+    with pytest.raises(FrozenInstanceError):
+        model.w_threshold = math.nan
+    assert isinstance(model.arm, tuple)
+    longer = replace(model, ee_offset=Pose([0.0, 0.0, 0.5]))
+    np.testing.assert_allclose(
+        chain_state(longer, np.zeros(9)).pose[:3], fk_oracle(longer, np.zeros(9))[:3, 3]
+    )
+    assert chain_state(longer, np.zeros(9)).pose[2] == pytest.approx(1.475)
+    with pytest.raises(KinematicsError, match="w_threshold must be finite"):
+        replace(model, w_threshold=math.nan)
 
 
 def _model_with_joint_offset(v):

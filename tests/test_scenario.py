@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 import yaml
 
-from cocarry.aci import Mode
+from cocarry import scenario
+from cocarry._rules import FINITE, field_rules
+from cocarry.aci import AciParams, AdmittanceParams, Mode
 from cocarry.human import HumanParams, MotionScript
-from cocarry.kinematics import ArmJoint, default_model
+from cocarry.kinematics import ArmJoint, KinematicModel, default_model
 from cocarry.objects import ObjectModel
 from cocarry.scenario import (
     ConfigError,
     ScenarioConfig,
+    Waypoint,
     load_scenario,
     scenario_path,
     validate_config,
@@ -293,6 +296,117 @@ def test_parameter_classes_reject_non_finite_values(build, value):
     match = "unit vector" if build == "joint.axis" else "finite"
     with pytest.raises((ValueError, WbcError), match=match):
         NON_FINITE_BUILDS[build](value)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda cfg: replace(cfg, dt=0.0), "dt must be positive"),  # ZeroDivisionError
+        (lambda cfg: replace(cfg, dt=-1e-3), "dt must be positive"),  # ran 0 ticks
+        (lambda cfg: replace(cfg, dt=math.nan), "dt must be finite"),
+        (lambda cfg: replace(cfg, duration=math.nan), "duration must be finite"),
+        (lambda cfg: replace(cfg, seed=-1), "seed must be non-negative"),
+        (lambda cfg: replace(cfg, q0=np.zeros(4)), "q0 must have 9 entries"),
+        (lambda cfg: replace(cfg, intervals=[(0.5, 99.0)]), "intervals[0] ends after"),
+        (lambda cfg: Waypoint([0.1, 0, 0], tolerance=-1.0), "tolerance must be positive"),
+        (lambda cfg: Waypoint([math.nan, 0, 0]), "offset must be finite"),
+    ],
+    ids=["dt_zero", "dt_negative", "dt_nan", "duration_nan", "seed_negative", "q0_length",
+         "interval_end", "waypoint_tolerance", "waypoint_offset"],  # fmt: skip
+)
+def test_python_built_config_obeys_the_reader_rules(build, name):
+    # Built from Python these ran into a bare ZeroDivisionError, NaN metrics
+    # from zero ticks, numpy's "expected non-negative integer", or nothing.
+    cfg = load_scenario(scenario_path("smoke"))
+    with pytest.raises(ValueError, match=re.escape(name)):
+        build(cfg)
+
+
+# A script with a segment of each kind, and each kind's segment alone.
+SEGMENTS = {
+    "hold": {"hold": 0.5},
+    "translate": {"translate": [0.2, 0, 0], "duration": 1.0},
+    "torso_yaw": {"torso_yaw": 0.1, "duration": 1.0},
+    "hand_yaw": {"hand_yaw": 0.1, "duration": 1.0},
+}
+# The reader's parameter blocks: a label, the key declarations, the
+# dataclass whose fields they fill, and how a key's value patches GOOD.
+BLOCKS = [
+    ("", scenario._SCENARIO, ScenarioConfig, lambda k, v: {k: v}),
+    ("model", scenario._MODEL, KinematicModel, lambda k, v: {"model": {k: v}}),
+    ("wbc", scenario._WBC, WbcParams, lambda k, v: {"wbc": {k: v}}),
+    ("admittance", scenario._ADMITTANCE, AdmittanceParams, lambda k, v: {"admittance": {k: v}}),
+    ("aci", scenario._ACI, AciParams, lambda k, v: {"aci": {k: v}}),
+    ("human", scenario._HUMAN, HumanParams, lambda k, v: {"human": {k: v}}),
+    ("human.noise", scenario._NOISE, HumanParams, lambda k, v: {"human": {"noise": {k: v}}}),
+    ("object", scenario._OBJECT, ObjectModel, lambda k, v: {"object": {"preset": "rigid_rod", k: v}}),
+    ("waypoints[0]", scenario._WAYPOINT, Waypoint, lambda k, v: {"waypoints": [{"offset": [0.2, 0, 0], k: v}]}),
+    *[
+        (f"script[0]:{kind}", keys, make, lambda k, v, kind=kind: {"script": [{**SEGMENTS[kind], k: v}]})
+        for kind, (make, keys) in scenario._SEGMENTS.items()
+    ],
+]  # fmt: skip
+# The WBC limit scalars fill entries of qdot_limits, not a field of their own.
+LIMITS = ("base_lin_limit", "base_ang_limit", "arm_limit")
+
+
+def numeric_keys():
+    """Every number or vector key the blocks declare: (label, key, whether it
+    is a vector, holder, the argument it fills, patch)."""
+    for label, keys, holder, patch in BLOCKS:
+        for key, decl in keys.items():
+            read, to = (decl.read, decl.to) if isinstance(decl, scenario._Key) else (decl, None)
+            kind = read.__qualname__.split(".")[0]
+            if kind in ("_number", "_vector"):
+                args = (label, key, kind == "_vector", holder, to or key, patch)
+                yield pytest.param(*args, id=scenario._sub(label, key))
+
+
+# A value that breaks each rule; an integer where one will do (seed is one).
+BAD = {FINITE: math.inf, "positive": 0, "non-negative": -1}
+
+
+@pytest.mark.parametrize("label, key, vector, holder, arg, patch", list(numeric_keys()))
+def test_one_rule_two_paths(label, key, vector, holder, arg, patch):
+    # Each number the reader declares holds to the rule of the field it
+    # fills, stated once on that field: YAML and Python refuse alike.
+    field = "noise" if label == "human.noise" else "qdot_limits" if arg in LIMITS else arg
+    rules = field_rules(holder)
+    assert field in rules, f"{holder.__name__}.{field} states no rule"
+    rule = rules[field]
+    raw = yaml.safe_load(yaml.safe_dump({**GOOD, "script": list(SEGMENTS.values())}))
+    cfg = scenario._read(raw)[0]
+    kind = label.partition(":")[2]
+    instance = {
+        ScenarioConfig: cfg,
+        KinematicModel: cfg.model,
+        WbcParams: cfg.wbc,
+        AdmittanceParams: cfg.admittance,
+        AciParams: cfg.aci,
+        HumanParams: cfg.human,
+        ObjectModel: cfg.object_model,
+        Waypoint: cfg.waypoints[0],
+    }.get(holder) or cfg.script.segments[list(SEGMENTS).index(kind)]
+    value = [BAD[rule]] * len(getattr(instance, arg)) if vector else BAD[rule]
+
+    # From YAML: named by the key's path, its first entry for a vector.
+    path = scenario._sub(label.partition(":")[0], key)
+    where = f"{path}[0]" if vector else path
+    errors = validate_config({**raw, **patch(key, value)})
+    assert f"field '{where}' must be {rule}" in "\n".join(errors), errors
+
+    # From Python: named by the field.
+    def build():
+        if field == "noise":
+            return replace(instance, noise={key: value})
+        if arg in LIMITS:
+            return WbcParams.defaults(cfg.model, **{arg: value})
+        changed = replace(instance, **{arg: np.array(value) if vector else value})
+        # A segment's rules apply when a script takes it.
+        return MotionScript([changed], cfg.hand0) if kind else changed
+
+    with pytest.raises((ValueError, WbcError), match=f"{field} must be {rule}"):
+        build()
 
 
 def test_packaged_scenarios_load():

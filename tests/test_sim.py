@@ -23,7 +23,6 @@ from cocarry.sim import (
     alignment_metric,
     interval_stats,
     read_trace,
-    run_scenario,
     trace_columns,
     write_metrics,
     write_trace,
@@ -264,7 +263,7 @@ def test_deterministic_traces_bitwise(tmp_path):
     paths = [str(tmp_path / f"run{i}.csv") for i in range(2)]
     for p in paths:
         cfg = load_scenario(scenario_path("smoke"), overrides={"trace_path": p})
-        run_scenario(cfg)
+        Simulation(cfg).run()
     b0 = open(paths[0], "rb").read()
     b1 = open(paths[1], "rb").read()
     assert b0 == b1
@@ -282,7 +281,7 @@ def test_timestep_refinement_first_order(tmp_path):
             script=[{"hold": 0.1}, {"translate": [0.3, 0, 0], "duration": 1.0}, {"hold": 0.1}],
             human={"velocity_deadband": 0.0},
         )
-        trace, _ = run_scenario(cfg)
+        trace, _ = Simulation(cfg).run()
         finals.append(trace[EE_P][-1].copy())
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
@@ -412,7 +411,7 @@ def test_command_solved_only_when_its_inputs_change_bits(scenario, monkeypatch):
 
 def test_rigid_admittance_completes_with_low_alpha():
     cfg = load_scenario(scenario_path("rigid_rod"), overrides={"mode": "admittance"})
-    _, metrics = run_scenario(cfg)
+    _, metrics = Simulation(cfg).run()
     assert metrics.completed
     assert metrics.t_c < cfg.duration
     assert all(a < 0.1 for a in metrics.interval_alpha)
@@ -422,7 +421,7 @@ def test_rigid_admittance_completes_with_low_alpha():
 
 def test_rope_teleop_completes_with_high_alpha():
     cfg = load_scenario(scenario_path("slack_rope"), overrides={"mode": "teleop"})
-    _, metrics = run_scenario(cfg)
+    _, metrics = Simulation(cfg).run()
     assert metrics.completed
     assert all(a > 0.99 for a in metrics.interval_alpha)
 
@@ -435,7 +434,7 @@ def test_early_stop_degrades_unreached_intervals(tmp_path):
         waypoints=[{"offset": [0.1, 0, 0], "tolerance": 0.03}],
         intervals=[[0.2, 0.9], [4.0, 4.5]],
     )
-    trace, metrics = run_scenario(cfg)
+    trace, metrics = Simulation(cfg).run()
     assert metrics.completed
     assert len(trace) < int(round(cfg.duration / cfg.dt))  # stopped early
     assert trace["t"][-1] == metrics.waypoint_times[-1]
@@ -621,7 +620,7 @@ def test_trace_column_blocks():
 def test_run_trace_equals_its_file_bitwise(tmp_path):
     path = str(tmp_path / "smoke.csv")
     cfg = load_scenario(scenario_path("smoke"), overrides={"trace_path": path})
-    trace, _ = run_scenario(cfg)
+    trace, _ = Simulation(cfg).run()
     loaded = read_trace(path)
     assert loaded.columns == trace.columns
     assert loaded.data.shape == trace.data.shape == (1200, 49)
@@ -642,7 +641,7 @@ def test_header_only_trace_reads_back_empty(tmp_path):
         scenario_path("smoke"),
         overrides={"duration": 0.0004, "intervals": [], "trace_path": path},
     )
-    trace, _ = run_scenario(cfg)
+    trace, _ = Simulation(cfg).run()
     loaded = read_trace(path)
     assert len(trace) == len(loaded) == 0
     assert loaded.columns == trace.columns

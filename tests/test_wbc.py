@@ -395,7 +395,7 @@ def test_changed_input_misses_the_kept_command(change, counted_solves):
         params = replace(params)  # equal values, another object
     else:
         k_before = damping_factor(chain.manipulability, model)
-        model.w_threshold = 2.0 * chain.manipulability
+        model = replace(model, w_threshold=2.0 * chain.manipulability)
         assert damping_factor(chain.manipulability, model) != k_before
     out = wbc.compute(model, x_d, xdot_d, params, chain=chain)
     assert len(counted_solves) == 2
