@@ -7,6 +7,7 @@ failures during simulation or output writing.
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .aci import Mode
 from .objects import presets
@@ -65,8 +66,7 @@ def cmd_compare(args) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        config.trace_path = None
-        config.metrics_path = None
+        config = replace(config, trace_path=None, metrics_path=None)
         try:
             _, metrics = Simulation(config).run()
         except SimulationError as exc:

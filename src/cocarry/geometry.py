@@ -184,6 +184,8 @@ class Pose:
     @classmethod
     def from_xyz_rpy(cls, xyz=(0.0, 0.0, 0.0), rpy=(0.0, 0.0, 0.0)) -> "Pose":
         roll, pitch, yaw = rpy
+        if not all(map(math.isfinite, (roll, pitch, yaw))):  # before np.cos warns
+            raise ValueError(f"rpy must be finite, got {[float(a) for a in rpy]}")
         q = quat_multiply(
             quat_from_yaw(yaw),
             quat_multiply(

@@ -253,38 +253,45 @@ class SimulatedHuman:
 
         return self._measure(target_pos, torso_yaw, hand_yaw)
 
-    def _jitter(self, key: str, n: int = 0):
-        """Measurement noise for one channel, a float or (n > 0) a list of n;
-        exactly zero when unconfigured.
+    def _jitter(self) -> list:
+        """The tick's measurement noise, 8 floats: 3 for the hand position,
+        3 for the hand velocity, 1 each for the torso and hand yaw; exactly
+        zero for an unconfigured channel, which draws nothing.
 
         Each value is 0.0 + std * z for the next standard normal z of the
-        generator, which is how `rng.normal(0.0, std)` forms it, so the values
-        are bitwise those of one `rng.normal` call per channel and tick.
+        generator, in that order, which is how `rng.normal(0.0, std)` forms
+        it, so the values are bitwise those of one `rng.normal` call per
+        configured channel and tick.
         """
-        std = self.params.noise.get(key, 0.0)
-        if std <= 0.0:
-            return [0.0] * n if n else 0.0
-        m = n or 1
+        noise = self.params.noise
+        p, v, t, h = [noise.get(channel, 0.0) for channel in NOISE_CHANNELS]
+        stds = (p, p, p, v, v, v, t, h)
         z, i = self._normals, self._next_normal
-        if i + m > len(z):
+        if i + len(stds) > len(z) and any(stds):
             z = z[i:] + self.rng.standard_normal(_NOISE_BLOCK).tolist()
             self._normals, i = z, 0
-        self._next_normal = i + m
-        if not n:
-            return 0.0 + std * z[i]
-        return [0.0 + std * v for v in z[i : i + m]]
+        jitter = []
+        for std in stds:
+            if std > 0.0:
+                jitter.append(0.0 + std * z[i])
+                i += 1
+            else:
+                jitter.append(0.0)
+        self._next_normal = i
+        return jitter
 
     def _measure(self, target_pos, torso_yaw: float, hand_yaw: float) -> HumanState:
         # Zero jitter is added too: x + 0.0 turns a -0.0 into 0.0, and the
         # measured values keep those bits.
-        jitter = self._jitter("hand_position", 3)
-        hand_pos = tuple([x + j for x, j in zip(self.hand_position, jitter)])
-        jitter = self._jitter("hand_velocity", 3)
-        hand_vel = tuple([v + j for v, j in zip(self.hand_velocity, jitter)])
+        jx, jy, jz, jvx, jvy, jvz, j_torso, j_hand = self._jitter()
+        x, y, z = self.hand_position
+        hand_pos = (x + jx, y + jy, z + jz)
+        vx, vy, vz = self.hand_velocity
+        hand_vel = (vx + jvx, vy + jvy, vz + jvz)
         if math.hypot(*hand_vel) < self.params.velocity_deadband:
             hand_vel = _ZERO3
-        theta_t = torso_yaw + self._jitter("torso_yaw")
-        theta_h = hand_yaw + self._jitter("hand_yaw")
+        theta_t = torso_yaw + j_torso
+        theta_h = hand_yaw + j_hand
         torso_pos = tuple([
             t0 + (tp - h0)
             for t0, tp, h0 in zip(self.torso_position0, target_pos, self._hand0)

@@ -6,6 +6,7 @@ frame.  Chains are plain data so alternative arms can be loaded from config.
 """
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +27,19 @@ def _check_offset(offset: Pose, name: str):
         raise KinematicsError(f"{name} must be finite, got {offset}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArmJoint:
-    """Revolute joint: rotation `axis` (unit, local frame) after a fixed `offset`."""
+    """Revolute joint: rotation `axis` (unit, local frame) after a fixed `offset`.
+    Frozen, with a read-only axis, because a model caches its joints' links."""
 
     axis: np.ndarray
     offset: Pose = field(default_factory=Pose)
 
     def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float).reshape(3)
-        n = np.linalg.norm(self.axis)
+        axis = np.array(self.axis, dtype=float).reshape(3)
+        axis.flags.writeable = False
+        object.__setattr__(self, "axis", axis)
+        n = np.linalg.norm(axis)
         if not abs(n - 1.0) <= 1e-6:  # a NaN axis fails too
             raise KinematicsError(f"joint axis must be a unit vector, got norm {n:.6g}")
         _check_offset(self.offset, "joint offset")
@@ -122,38 +126,45 @@ def _chain(model: KinematicModel, q: np.ndarray):
     Returns (origins, axes, R_ee, p_ee) where origins[i]/axes[i] are float
     triples describing arm joint i in the world frame, R_ee is the EE
     rotation as a row-major 9-tuple and p_ee the EE position triple.  The
-    walk runs on Python floats, with each rotation a row-major 9-tuple.
+    walk runs on Python floats, with the running rotation in nine locals.
     """
     cos = np.cos(q[2:]).tolist()
     sin = np.sin(q[2:]).tolist()
     c, s = cos[0], sin[0]
-    R = (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)  # base yaw
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0
     px, py = q[:2].tolist()
     pz = 0.0
     origins = []
     axes = []
     for ((ox, oy, oz), off_R, (x, y, z)), c, s in zip(model._links, cos[1:], sin[1:]):
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
         px += r00 * ox + r01 * oy + r02 * oz
         py += r10 * ox + r11 * oy + r12 * oz
         pz += r20 * ox + r21 * oy + r22 * oz
         origins.append((px, py, pz))
         if off_R is not None:
-            R = _mul3(R, off_R)
+            R = _mul3((r00, r01, r02, r10, r11, r12, r20, r21, r22), off_R)
             r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
         axes.append((
             r00 * x + r01 * y + r02 * z,
             r10 * x + r11 * y + r12 * z,
             r20 * x + r21 * y + r22 * z,
         ))
-        # The joint's rotation about its local axis (Rodrigues).
+        # R times the joint's rotation about its local axis (Rodrigues), row
+        # by row, in the operation order of _mul3.
         C = 1.0 - c
-        R = _mul3(R, (
-            c + x * x * C, x * y * C - z * s, x * z * C + y * s,
-            y * x * C + z * s, c + y * y * C, y * z * C - x * s,
-            z * x * C - y * s, z * y * C + x * s, c + z * z * C,
-        ))  # fmt: skip
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        m00, m01, m02 = c + x * x * C, x * y * C - z * s, x * z * C + y * s
+        m10, m11, m12 = y * x * C + z * s, c + y * y * C, y * z * C - x * s
+        m20, m21, m22 = z * x * C - y * s, z * y * C + x * s, c + z * z * C
+        r00, r01, r02 = (r00 * m00 + r01 * m10 + r02 * m20,
+                         r00 * m01 + r01 * m11 + r02 * m21,
+                         r00 * m02 + r01 * m12 + r02 * m22)  # fmt: skip
+        r10, r11, r12 = (r10 * m00 + r11 * m10 + r12 * m20,
+                         r10 * m01 + r11 * m11 + r12 * m21,
+                         r10 * m02 + r11 * m12 + r12 * m22)  # fmt: skip
+        r20, r21, r22 = (r20 * m00 + r21 * m10 + r22 * m20,
+                         r20 * m01 + r21 * m11 + r22 * m21,
+                         r20 * m02 + r21 * m12 + r22 * m22)  # fmt: skip
+    R = (r00, r01, r02, r10, r11, r12, r20, r21, r22)
     ox, oy, oz = model._ee_p
     p_ee = (
         px + (r00 * ox + r01 * oy + r02 * oz),
@@ -184,9 +195,10 @@ class ChainState:
 def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
     """Evaluate pose, whole-body Jacobian, and manipulability in one pass.
 
-    The Jacobian is 6 x m and maps qdot to the world-frame EE twist.  The
-    manipulability w = sqrt(det(Ja Ja^T)) uses only the arm columns Ja, so it
-    depends on the arm configuration, not on where the base happens to be.
+    The Jacobian is 6 x m, read-only like q, and maps qdot to the
+    world-frame EE twist.  The manipulability w = sqrt(det(Ja Ja^T)) uses
+    only the arm columns Ja, so it depends on the arm configuration, not on
+    where the base happens to be.
     For a square Ja (a six-joint arm) it is taken as the equal |det Ja|.
     """
     q = _check_q(model, q)
@@ -194,28 +206,22 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
     origins, axes, R_ee, p_ee = _chain(model, q)
     ex, ey, ez = p_ee
     qx, qy = q[:2].tolist()
-    # Base translation: unit linear motion along world x and y.  Base yaw
-    # rotates about the vertical axis through the base origin.
-    rows = (
-        [1.0, 0.0, qy - ey],
-        [0.0, 1.0, ex - qx],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0],
-    )
+    # The linear rows: base translation is unit motion along world x and y,
+    # base yaw rotates about the vertical axis through the base origin.
+    vx, vy, vz = [1.0, 0.0, qy - ey], [0.0, 1.0, ex - qx], [0.0, 0.0, 0.0]
     for (zx, zy, zz), (ox, oy, oz) in zip(axes, origins):
         rx = ex - ox
         ry = ey - oy
         rz = ez - oz
-        rows[0].append(zy * rz - zz * ry)
-        rows[1].append(zz * rx - zx * rz)
-        rows[2].append(zx * ry - zy * rx)
-        rows[3].append(zx)
-        rows[4].append(zy)
-        rows[5].append(zz)
-    J = np.array(rows[0] + rows[1] + rows[2] + rows[3] + rows[4] + rows[5])
-    J = J.reshape(6, model.n_joints)
+        vx.append(zy * rz - zz * ry)
+        vy.append(zz * rx - zx * rz)
+        vz.append(zx * ry - zy * rx)
+    wx, wy, wz = zip(*axes)  # the angular rows
+    n = model.n_joints
+    rows = struct.pack(
+        f"{6 * n}d", *vx, *vy, *vz, 0.0, 0.0, 0.0, *wx, 0.0, 0.0, 0.0, *wy, 0.0, 0.0, 1.0, *wz
+    )
+    J = np.frombuffer(rows).reshape(6, n)
     Ja = J[:, BASE_DOFS:]
     if model.n_arm == 6:
         w = abs(_linalg.det(Ja))

@@ -52,9 +52,11 @@ class Waypoint:
         check(self)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class ScenarioConfig:
-    """Everything a run needs; field names match the YAML schema."""
+    """Everything a run needs; field names match the YAML schema.  Frozen,
+    because its checks run when it is built: `dataclasses.replace` makes a
+    changed copy."""
 
     name: str = "scenario"
     model: KinematicModel
@@ -81,7 +83,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.q0 is None:
-            self.q0 = np.zeros(self.model.n_joints)
+            object.__setattr__(self, "q0", np.zeros(self.model.n_joints))
         check(self)
         if len(self.q0) != self.model.n_joints:
             raise ValueError(f"q0 must have {self.model.n_joints} entries, got {self.q0}")

@@ -178,5 +178,7 @@ def compute(
 
 
 def clamp_velocities(qdot: np.ndarray, params: WbcParams) -> np.ndarray:
-    """Component-wise saturation to the per-joint velocity limits."""
-    return np.asarray(qdot).clip(params._lower_limits, params.qdot_limits)
+    """Component-wise saturation to the per-joint velocity limits, as
+    `np.clip` gives it, in an array of its own."""
+    out = np.maximum(qdot, params._lower_limits)
+    return np.minimum(out, params.qdot_limits, out=out)

@@ -5,13 +5,20 @@ Jacobian oracle uses central finite differences of the FK.
 """
 
 import math
+import struct
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from cocarry.geometry import Pose, quat_conjugate, quat_multiply, quat_to_rotvec
+from cocarry.geometry import (
+    Pose,
+    quat_conjugate,
+    quat_from_matrix,
+    quat_multiply,
+    quat_to_rotvec,
+)
 from cocarry.kinematics import (
     BASE_DOFS,
     ArmJoint,
@@ -256,10 +263,26 @@ def test_model_cannot_change_under_its_cached_chain():
         replace(model, w_threshold=math.nan)
 
 
+def test_joint_cannot_change_under_its_model():
+    # A model caches its joints' links.  An offset set on a joint in place
+    # used to leave the chain at the old offset.
+    model = default_model()
+    with pytest.raises(FrozenInstanceError):
+        model.arm[2].offset = Pose([0.478, 0.5, 0.0])
+    with pytest.raises(ValueError):
+        model.arm[2].axis[0] = 1.0
+    np.testing.assert_allclose(chain_state(model, np.zeros(9)).pose[:3], [1.038, 0.293, 1.0675])
+    axis = np.array([0.0, 0.0, 1.0])
+    joint = ArmJoint(axis)
+    axis[0] = 1.0  # the joint holds a copy
+    assert joint.axis.tolist() == [0.0, 0.0, 1.0]
+
+
 def _model_with_joint_offset(v):
-    """The default model, its joint 2 offset made non-finite after it was built."""
+    """The default model, its joint 2 offset position made non-finite in
+    place after the joint was built."""
     arm = default_model().arm
-    arm[2].offset = Pose([0.478, v, 0.0])
+    arm[2].offset.position[1] = v
     return KinematicModel(arm, ee_offset=Pose([0.0, 0.0, 0.0925]))
 
 
@@ -285,8 +308,8 @@ def test_non_finite_offsets_rejected_by_name(build, names, value):
         build(value)
 
 
-def test_non_identity_offset_rotation():
-    # a joint whose offset includes a fixed rotation must still match the oracle
+def rotated_offset_model():
+    """Six joints, two of them and the tool behind offsets with a fixed rotation."""
     arm = [
         ArmJoint(axis=[0, 0, 1.0], offset=Pose.from_xyz_rpy([0.1, 0, 0.3], [0.3, 0, 0])),
         ArmJoint(axis=[0, 1.0, 0], offset=Pose.from_xyz_rpy([0.2, 0, 0], [0, 0.2, 0])),
@@ -295,7 +318,12 @@ def test_non_identity_offset_rotation():
         ArmJoint(axis=[0, 0, 1.0], offset=Pose([0, 0, 0.1])),
         ArmJoint(axis=[0, 1.0, 0], offset=Pose([0, 0.05, 0])),
     ]
-    model = KinematicModel(arm=arm, ee_offset=Pose.from_xyz_rpy([0, 0, 0.05], [0, 0, 0.7]))
+    return KinematicModel(arm=arm, ee_offset=Pose.from_xyz_rpy([0, 0, 0.05], [0, 0, 0.7]))
+
+
+def test_non_identity_offset_rotation():
+    # a joint whose offset includes a fixed rotation must still match the oracle
+    model = rotated_offset_model()
     rng = np.random.default_rng(38)
     for _ in range(50):
         q = random_q(rng, model)
@@ -303,3 +331,74 @@ def test_non_identity_offset_rotation():
         T = fk_oracle(model, q)
         np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-12)
         np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-12)
+
+
+def _mul3(a, b):
+    """Row-major 9-tuple product, summed left to right."""
+    return tuple(
+        a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
+        for i in range(3)
+        for j in range(3)
+    )
+
+
+def plain_chain_state(model, q):
+    """(pose, J, manipulability) from the chain walk in its plain form: each
+    rotation a 9-tuple multiplied through `_mul3`, J built by np.array from
+    six row lists.  The same products and sums in the same order as
+    `chain_state`, so the bits must agree."""
+    cos, sin = np.cos(q[2:]).tolist(), np.sin(q[2:]).tolist()
+    R = (cos[0], -sin[0], 0.0, sin[0], cos[0], 0.0, 0.0, 0.0, 1.0)
+    p = [*q[:2].tolist(), 0.0]
+    origins, axes = [], []
+    for ((ox, oy, oz), off_R, (x, y, z)), c, s in zip(model._links, cos[1:], sin[1:]):
+        p = [p[i] + (R[3 * i] * ox + R[3 * i + 1] * oy + R[3 * i + 2] * oz) for i in range(3)]
+        origins.append(p)
+        if off_R is not None:
+            R = _mul3(R, off_R)
+        axes.append([R[3 * i] * x + R[3 * i + 1] * y + R[3 * i + 2] * z for i in range(3)])
+        C = 1.0 - c
+        R = _mul3(R, (
+            c + x * x * C, x * y * C - z * s, x * z * C + y * s,
+            y * x * C + z * s, c + y * y * C, y * z * C - x * s,
+            z * x * C - y * s, z * y * C + x * s, c + z * z * C,
+        ))  # fmt: skip
+    ox, oy, oz = model._ee_p
+    e = [p[i] + (R[3 * i] * ox + R[3 * i + 1] * oy + R[3 * i + 2] * oz) for i in range(3)]
+    if model._ee_R is not None:
+        R = _mul3(R, model._ee_R)
+    rows = ([1.0, 0.0, q[1] - e[1]], [0.0, 1.0, e[0] - q[0]], [0.0] * 3, [0.0] * 3, [0.0] * 3,
+            [0.0, 0.0, 1.0])  # fmt: skip
+    for z, o in zip(axes, origins):
+        r = [e[i] - o[i] for i in range(3)]
+        rows[0].append(z[1] * r[2] - z[2] * r[1])
+        rows[1].append(z[2] * r[0] - z[0] * r[2])
+        rows[2].append(z[0] * r[1] - z[1] * r[0])
+        for i in range(3):
+            rows[3 + i].append(z[i])
+    J = np.array(rows[0] + rows[1] + rows[2] + rows[3] + rows[4] + rows[5]).reshape(6, -1)
+    Ja = J[:, BASE_DOFS:]
+    if model.n_arm == 6:
+        return [*e, *quat_from_matrix(R)], J, abs(np.linalg.det(Ja))
+    w = math.sqrt(max(np.linalg.det(Ja.dot(Ja.T)), 0.0))
+    return [*e, *quat_from_matrix(R)], J, w
+
+
+@pytest.mark.parametrize(
+    "model",
+    [default_model(), rotated_offset_model(), random_model(np.random.default_rng(7), 7)],
+    ids=["default", "rotated_offsets", "seven_joints"],
+)
+def test_chain_state_bitwise_equals_plain_walk(model):
+    # The digests cover only the default model; this holds every model kind,
+    # including the det(Ja Ja^T) branch of a seven-joint arm, to the bits.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        q = random_q(rng, model)
+        st = chain_state(model, q)
+        pose, J, w = plain_chain_state(model, q)
+        assert np.array(st.pose).tobytes() == np.array(pose).tobytes()
+        assert st.jacobian.dtype == np.float64 and st.jacobian.shape == (6, model.n_joints)
+        assert st.jacobian.flags.c_contiguous
+        assert st.jacobian.tobytes() == J.tobytes()
+        assert struct.pack("d", st.manipulability) == struct.pack("d", w)

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -222,6 +222,26 @@ def test_custom_arm_model(tmp_path):
     cfg = load_scenario(write(tmp_path, raw))
     assert cfg.model.n_joints == 10
     assert cfg.model.w_threshold == 0.04
+
+
+def test_non_finite_joint_rpy_named_without_a_warning(tmp_path):
+    # np.cos(inf) used to warn before the offset check refused it; pytest
+    # turns that RuntimeWarning into an error.
+    raw = dict(GOOD)
+    arm = [{"axis": [0, 0, 1], "rpy": [0, math.inf, 0]}] + [{"axis": [0, 0, 1]}] * 6
+    raw["model"] = {"arm": arm}
+    name = "model.arm[0]: rpy must be finite, got [0.0, inf, 0.0]"
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        load_scenario(write(tmp_path, raw))
+
+
+def test_config_cannot_change_after_its_checks():
+    # The checks run when a config is built.  A dt of zero set afterwards
+    # used to reach the run as a bare ZeroDivisionError.
+    cfg = load_scenario(scenario_path("smoke"))
+    with pytest.raises(FrozenInstanceError):
+        cfg.dt = 0.0
+    assert replace(cfg, trace_path=None).dt == cfg.dt == 1e-3
 
 
 def test_q0_length_checked(tmp_path):

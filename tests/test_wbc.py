@@ -5,6 +5,7 @@ The oracle routes every solve through a stacked QR factorization
 implementation under test.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,21 @@ def test_clamp_velocities():
     qdot = np.array([2.0, -2.0, 0.5, 3.0, -3.0, 1.0, 1.6, -1.4, 0.0])
     out = wbc.clamp_velocities(qdot, params)
     np.testing.assert_allclose(out, [1.0, -1.0, 0.5, 1.5, -1.5, 1.0, 1.5, -1.4, 0.0])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_clamp_is_np_clip_bitwise_in_an_array_of_its_own(sign):
+    # At exactly the limits, on both zeros and on NaN of either sign.
+    model = default_model()
+    params = default_params(model)
+    hi = params.qdot_limits
+    values = [hi[0], -hi[1], 0.0, -0.0, math.nan, -math.nan, 1e300, hi[7], -hi[8]]
+    qdot = sign * np.array(values)
+    before = qdot.tobytes()
+    out = wbc.clamp_velocities(qdot, params)
+    assert out.tobytes() == np.clip(qdot, -hi, hi).tobytes()
+    assert not np.shares_memory(out, qdot) and qdot.tobytes() == before
+    assert out.flags.writeable
 
 
 @pytest.fixture
