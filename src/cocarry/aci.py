@@ -47,24 +47,15 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class AdmittanceParams:
-    """Diagonal virtual mass and damping of the translational admittance.
+    """Diagonal virtual mass and damping of the translational admittance."""
 
-    Frozen, with read-only arrays, because the tick reads the damping as
-    floats and a controller forms its decay once: `dataclasses.replace`
-    makes a changed copy.
-    """
-
-    mass: np.ndarray = ruled(POSITIVE, default_factory=lambda: np.full(3, 6.0))
-    damping: np.ndarray = ruled(POSITIVE, default_factory=lambda: np.full(3, 30.0))
-    _damping: list = field(init=False, repr=False, compare=False)
+    mass: np.ndarray = ruled(POSITIVE, (6.0, 6.0, 6.0), shape=3)
+    damping: np.ndarray = ruled(POSITIVE, (30.0, 30.0, 30.0), shape=3)
+    _damping: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("mass", "damping"):
-            value = np.array(getattr(self, name), dtype=float).reshape(3)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
         check(self)
-        object.__setattr__(self, "_damping", self.damping.tolist())
+        object.__setattr__(self, "_damping", tuple(self.damping.tolist()))
 
     def decay(self, dt: float) -> list:
         """Per-axis zero-order-hold decay exp(-D/M dt) of one step of dt."""
@@ -73,7 +64,7 @@ class AdmittanceParams:
         ).tolist()
 
 
-@dataclass
+@dataclass(frozen=True)
 class AciParams:
     """Window, guard, and threshold settings of the adaptive interface."""
 
@@ -258,7 +249,7 @@ class IntentionDetector:
 
 
 def _torso_pose(position, yaw: float) -> Pose:
-    return Pose(np.array(position), quat_from_yaw(yaw))
+    return Pose(position, quat_from_yaw(yaw))
 
 
 def desired_rotation_pose(torso_at_detection: Pose, ee_in_torso: Pose) -> Pose:

@@ -3,9 +3,9 @@
 Quaternions are in scalar-first order (w, x, y, z) and are kept unit-norm by
 construction.  All twists and angular quantities are expressed in the world
 frame unless a function says otherwise.  `Pose` is the type of the API edges
-and of values built once, and holds float64 arrays.  Inside a control tick a
-pose is 7 floats (position, then the (w, x, y, z) quaternion, the trace's
-column order) and a twist is 6 floats (linear, then angular).  The
+and of values built once, and holds read-only float64 arrays.  Inside a
+control tick a pose is 7 floats (position, then the (w, x, y, z) quaternion,
+the trace's column order) and a twist is 6 floats (linear, then angular).  The
 quaternion laws, `pose_error` and `integrate_pose` take float sequences and
 return Python floats in a list or tuple; a caller that needs an array wraps
 the result.
@@ -17,9 +17,11 @@ tied to the BLAS kernel numpy would pick for a small dot product.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from ._rules import FINITE, check, ruled
 
 _EPS = 1e-12
 
@@ -153,16 +155,15 @@ def wrap_angle(a: float) -> float:
     return float(np.pi - np.mod(np.pi - a, 2.0 * np.pi))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
     """Position plus unit-quaternion orientation of a frame in the world."""
 
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    orientation: np.ndarray = field(default_factory=quat_identity)
+    position: np.ndarray = ruled(FINITE, (0.0, 0.0, 0.0), shape=3)
+    orientation: np.ndarray = ruled(FINITE, (1.0, 0.0, 0.0, 0.0), shape=4)
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.orientation = np.asarray(self.orientation, dtype=float).reshape(4)
+        check(self)
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.orientation)
@@ -193,7 +194,7 @@ class Pose:
                 np.array([np.cos(roll / 2), np.sin(roll / 2), 0.0, 0.0]),
             ),
         )
-        return cls(np.asarray(xyz, dtype=float), quat_normalize(q))
+        return cls(xyz, quat_normalize(q))
 
 
 def pose_error(desired, current) -> list:

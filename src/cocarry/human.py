@@ -11,11 +11,14 @@ are indistinguishable from standing still.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, complaint, problems, ruled
+from ._rules import freeze, read_only
 from .geometry import quat_from_yaw
 
 # Standard normal draws taken from the generator at once for the measurement
@@ -26,16 +29,17 @@ _NOISE_BLOCK = 256
 NOISE_CHANNELS = ("hand_position", "hand_velocity", "torso_yaw", "hand_yaw")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HumanParams:
     hand_mass: float = ruled(POSITIVE, 2.0)
     hand_stiffness: float = ruled(NON_NEGATIVE, 600.0)
     hand_damping: float = ruled(NON_NEGATIVE, 40.0)
     velocity_deadband: float = ruled(NON_NEGATIVE, 0.02)
     yaw_filter_cutoff: float = ruled(POSITIVE, 5.0)
-    noise: dict = ruled(NON_NEGATIVE, default_factory=dict)  # std per channel
+    noise: Mapping = ruled(NON_NEGATIVE, default_factory=dict)  # std per channel
 
     def __post_init__(self):
+        object.__setattr__(self, "noise", MappingProxyType(dict(self.noise)))
         check(self)
         for channel in self.noise:
             if channel not in NOISE_CHANNELS:
@@ -63,27 +67,27 @@ class HumanState:
     thetadot_t_w: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hold:
     duration: float = ruled(POSITIVE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Translate:
-    offset: np.ndarray = ruled(FINITE)
+    offset: np.ndarray = ruled(FINITE, shape=3)
     duration: float = ruled(POSITIVE)
 
     def __post_init__(self):
-        self.offset = np.asarray(self.offset, dtype=float).reshape(3)
+        freeze(self)  # the script applies the rules, naming the segment
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorsoYaw:
     target: float = ruled(FINITE)
     duration: float = ruled(POSITIVE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HandYaw:
     target: float = ruled(FINITE)
     duration: float = ruled(POSITIVE)
@@ -118,8 +122,8 @@ class MotionScript:
     """
 
     def __init__(self, segments, hand0, torso_yaw0: float = 0.0, hand_yaw0=None):
-        self.segments = list(segments)
-        self.hand0 = np.asarray(hand0, dtype=float).reshape(3)
+        self.segments = tuple(segments)
+        self.hand0 = read_only(hand0, 3, "hand0")
         self.torso_yaw0 = float(torso_yaw0)
         self.hand_yaw0 = float(torso_yaw0 if hand_yaw0 is None else hand_yaw0)
         start = {n: getattr(self, n) for n in ("hand0", "torso_yaw0", "hand_yaw0")}
@@ -130,13 +134,13 @@ class MotionScript:
         if found:
             raise ValueError("; ".join(found))
         # (start time, hand target triple, torso yaw, hand yaw) per segment.
-        self._starts = []
+        starts = []
         t = 0.0
         pos = tuple(self.hand0.tolist())
         tyaw = self.torso_yaw0
         hyaw = self.hand_yaw0
         for seg in self.segments:
-            self._starts.append((t, pos, tyaw, hyaw))
+            starts.append((t, pos, tyaw, hyaw))
             t += seg.duration
             if isinstance(seg, Translate):
                 pos = tuple([p + o for p, o in zip(pos, seg.offset.tolist())])
@@ -144,6 +148,7 @@ class MotionScript:
                 tyaw = seg.target
             elif isinstance(seg, HandYaw):
                 hyaw = seg.target
+        self._starts = tuple(starts)
         self._end = (t, pos, tyaw, hyaw)
 
     @property
@@ -211,6 +216,8 @@ class SimulatedHuman:
             np.asarray(torso_position, dtype=float).reshape(3).tolist()
         )
         self.rng = np.random.default_rng(seed)
+        p, v, t, h = [params.noise.get(channel, 0.0) for channel in NOISE_CHANNELS]
+        self._stds = (p, p, p, v, v, v, t, h)  # one per value `_jitter` returns
         # Drawn from `rng` when first needed, so a generator swapped in
         # before the first step is the one read.
         self._normals: list = []
@@ -263,9 +270,7 @@ class SimulatedHuman:
         it, so the values are bitwise those of one `rng.normal` call per
         configured channel and tick.
         """
-        noise = self.params.noise
-        p, v, t, h = [noise.get(channel, 0.0) for channel in NOISE_CHANNELS]
-        stds = (p, p, p, v, v, v, t, h)
+        stds = self._stds
         z, i = self._normals, self._next_normal
         if i + len(stds) > len(z) and any(stds):
             z = z[i:] + self.rng.standard_normal(_NOISE_BLOCK).tolist()

@@ -22,34 +22,24 @@ class KinematicsError(ValueError):
     pass
 
 
-def _check_offset(offset: Pose, name: str):
-    if not all(map(math.isfinite, offset.position.tolist() + offset.orientation.tolist())):
-        raise KinematicsError(f"{name} must be finite, got {offset}")
-
-
 @dataclass(frozen=True)
 class ArmJoint:
-    """Revolute joint: rotation `axis` (unit, local frame) after a fixed `offset`.
-    Frozen, with a read-only axis, because a model caches its joints' links."""
+    """Revolute joint: rotation `axis` (unit, local frame) after a fixed `offset`."""
 
-    axis: np.ndarray
+    axis: np.ndarray = ruled(None, shape=3)
     offset: Pose = field(default_factory=Pose)
 
     def __post_init__(self):
-        axis = np.array(self.axis, dtype=float).reshape(3)
-        axis.flags.writeable = False
-        object.__setattr__(self, "axis", axis)
-        n = np.linalg.norm(axis)
+        check(self, KinematicsError)
+        n = math.hypot(*self.axis.tolist())
         if not abs(n - 1.0) <= 1e-6:  # a NaN axis fails too
             raise KinematicsError(f"joint axis must be a unit vector, got norm {n:.6g}")
-        _check_offset(self.offset, "joint offset")
 
 
 @dataclass(frozen=True)
 class KinematicModel:
     """Planar base + arm chain + tool offset, with the damping schedule limits.
-    Frozen, with the arm a tuple, because the chain walk reads the links as
-    cached here: `dataclasses.replace` makes a changed copy."""
+    The chain walk reads the links as cached here."""
 
     arm: tuple
     ee_offset: Pose = field(default_factory=Pose)
@@ -63,9 +53,6 @@ class KinematicModel:
                 f"redundancy requires more than 6 joints, model has {self.n_joints}"
             )
         check(self, KinematicsError)
-        for i, joint in enumerate(self.arm):
-            _check_offset(joint.offset, f"arm joint {i} offset")
-        _check_offset(self.ee_offset, "ee_offset")
         # Fixed per-joint quantities as float tuples, cached so the chain
         # walk runs on Python floats.  Identity offset rotations are stored
         # as None and skipped outright.
@@ -73,15 +60,14 @@ class KinematicModel:
             R = pose.rotation_matrix()
             return None if np.array_equal(R, np.eye(3)) else tuple(R.ravel().tolist())
 
-        links = [
+        object.__setattr__(self, "_links", tuple(
             (
                 tuple(j.offset.position.tolist()),
                 _flat_or_none(j.offset),
                 tuple(j.axis.tolist()),
             )
             for j in self.arm
-        ]
-        object.__setattr__(self, "_links", links)
+        ))
         object.__setattr__(self, "_ee_p", tuple(self.ee_offset.position.tolist()))
         object.__setattr__(self, "_ee_R", _flat_or_none(self.ee_offset))
 

@@ -15,6 +15,7 @@ translation-only scenarios this is identical to a world-frame offset.
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from ._rules import FINITE, NON_NEGATIVE, check, ruled
 from .geometry import yaw_from_quat
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectModel:
     """Anisotropic spring-damper between the hand and the end effector.
 
@@ -31,7 +32,7 @@ class ObjectModel:
     tension does not engage.
     """
 
-    rest_vector: np.ndarray = ruled(FINITE, default_factory=lambda: np.zeros(3))
+    rest_vector: np.ndarray = ruled(FINITE, (0.0, 0.0, 0.0), shape=3)
     axial_stiffness_tension: float = ruled(NON_NEGATIVE, 0.0)
     axial_stiffness_compression: float = ruled(NON_NEGATIVE, 0.0)
     lateral_stiffness: float = ruled(NON_NEGATIVE, 0.0)
@@ -41,16 +42,11 @@ class ObjectModel:
     label: str = ""
 
     def __post_init__(self):
-        self.rest_vector = np.asarray(self.rest_vector, dtype=float).reshape(3)
         check(self)
 
     def with_rest(self, rest_vector: np.ndarray, ref_yaw: float = 0.0) -> "ObjectModel":
         """Copy of the model with the rest geometry bound to a scenario."""
-        return replace(
-            self,
-            rest_vector=np.asarray(rest_vector, dtype=float).reshape(3),
-            ref_yaw=float(ref_yaw),
-        )
+        return replace(self, rest_vector=rest_vector, ref_yaw=ref_yaw)
 
 
 def object_wrench(
@@ -103,7 +99,7 @@ def object_wrench(
     return (fx - k * (vex - vhx), fy - k * (vey - vhy), fz - k * (vez - vhz))
 
 
-_PRESETS = {
+_PRESETS = MappingProxyType({
     "rigid_rod": ObjectModel(
         axial_stiffness_tension=1e4,
         axial_stiffness_compression=1e4,
@@ -133,9 +129,9 @@ _PRESETS = {
         damping=60.0,
         label="wrapped_manikin",
     ),
-}
+})
 
 
-def presets() -> dict:
+def presets() -> MappingProxyType:
     """Named coupling presets spanning rigid, slack, and in-between objects."""
-    return {name: replace(model) for name, model in _PRESETS.items()}
+    return _PRESETS

@@ -11,7 +11,7 @@ the built objects' own checks raise, or returns the ScenarioConfig.
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,25 +42,22 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid scenario configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Waypoint:
-    offset: np.ndarray = ruled(FINITE)
+    offset: np.ndarray = ruled(FINITE, shape=3)
     tolerance: float = ruled(POSITIVE, 0.02)
 
     def __post_init__(self):
-        self.offset = np.asarray(self.offset, dtype=float).reshape(3)
         check(self)
 
 
 @dataclass(kw_only=True, frozen=True)
 class ScenarioConfig:
-    """Everything a run needs; field names match the YAML schema.  Frozen,
-    because its checks run when it is built: `dataclasses.replace` makes a
-    changed copy."""
+    """Everything a run needs; field names match the YAML schema."""
 
     name: str = "scenario"
     model: KinematicModel
-    q0: np.ndarray | None = ruled(FINITE, None)  # None: every joint at zero
+    q0: np.ndarray | None = ruled(FINITE, None, shape=-1)  # None: every joint at zero
     mode: Mode = Mode.ACI
     wbc: WbcParams
     admittance: AdmittanceParams
@@ -68,12 +65,12 @@ class ScenarioConfig:
     human: HumanParams
     object_model: ObjectModel
     script: MotionScript
-    hand0: np.ndarray = ruled(FINITE)
-    torso0: np.ndarray = ruled(FINITE)
+    hand0: np.ndarray = ruled(FINITE, shape=3)
+    torso0: np.ndarray = ruled(FINITE, shape=3)
     torso_yaw0: float = ruled(FINITE, 0.0)
     hand_yaw0: float | None = ruled(FINITE, None)
-    waypoints: list = field(default_factory=list)
-    intervals: list = field(default_factory=list)  # (start, end) pairs
+    waypoints: tuple = ()
+    intervals: tuple = ruled(FINITE, ())  # (start, end) pairs
     waypoint_speed: float = ruled(POSITIVE, 0.05)
     dt: float = ruled(POSITIVE, 1e-3)
     duration: float = ruled(POSITIVE, 10.0)
@@ -84,6 +81,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.q0 is None:
             object.__setattr__(self, "q0", np.zeros(self.model.n_joints))
+        object.__setattr__(self, "waypoints", tuple(self.waypoints))
+        object.__setattr__(self, "intervals", tuple(map(tuple, self.intervals)))
         check(self)
         if len(self.q0) != self.model.n_joints:
             raise ValueError(f"q0 must have {self.model.n_joints} entries, got {self.q0}")
@@ -318,6 +317,7 @@ def _interval_problem(lo: float, hi: float, duration: float) -> str:
 
 def _interval(val, path, top):
     lo, hi = _vector(2)(val, path, top).tolist()
+    _hold(field_rules(ScenarioConfig)["intervals"], val, path)  # before their order
     if problem := _interval_problem(lo, hi, top.get("duration", math.inf)):
         raise _Invalid(f"{path} {problem}")
     return (lo, hi)

@@ -170,8 +170,8 @@ class Simulation:
         self.dt = config.dt
         self.ticks = 0
         self._chain = chain_state(self.model, config.q0)
-        # The EE velocity J qdot[:3] that the next tick starts with.
-        self._ee_velocity = self._chain.jacobian.dot(np.zeros(len(self.q)))[:3].tolist()
+        # The EE velocity J qdot[:3] that the next tick starts with: at rest.
+        self._ee_velocity = [0.0, 0.0, 0.0]
         self.human = SimulatedHuman(
             config.human, config.script, config.torso0, self.dt, seed=config.seed
         )

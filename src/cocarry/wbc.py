@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, ruled
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, read_only, ruled
 from .geometry import pose_error
 from .kinematics import BASE_DOFS, ChainState, KinematicModel, damping_factor
 
@@ -35,39 +35,25 @@ _REFERENCE = struct.Struct("13d")
 @dataclass(frozen=True)
 class WbcParams:
     """Gains and weights; all weight matrices are diagonal and stored as vectors.
+    The per-tick products of the gains are formed once here."""
 
-    Frozen, with read-only arrays, because the per-tick products of the gains
-    are formed once here: `dataclasses.replace` makes a changed copy.
-    """
-
-    k_gain: np.ndarray = ruled(FINITE)
-    w_task: np.ndarray = ruled(POSITIVE)
-    w_damp: np.ndarray = ruled(POSITIVE)
-    w_posture: np.ndarray = ruled(NON_NEGATIVE)
-    q_def: np.ndarray = ruled(FINITE)
-    qdot_limits: np.ndarray = ruled(POSITIVE)
+    k_gain: np.ndarray = ruled(FINITE, shape=6)
+    w_task: np.ndarray = ruled(POSITIVE, shape=6)
+    w_damp: np.ndarray = ruled(POSITIVE, shape=-1)
+    w_posture: np.ndarray = ruled(NON_NEGATIVE, shape=-1)
+    q_def: np.ndarray = ruled(FINITE, shape=-1)
+    qdot_limits: np.ndarray = ruled(POSITIVE, shape=-1)
     posture_gain: float = ruled(FINITE, 0.5)
     # posture_gain * w_posture, -qdot_limits and k_gain as 6 floats.
     _posture_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _lower_limits: np.ndarray = field(init=False, repr=False, compare=False)
-    _k_gain: list = field(init=False, repr=False, compare=False)
+    _k_gain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        def put(name, value, size=-1):
-            value = np.array(value, dtype=float).reshape(size)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-        put("k_gain", self.k_gain, 6)
-        put("w_task", self.w_task, 6)
-        put("w_damp", self.w_damp)
-        put("w_posture", self.w_posture)
-        put("q_def", self.q_def)
-        put("qdot_limits", self.qdot_limits)
         check(self, WbcError)
-        put("_posture_scale", self.posture_gain * self.w_posture)
-        put("_lower_limits", -self.qdot_limits)
-        object.__setattr__(self, "_k_gain", self.k_gain.tolist())
+        object.__setattr__(self, "_posture_scale", read_only(self.posture_gain * self.w_posture))
+        object.__setattr__(self, "_lower_limits", read_only(-self.qdot_limits))
+        object.__setattr__(self, "_k_gain", tuple(self.k_gain.tolist()))
 
     @classmethod
     def defaults(
@@ -94,7 +80,7 @@ class WbcParams:
             w_task=100.0 * np.array([10.0, 10.0, 10.0, 5.0, 5.0, 5.0]),
             w_damp=np.full(m, 3.0),
             w_posture=np.concatenate([np.zeros(BASE_DOFS), np.ones(model.n_arm)]),
-            q_def=np.asarray(q_def, dtype=float),
+            q_def=q_def,
             qdot_limits=limits,
         )
         return cls(**{**standard, **fields})

@@ -4,6 +4,8 @@
 must be minus the displacement-gradient of this stored energy.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -267,8 +269,9 @@ def test_preset_catalog():
     bag = cat["peanut_bag"]
     assert (bag.axial_stiffness_tension, bag.axial_stiffness_compression) == (5e3, 300.0)
     assert bag.lateral_stiffness == 150.0 and bag.damping == 20.0
-    # returned models are copies; mutating one must not poison the registry
-    rod.damping = 0.0
+    # a preset cannot be changed in place, so the registry stays as declared
+    with pytest.raises(FrozenInstanceError):
+        rod.damping = 0.0
     assert presets()["rigid_rod"].damping == 50.0
 
 

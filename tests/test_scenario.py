@@ -1,8 +1,12 @@
 """Scenario parsing, validation aggregation, and overrides."""
 
+import enum
+import importlib.resources
 import math
+import operator
 import re
-from dataclasses import FrozenInstanceError, replace
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from cocarry._rules import FINITE, field_rules
 from cocarry.aci import AciParams, AdmittanceParams, Mode
 from cocarry.human import HumanParams, MotionScript
 from cocarry.kinematics import ArmJoint, KinematicModel, default_model
-from cocarry.objects import ObjectModel
+from cocarry.objects import ObjectModel, presets
 from cocarry.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -22,6 +26,7 @@ from cocarry.scenario import (
     scenario_path,
     validate_config,
 )
+from cocarry.sim import Simulation
 from cocarry.wbc import WbcError, WbcParams
 
 GOOD = {
@@ -52,7 +57,7 @@ def test_good_config_builds(tmp_path):
     assert cfg.script.duration == pytest.approx(1.5)
     assert len(cfg.waypoints) == 1
     assert cfg.waypoints[0].tolerance == 0.03
-    assert cfg.intervals == [(0.5, 1.5)]
+    assert cfg.intervals == ((0.5, 1.5),)
     assert cfg.dt == 1e-3 and cfg.seed == 0
 
 
@@ -107,6 +112,8 @@ def test_validation_passes_good_config():
         ({"dt": math.inf}, "'dt' must be finite"),
         ({"dt": 10**400}, "'dt' must be finite"),
         ({"hand0": [math.nan, 0, 1]}, "'hand0[0]' must be finite"),
+        ({"intervals": [[0.2, math.nan]]}, "field 'intervals[0][1]' must be finite, got nan"),
+        ({"intervals": [[math.inf, 0.5]]}, "field 'intervals[0][0]' must be finite, got inf"),
     ],
 )
 def test_validation_flags_each_problem(patch, needle, tmp_path):
@@ -242,6 +249,70 @@ def test_config_cannot_change_after_its_checks():
     with pytest.raises(FrozenInstanceError):
         cfg.dt = 0.0
     assert replace(cfg, trace_path=None).dt == cfg.dt == 1e-3
+
+
+PACKAGED = sorted(
+    entry.name.removesuffix(".yaml")
+    for entry in (importlib.resources.files("cocarry") / "scenarios").iterdir()
+    if entry.name.endswith(".yaml")
+)
+
+
+def changeable_parts(value, path: str, seen: set) -> list:
+    """What can change in place under `value`, by path: a dataclass that is
+    not frozen, a writable array, or a list, dict or set."""
+    if id(value) in seen or isinstance(value, (str, int, float, enum.Enum, type(None))):
+        return []
+    seen.add(id(value))
+    if isinstance(value, (list, dict, set)):
+        return [f"{path} is a {type(value).__name__}"]
+    if isinstance(value, np.ndarray):
+        return [f"{path} is writable"] if value.flags.writeable else []
+    found = []
+    if is_dataclass(value) and not type(value).__dataclass_params__.frozen:
+        found.append(f"{path} ({type(value).__name__}) is not frozen")
+    if isinstance(value, tuple):
+        parts = enumerate(value)
+    elif isinstance(value, Mapping):
+        parts = value.items()
+    else:
+        parts = vars(value).items()
+    for key, part in parts:
+        found += changeable_parts(part, f"{path}.{key}", seen)
+    return found
+
+
+@pytest.mark.parametrize("name", PACKAGED)
+def test_configuration_cannot_change_in_place(name):
+    # Every value a run is configured with is frozen and read-only, so the
+    # checks made when it was built and the caches keyed on it stay true.
+    cfg = load_scenario(scenario_path(name))
+    roots = {
+        "cfg": cfg,
+        "object_model": Simulation(cfg).object_model,
+        "presets()": presets(),
+        "default_model()": default_model(),
+    }
+    seen = set()
+    assert [p for path, v in roots.items() for p in changeable_parts(v, path, seen)] == []
+
+
+@pytest.mark.parametrize(
+    "change, raised",
+    [
+        (lambda: operator.setitem(load_scenario(scenario_path("smoke")).q0, 0, math.nan), ValueError),
+        (lambda: operator.setitem(default_model().arm[2].offset.position, 1, 0.5), ValueError),
+        (lambda: setattr(AciParams(), "window_length", -1.0), FrozenInstanceError),
+        (lambda: operator.setitem(HumanParams().noise, "hand_position", -1.0), TypeError),
+    ],
+    ids=["scenario_q0", "joint_offset_position", "aci_window_length", "human_noise"],
+)
+def test_change_in_place_raises_at_the_assignment(change, raised):
+    # Each of these used to pass: a NaN q0 failed later in the object's rest
+    # pose, the moved offset left the chain at the old pose, and the
+    # negative window and noise went unchecked.
+    with pytest.raises(raised):
+        change()
 
 
 def test_q0_length_checked(tmp_path):
