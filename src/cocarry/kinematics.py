@@ -55,10 +55,13 @@ class KinematicModel:
         check(self, KinematicsError)
         # Fixed per-joint quantities as float tuples, cached so the chain
         # walk runs on Python floats.  Identity offset rotations are stored
-        # as None and skipped outright.
+        # as None and skipped outright: `quat_to_matrix` gives exactly the
+        # identity when, and only when, the quaternion's vector part is zero.
         def _flat_or_none(pose):
-            R = pose.rotation_matrix()
-            return None if np.array_equal(R, np.eye(3)) else tuple(R.ravel().tolist())
+            _, x, y, z = pose.orientation.tolist()
+            if x == y == z == 0.0:
+                return None
+            return tuple(pose.rotation_matrix().ravel().tolist())
 
         object.__setattr__(self, "_links", tuple(
             (
@@ -174,7 +177,8 @@ class ChainState:
     jacobian: np.ndarray
     manipulability: float
     # The last command `wbc.compute` solved at this chain, after the inputs
-    # it was solved for: (packed reference, params, k, command).
+    # it was solved for: (packed reference, params, k, saturated read-only
+    # command).
     command: tuple | None = field(default=None, repr=False, compare=False)
 
 

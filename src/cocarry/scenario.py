@@ -326,15 +326,18 @@ def _interval(val, path, top):
 # -- the schema: one declaration per YAML key -------------------------------
 
 _POSE = {"xyz": _vector(3), "rpy": _vector(3)}
+# xyz fills the offset's position, so it holds to that field's rule.
+_POSE_RULES = {"xyz": field_rules(Pose)["position"]}
 
 _JOINT = _block(
     lambda axis, **xyz_rpy: ArmJoint(axis, Pose.from_xyz_rpy(**xyz_rpy)),
     {"axis": _Key(_vector(3), absent=REQUIRED), **_POSE},
+    _POSE_RULES,
 )
 
 _MODEL = {
     "arm": _list(_JOINT),
-    "ee_offset": _block(Pose.from_xyz_rpy, _POSE),
+    "ee_offset": _block(Pose.from_xyz_rpy, _POSE, _POSE_RULES),
     "w_threshold": _number(),
     "k_max": _number(),
 }

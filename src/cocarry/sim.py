@@ -18,9 +18,13 @@ bits, and the whole-body command solved at a chain is kept while its other
 inputs (x_d, xdot_d, the WBC parameters and the damping factor) keep
 theirs.  A robot that stands still keeps its chain, under a still
 reference its command too, and the EE velocity J qdot it starts a tick
-with is the previous tick's EE twist.  Identical configuration and seed
-give bitwise-identical traces on a host; the small-vector results do not
-depend on the BLAS kernel numpy picks.
+with is the previous tick's EE twist.  The controller hands a kept command
+back as the same read-only array, so a tick that gets the command of a
+chain kept on the tick before reuses that tick's outcome (the q and EE
+twist bytes and the EE velocity) and makes no numpy call after the
+reference pack.  Identical configuration and seed give bitwise-identical
+traces on a host; the small-vector results do not depend on the BLAS
+kernel numpy picks.
 """
 
 import itertools
@@ -172,6 +176,11 @@ class Simulation:
         self._chain = chain_state(self.model, config.q0)
         # The EE velocity J qdot[:3] that the next tick starts with: at rest.
         self._ee_velocity = [0.0, 0.0, 0.0]
+        # The outcome of the last tick that kept its chain: (command, q bytes,
+        # EE twist bytes, EE velocity).  A tick handed that same command
+        # array is at the same chain, so the same J, qdot, q and dt give it
+        # the same bits.
+        self._still = (None,)
         self.human = SimulatedHuman(
             config.human, config.script, config.torso0, self.dt, seed=config.seed
         )
@@ -248,19 +257,23 @@ class Simulation:
 
             layer = "wbc"
             qdot_d = _wbc.compute(self.model, out.x_d, out.xdot_d, self.wbc_params, chain)
-            qdot_d = _wbc.clamp_velocities(qdot_d, self.wbc_params)
 
             layer = "kinematics"
-            ee_twist = chain.jacobian.dot(qdot_d)
-            q = chain.q + qdot_d * dt
             self.ticks += 1
-            q_bytes = q.tobytes()
-            ee_velocity = ee_twist.tolist()[:3]
-            if q_bytes != chain.q.tobytes():  # a 0.0 that turns -0.0 counts
-                self._chain = chain_state(self.model, q)
-                self._ee_velocity = self._chain.jacobian.dot(qdot_d)[:3].tolist()
-            else:  # same J and qdot: next tick's J qdot is this ee_twist
-                self._ee_velocity = ee_velocity
+            if qdot_d is self._still[0]:  # the kept command at the kept chain
+                _, q_bytes, twist_bytes, ee_velocity = self._still
+            else:
+                ee_twist = chain.jacobian.dot(qdot_d)
+                q = chain.q + qdot_d * dt
+                q_bytes = q.tobytes()
+                twist_bytes = ee_twist.tobytes()
+                ee_velocity = ee_twist.tolist()[:3]
+                if q_bytes != chain.q.tobytes():  # a 0.0 that turns -0.0 counts
+                    self._chain = chain_state(self.model, q)
+                    self._ee_velocity = self._chain.jacobian.dot(qdot_d)[:3].tolist()
+                else:  # same J and qdot: next tick's J qdot is this ee_twist
+                    self._ee_velocity = ee_velocity
+                    self._still = (qdot_d, q_bytes, twist_bytes, ee_velocity)
 
             layer = "trace"
             # One row in `trace_columns` order: arrays copied in as bytes,
@@ -274,7 +287,7 @@ class Simulation:
             ee = self._chain.pose
             rows.frombytes(q_bytes)
             rows.extend(ee)
-            rows.frombytes(ee_twist.tobytes())
+            rows.frombytes(twist_bytes)
             rows.extend(force)
             rows.extend(out.v_adm)
             rows.extend(human_state.hand_velocity)

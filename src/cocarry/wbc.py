@@ -135,32 +135,35 @@ def solve_secondary(q: np.ndarray, params: WbcParams) -> np.ndarray:
 def compute(
     model: KinematicModel, x_d, xdot_d, params: WbcParams, chain: ChainState
 ) -> np.ndarray:
-    """Full hierarchical command J# b + (I - J# J) s for the posture velocity s.
+    """The delivered command: J# b + (I - J# J) s for the posture velocity s,
+    saturated to the joint velocity limits (`clamp_velocities`).
 
     The command is solved at the chain's q, for the reference pose x_d as
     7 floats (position, then the (w, x, y, z) quaternion) and the reference
     twist xdot_d as 6 floats (linear, then angular).  It is formed as
     s + J# (b - J s), which needs one solve and no projector.
 
-    The still-tick rule: the chain keeps its last command and returns it
-    again while the other inputs keep their bits: the 13 reference floats,
-    packed (a 0.0 that turns -0.0 counts as a change), the same `params`
-    object and the same damping factor k (what the command reads of the
-    model).  A still robot keeps its chain, so under a still reference it
-    solves once.  A call that raises keeps nothing.  Every call returns an
-    array of its own.
+    The still-tick rule: the chain keeps its last command and returns that
+    same read-only array again while the other inputs keep their bits: the
+    13 reference floats, packed (a 0.0 that turns -0.0 counts as a change),
+    the same `params` object and the same damping factor k (what the command
+    reads of the model).  A still robot keeps its chain, so under a still
+    reference it solves once, and a caller can tell a kept command by its
+    identity.  A call that raises keeps nothing.
     """
     reference = _REFERENCE.pack(*x_d, *xdot_d)
     k = damping_factor(chain.manipulability, model)
     kept = chain.command
     if kept is not None and kept[0] == reference and kept[1] is params and kept[2] == k:
-        return kept[3].copy()
+        return kept[3]
     J = chain.jacobian
     b = tracking_objective(chain.pose, x_d, xdot_d, params)
     s = solve_secondary(chain.q, params)
     qdot = s + solve_tracking(J, b - J.dot(s), k, params.w_task, params.w_damp)
+    qdot = clamp_velocities(qdot, params)
+    qdot.flags.writeable = False
     chain.command = (reference, params, k, qdot)
-    return qdot.copy()
+    return qdot
 
 
 def clamp_velocities(qdot: np.ndarray, params: WbcParams) -> np.ndarray:

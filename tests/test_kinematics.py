@@ -324,6 +324,41 @@ def test_non_identity_offset_rotation():
         np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-12)
 
 
+def negated_identity_model():
+    """The default model with two offsets at the orientation (-1, 0, 0, 0),
+    the identity rotation as the other unit quaternion."""
+    model = default_model()
+    turned = Pose([0.0, 0.176, 0.0], [-1.0, 0.0, 0.0, 0.0])
+    arm = (model.arm[0], replace(model.arm[1], offset=turned), *model.arm[2:])
+    return replace(model, arm=arm, ee_offset=Pose([0, 0, 0.0925], [-1.0, 0.0, 0.0, 0.0]))
+
+
+def links_by_matrix(model):
+    """`_links` and `_ee_R` as the rule that compares each offset's rotation
+    matrix with np.eye(3) gives them."""
+
+    def flat_or_none(pose):
+        R = pose.rotation_matrix()
+        return None if np.array_equal(R, np.eye(3)) else tuple(R.ravel().tolist())
+
+    links = tuple(
+        (tuple(j.offset.position.tolist()), flat_or_none(j.offset), tuple(j.axis.tolist()))
+        for j in model.arm
+    )
+    return links, flat_or_none(model.ee_offset)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [default_model(), rotated_offset_model(), negated_identity_model()],
+    ids=["default", "rotated_offsets", "negated_identity"],
+)
+def test_identity_offsets_told_from_the_quaternion(model):
+    # The model skips an offset rotation whose quaternion has a zero vector
+    # part; the cache is the one the matrix comparison gives.
+    assert (model._links, model._ee_R) == links_by_matrix(model)
+
+
 def _mul3(a, b):
     """Row-major 9-tuple product, summed left to right."""
     return tuple(

@@ -114,6 +114,14 @@ def test_validation_passes_good_config():
         ({"hand0": [math.nan, 0, 1]}, "'hand0[0]' must be finite"),
         ({"intervals": [[0.2, math.nan]]}, "field 'intervals[0][1]' must be finite, got nan"),
         ({"intervals": [[math.inf, 0.5]]}, "field 'intervals[0][0]' must be finite, got inf"),
+        (
+            {"model": {"arm": [{"axis": [0, 0, 1], "xyz": [0, math.nan, 0]}] * 6}},
+            "field 'model.arm[0].xyz[1]' must be finite, got nan",
+        ),
+        (
+            {"model": {"arm": [{"axis": [0, 0, 1]}] * 6, "ee_offset": {"xyz": [math.inf, 0, 0]}}},
+            "field 'model.ee_offset.xyz[0]' must be finite, got inf",
+        ),
     ],
 )
 def test_validation_flags_each_problem(patch, needle, tmp_path):

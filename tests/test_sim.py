@@ -5,6 +5,7 @@ import math
 import struct
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cocarry.sim import (
     write_metrics,
     write_trace,
 )
+from reference_runs import PACKAGED
 
 RIGID_Q0 = [0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0]
 HAND0 = [1.5426, 0.176, 0.9521]
@@ -407,6 +409,84 @@ def test_command_solved_only_when_its_inputs_change_bits(scenario, monkeypatch):
     assert len(commands) == sim.ticks
     assert len(solves) == changed
     assert 0 < changed < sim.ticks
+
+
+def rigid_teleop(duration=2.0):
+    """The criterion-1 deadlock: a rigid rod under teleoperation, where
+    neither the robot nor its reference moves."""
+    overrides = {"mode": "teleop", "duration": duration, "intervals": []}
+    cfg = load_scenario(scenario_path("rigid_rod"), overrides)
+    return Simulation(cfg)
+
+
+def test_still_tick_rows_equal_a_fresh_evaluation(monkeypatch):
+    # A still tick reuses the previous tick's q and EE twist; each row must
+    # still be what a fresh chain and solve on that tick's inputs give.
+    sim = rigid_teleop()
+    real_compute = cocarry.wbc.compute
+    inputs, outs = [], []
+
+    def spy_compute(model, x_d, xdot_d, params, chain):
+        out = real_compute(model, x_d, xdot_d, params, chain)
+        inputs.append((chain.q, list(x_d), list(xdot_d)))
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(cocarry.wbc, "compute", spy_compute)
+    for _ in range(int(round(sim.config.duration / sim.dt))):
+        sim.step()
+    trace = sim.trace
+    n = sim.model.n_joints
+    q_rows = trace[[f"q{i}" for i in range(n)]]
+    v_rows = trace[["ee_vx", "ee_vy", "ee_vz", "ee_wx", "ee_wy", "ee_wz"]]
+    for (q, x_d, xdot_d), q_row, v_row in zip(inputs, q_rows, v_rows):
+        chain = sim_mod.chain_state(sim.model, q)
+        qdot = real_compute(sim.model, x_d, xdot_d, sim.wbc_params, chain)
+        assert q_row.tobytes() == (chain.q + qdot * sim.dt).tobytes()
+        assert v_row.tobytes() == chain.jacobian.dot(qdot).tobytes()
+    # every tick after the first was handed the kept command
+    assert len(outs) == sim.ticks == 2000
+    assert all(a is b for a, b in zip(outs, outs[1:]))
+
+
+def test_replaced_wbc_params_solve_once_on_a_still_robot(monkeypatch):
+    # Equal parameters in another object miss the kept command once; the
+    # new command has the old one's bits, and so does the trace.
+    before = rigid_teleop()
+    before.run()
+    real_solve = cocarry.wbc.solve_tracking
+    solves = []
+
+    def spy_solve(*args):
+        solves.append(None)
+        return real_solve(*args)
+
+    monkeypatch.setattr(cocarry.wbc, "solve_tracking", spy_solve)
+    sim = rigid_teleop()
+    for i in range(int(round(sim.config.duration / sim.dt))):
+        if i == 1000:
+            sim.wbc_params = replace(sim.wbc_params)
+            assert len(solves) == 1
+        sim.step()
+    assert len(solves) == 2
+    assert sim.trace.data.tobytes() == before.trace.data.tobytes()
+
+
+# W+ on every packaged scenario is at most 0.0122 J (smoke); the bound is
+# about four times that.
+WORK_ON_HAND_BOUND_J = 0.05
+
+
+@pytest.mark.parametrize("name", PACKAGED)
+def test_coupling_does_little_positive_work_on_the_hand(name, reference_run):
+    # P = -F . v_h is the power the coupling delivers to the partner's hand
+    # (F is the force on the EE); W+ integrates its positive part.  The
+    # robot must not drive the partner.
+    run = reference_run(name)
+    trace = run.trace
+    power = -sum(trace[f"f{c}"] * trace[f"vh_{c}"] for c in "xyz")
+    positive_work = float(np.maximum(power, 0.0).sum() * run.cfg.dt)
+    assert positive_work <= WORK_ON_HAND_BOUND_J
 
 
 def test_rigid_admittance_completes_with_low_alpha():

@@ -370,6 +370,25 @@ def test_clamp_is_np_clip_bitwise_in_an_array_of_its_own(sign):
     assert out.flags.writeable
 
 
+def test_compute_delivers_the_saturated_command():
+    # A reference 3 m away asks for more than the joints may deliver; the
+    # command is the solve clipped to the limits, and it cannot be written.
+    model = default_model()
+    params = default_params(model)
+    chain = chain_state(model, HOME)
+    x_d = [chain.pose[0] + 3.0, *chain.pose[1:]]
+    out = wbc.compute(model, x_d, [0.0] * 6, params, chain=chain)
+    J = chain.jacobian
+    b = wbc.tracking_objective(chain.pose, x_d, np.zeros(6), params)
+    s = wbc.solve_secondary(HOME, params)
+    k = damping_factor(chain.manipulability, model)
+    raw = s + wbc.solve_tracking(J, b - J.dot(s), k, params.w_task, params.w_damp)
+    hi = params.qdot_limits
+    assert np.any(np.abs(raw) > hi)
+    assert out.tobytes() == np.clip(raw, -hi, hi).tobytes()
+    assert not out.flags.writeable
+
+
 @pytest.fixture
 def counted_solves(monkeypatch):
     """The calls of `wbc.solve_tracking`, one entry per solve."""
@@ -442,4 +461,6 @@ def test_returned_command_cannot_change_the_kept_one():
         out = wbc.compute(model, x_d, [0.0] * 6, params, chain=chain)
         kept = kept or out.tobytes()
         assert out.tobytes() == kept
-        out[:] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            out[:] = 1.0
+        assert chain.command[3].tobytes() == kept
