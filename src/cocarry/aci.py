@@ -94,12 +94,17 @@ def admittance_step(force, v_prev, decay, params: AdmittanceParams) -> tuple:
     """
     if len(force) != 3 or len(v_prev) != 3:
         raise ValueError("admittance force and velocity must have 3 components")
-    if not all(map(math.isfinite, force)):
+    fx, fy, fz = force
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
         raise ValueError("non-finite force input to admittance (sensor fault?)")
-    return tuple([
-        e * v + (1.0 - e) * f / d
-        for e, v, f, d in zip(decay, v_prev, force, params._damping)
-    ])
+    ex, ey, ez = decay
+    vx, vy, vz = v_prev
+    dx, dy, dz = params._damping
+    return (
+        ex * vx + (1.0 - ex) * fx / dx,
+        ey * vy + (1.0 - ey) * fy / dy,
+        ez * vz + (1.0 - ez) * fz / dz,
+    )
 
 
 class AdaptiveIndex:
@@ -115,32 +120,45 @@ class AdaptiveIndex:
         self.params = params
         self.alpha = float(alpha0)
         # The window's sample times are _times; between each two neighbours
-        # lies one trapezoid term of six floats (columns 0:3 v_adm, 3:6 v_h),
-        # older terms first.  The older terms are held as suffix sums in
-        # _suffix: entry j sums the older terms j .. end.  The newer terms
-        # are held as they came in _newer, and their running sum is _back.
-        # The window integral is then _suffix[0] plus _back, and no term is
-        # ever subtracted, so rounding from samples that left the window
-        # cannot linger.  When a newer term leaves the window, the newer
-        # terms still in it are re-summed into suffix sums, from the newest
-        # back: once per window length, so an update costs O(1) amortised.
+        # lies one trapezoid term of six floats (0:3 v_adm, 3:6 v_h), older
+        # terms first.  The older terms are held as suffix sums in _suffix:
+        # entry j sums the older terms j .. end.  The newer terms are held
+        # as they came in _newer, and their running sum is _back.  The
+        # window integral is then _suffix[0] plus _back, and no term is ever
+        # subtracted, so rounding from samples that left the window cannot
+        # linger.  When a newer term leaves the window, the newer terms
+        # still in it are re-summed into suffix sums, from the newest back:
+        # once per window length, so an update costs O(1) amortised.  The
+        # newest sample, each term and _back are 6-float tuples, formed per
+        # component.
         self._times = deque()
         self._suffix = deque()
         self._newer = []
-        self._back = [0.0] * 6
+        self._back = _ZERO6
         self._last = None  # the six velocities of the newest sample
 
     def update(self, t: float, v_adm, v_h) -> float:
         """Add the sample of both velocity triples at t; returns alpha."""
         t = float(t)
-        v = [*v_adm, *v_h]
+        ax, ay, az = v_adm
+        hx, hy, hz = v_h
         times = self._times
         if times:
             half_dt = 0.5 * (t - times[-1])
-            term = [half_dt * (a + b) for a, b in zip(v, self._last)]
+            lax, lay, laz, lhx, lhy, lhz = self._last
+            term = (
+                half_dt * (ax + lax),
+                half_dt * (ay + lay),
+                half_dt * (az + laz),
+                half_dt * (hx + lhx),
+                half_dt * (hy + lhy),
+                half_dt * (hz + lhz),
+            )
             self._newer.append(term)
-            self._back = _add6(self._back, term)
-        self._last = v
+            b0, b1, b2, b3, b4, b5 = self._back
+            t0, t1, t2, t3, t4, t5 = term
+            self._back = (b0 + t0, b1 + t1, b2 + t2, b3 + t3, b4 + t4, b5 + t5)
+        self._last = (ax, ay, az, hx, hy, hz)
         times.append(t)
         cutoff = t - self.params.window_length - 1e-12
         suffix = self._suffix
@@ -155,17 +173,21 @@ class AdaptiveIndex:
             suffix.extend(accumulate(reversed(self._newer[left:]), _add6))
             suffix.reverse()
             self._newer = []
-            self._back = [0.0] * 6
-        disp = self._back
+            self._back = _ZERO6
+        d0, d1, d2, d3, d4, d5 = self._back
         if suffix:
-            disp = _add6(suffix[0], disp)
-        d_adm = math.hypot(*disp[:3])
-        d_h = math.hypot(*disp[3:])
+            s0, s1, s2, s3, s4, s5 = suffix[0]
+            d0, d1, d2, d3, d4, d5 = s0 + d0, s1 + d1, s2 + d2, s3 + d3, s4 + d4, s5 + d5
+        d_adm = math.hypot(d0, d1, d2)
+        d_h = math.hypot(d3, d4, d5)
         if d_adm < self.params.deadband and d_h < self.params.deadband:
             return self.alpha
         raw = 1.0 - d_adm / (d_h + self.params.epsilon)
         self.alpha = min(1.0, max(0.0, raw))
         return self.alpha
+
+
+_ZERO6 = (0.0,) * 6
 
 
 def _add6(s, x) -> list:
@@ -175,7 +197,9 @@ def _add6(s, x) -> list:
 
 def object_translation(v_adm, v_h, alpha: float) -> tuple:
     """Blended translational command v_adm + alpha * v_h, as 3 floats."""
-    return tuple([a + alpha * h for a, h in zip(v_adm, v_h)])
+    ax, ay, az = v_adm
+    hx, hy, hz = v_h
+    return (ax + alpha * hx, ay + alpha * hy, az + alpha * hz)
 
 
 class IntentionDetector:

@@ -193,7 +193,8 @@ class MotionScript:
                     delta = seg.target - hyaw
                     return pos, _ZERO3, tyaw, 0.0, hyaw + s * delta
                 return pos, _ZERO3, tyaw, 0.0, hyaw
-        raise AssertionError("unreachable")
+        # Only a t no segment holds gets here: nan, or t < 0 with no segments.
+        raise ValueError(f"script has no target at t={t}")
 
 
 class SimulatedHuman:

@@ -14,7 +14,7 @@ translation-only scenarios this is identical to a world-frame offset.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -29,7 +29,8 @@ class ObjectModel:
 
     rest_vector is the nominal hand-to-EE offset, expressed in the EE yaw
     frame at rest (ref_yaw).  slack_length is the axial extension below which
-    tension does not engage.
+    tension does not engage.  The coupling reads the rest vector as the float
+    triple `_rest`, formed once from the field.
     """
 
     rest_vector: np.ndarray = ruled(FINITE, (0.0, 0.0, 0.0), shape=3)
@@ -40,9 +41,11 @@ class ObjectModel:
     slack_length: float = ruled(NON_NEGATIVE, 0.0)
     ref_yaw: float = ruled(FINITE, 0.0)
     label: str = ""
+    _rest: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check(self)
+        object.__setattr__(self, "_rest", tuple(self.rest_vector.tolist()))
 
     def with_rest(self, rest_vector: np.ndarray, ref_yaw: float = 0.0) -> "ObjectModel":
         """Copy of the model with the rest geometry bound to a scenario."""
@@ -70,7 +73,7 @@ def object_wrench(
     ex, ey, ez, *ee_q = ee_pose
     yaw = yaw_from_quat(ee_q) - model.ref_yaw
     c, sn = math.cos(yaw), math.sin(yaw)
-    vx, vy, rz = model.rest_vector.tolist()
+    vx, vy, rz = model._rest
     rx, ry = c * vx - sn * vy, sn * vx + c * vy
     rest_len = math.hypot(rx, ry, rz)
     hx, hy, hz = hand_position

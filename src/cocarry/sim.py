@@ -5,9 +5,11 @@ previous object reaction, the coupling force is evaluated once from the
 fresh states, the collaborative interface turns force and human motion into
 an EE reference, the whole-body controller resolves it to saturated joint
 velocities, and the robot integrates.  Every tick appends one trace row to
-a flat `array('d')`.  numpy runs only the matrix work (the Jacobian and 6x6
-products, the 6x6 solve, the determinant, the joint-angle cos/sin); every
-3-, 4- and 7-vector and scalar is Python floats.  The EE and reference
+a flat `array('d')`, in 5 calls.  numpy runs only the matrix work (the
+Jacobian and 6x6 products, the 6x6 solve, the determinant, the joint-angle
+cos/sin); every 3-, 4- and 7-vector and scalar is Python floats, and the
+coupling, the admittance step, the adaptive index and the blend work on them
+one component at a time.  The EE and reference
 poses are 7 floats in the trace's column order (position, then the
 (w, x, y, z) quaternion); a tick builds a `Pose` only when a rotation fires.
 Each value a tick reads has one holder: the simulation is the clock (tick
@@ -276,8 +278,8 @@ class Simulation:
                     self._still = (qdot_d, q_bytes, twist_bytes, ee_velocity)
 
             layer = "trace"
-            # One row in `trace_columns` order: arrays copied in as bytes,
-            # float sequences (the poses among them) extended.
+            # One row in `trace_columns` order, in 5 calls: t, the q bytes,
+            # the EE pose, the EE twist bytes, then the other 26 floats.
             rows = self._rows
             try:
                 rows.append(t_new)
@@ -288,15 +290,16 @@ class Simulation:
             rows.frombytes(q_bytes)
             rows.extend(ee)
             rows.frombytes(twist_bytes)
-            rows.extend(force)
-            rows.extend(out.v_adm)
-            rows.extend(human_state.hand_velocity)
-            rows.append(out.alpha)
-            rows.append(out.zeta)
-            rows.extend(out.x_d)
-            rows.extend(human_state.hand_position)
-            rows.extend(human_state.hand_orientation)
-            rows.append(human_state.theta_t_w)
+            rows.extend((
+                fx, fy, fz,
+                *out.v_adm,
+                *human_state.hand_velocity,
+                out.alpha, out.zeta,
+                *out.x_d,
+                *human_state.hand_position,
+                *human_state.hand_orientation,
+                human_state.theta_t_w,
+            ))  # fmt: skip
             self._check_waypoints(ee, ee_velocity)
         except Exception as exc:
             raise SimulationError(f"in {layer}: {exc}") from exc

@@ -3,12 +3,18 @@ rotation trajectories, and the reference pose.
 
 The index oracle keeps the window in a deque and re-integrates all of it
 on every sample; the detector oracle re-derives every sample's verdict
-from scratch by scanning the whole history.
+from scratch by scanning the whole history.  The admittance step, the index
+and the blend also have bit-exact oracles: their list/zip forms, which the
+per-component forms must match bit for bit.
 """
 
 import gc
+import math
+import re
+import struct
 import tracemalloc
 from collections import deque
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -296,6 +302,176 @@ def test_object_translation_blend():
     np.testing.assert_allclose(object_translation(v_adm, v_h, 0.0), v_adm)
     np.testing.assert_allclose(object_translation(np.zeros(3), v_h, 1.0), v_h)
     np.testing.assert_allclose(object_translation(v_adm, v_h, 0.5), [0.2, 0, 0])
+
+
+# -- bit-exact oracles: the list/zip forms ----------------------------------
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def admittance_step_zip(force, v_prev, decay, params):
+    """`admittance_step` in its list/zip form."""
+    if len(force) != 3 or len(v_prev) != 3:
+        raise ValueError("admittance force and velocity must have 3 components")
+    if not all(map(math.isfinite, force)):
+        raise ValueError("non-finite force input to admittance (sensor fault?)")
+    return tuple([
+        e * v + (1.0 - e) * f / d
+        for e, v, f, d in zip(decay, v_prev, force, params._damping)
+    ])
+
+
+def object_translation_zip(v_adm, v_h, alpha):
+    """`object_translation` in its list/zip form."""
+    return tuple([a + alpha * h for a, h in zip(v_adm, v_h)])
+
+
+def add6_zip(s, x):
+    return [a + b for a, b in zip(s, x)]
+
+
+class ListIndexOracle:
+    """`AdaptiveIndex.update` in its list form: the newest sample, each term
+    and the running sum are fresh lists, and every sum goes through
+    `add6_zip`.  It counts its re-sums."""
+
+    def __init__(self, params, alpha0=0.0):
+        self.params = params
+        self.alpha = float(alpha0)
+        self._times = deque()
+        self._suffix = deque()
+        self._newer = []
+        self._back = [0.0] * 6
+        self._last = None
+        self.resums = 0
+        self.holds = 0
+
+    def update(self, t, v_adm, v_h):
+        t = float(t)
+        v = [*v_adm, *v_h]
+        times = self._times
+        if times:
+            half_dt = 0.5 * (t - times[-1])
+            term = [half_dt * (a + b) for a, b in zip(v, self._last)]
+            self._newer.append(term)
+            self._back = add6_zip(self._back, term)
+        self._last = v
+        times.append(t)
+        cutoff = t - self.params.window_length - 1e-12
+        suffix = self._suffix
+        left = 0
+        while times[0] < cutoff:
+            times.popleft()
+            if suffix:
+                suffix.popleft()
+            else:
+                left += 1
+        if left:
+            self.resums += 1
+            suffix.extend(accumulate(reversed(self._newer[left:]), add6_zip))
+            suffix.reverse()
+            self._newer = []
+            self._back = [0.0] * 6
+        disp = self._back
+        if suffix:
+            disp = add6_zip(suffix[0], disp)
+        d_adm = math.hypot(*disp[:3])
+        d_h = math.hypot(*disp[3:])
+        if d_adm < self.params.deadband and d_h < self.params.deadband:
+            self.holds += 1
+            return self.alpha
+        raw = 1.0 - d_adm / (d_h + self.params.epsilon)
+        self.alpha = min(1.0, max(0.0, raw))
+        return self.alpha
+
+
+def signed_stream(rng, n, scale):
+    """n float triples in runs: zeros of either sign, values inside the
+    deadband, and values of `scale`."""
+    out = []
+    while len(out) < n:
+        kind = rng.integers(3)
+        for _ in range(int(rng.integers(20, 400))):
+            if kind == 0:
+                v = np.copysign(0.0, rng.normal(size=3))
+            elif kind == 1:
+                v = rng.normal(scale=1e-7, size=3)
+            else:
+                v = rng.normal(scale=scale, size=3)
+            out.append(tuple(v.tolist()))
+    return out[:n]
+
+
+def test_admittance_step_keeps_the_bits_of_the_zip_form():
+    rng = np.random.default_rng(61)
+    params = AdmittanceParams([6.0, 3.0, 1.5], [30.0, 12.0, 9.0])
+    for dt in (1e-3, 2.5e-3):
+        decay = params.decay(dt)
+        ours = oracle = (0.0, -0.0, 0.0)
+        for force in signed_stream(rng, 3000, 20.0):
+            ours = admittance_step(force, ours, decay, params)
+            oracle = admittance_step_zip(force, oracle, decay, params)
+            assert bits(ours) == bits(oracle)
+
+
+def test_admittance_step_keeps_signed_zeros():
+    params = AdmittanceParams()
+    decay = params.decay(1e-3)
+    for v_prev in ((-0.0, 0.0, -0.0), (0.0, -0.0, 0.0)):
+        for force in ((-0.0, -0.0, 0.0), (0.0, 0.0, -0.0)):
+            ours = admittance_step(force, v_prev, decay, params)
+            assert bits(ours) == bits(admittance_step_zip(force, v_prev, decay, params))
+
+
+def test_admittance_step_refuses_what_the_zip_form_refuses():
+    params = AdmittanceParams()
+    decay = params.decay(1e-3)
+    for force, v_prev in [
+        ((math.nan, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, math.inf), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    ]:
+        with pytest.raises(ValueError) as want:
+            admittance_step_zip(force, v_prev, decay, params)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            admittance_step(force, v_prev, decay, params)
+
+
+@pytest.mark.parametrize("window", [0.25, 1.0])
+def test_index_keeps_the_bits_of_the_list_form(window):
+    rng = np.random.default_rng(62 if window == 0.25 else 63)
+    params = AciParams(window_length=window)
+    ours = AdaptiveIndex(params, alpha0=0.4)
+    oracle = ListIndexOracle(params, alpha0=0.4)
+    n = 5000
+    v_adm = signed_stream(rng, n, 0.2)
+    v_h = signed_stream(rng, n, 0.3)
+    alphas = set()
+    for i, (a, h) in enumerate(zip(v_adm, v_h), start=1):
+        t = i * 1e-3 + (0.0 if i % 7 else 2e-4)  # an uneven step now and then
+        alpha = ours.update(t, a, h)
+        alphas.add(alpha)
+        assert bits([alpha]) == bits([oracle.update(t, a, h)])
+        assert bits(ours._back) == bits(oracle._back)
+        assert len(ours._suffix) == len(oracle._suffix)
+        if ours._suffix:
+            assert bits(ours._suffix[0]) == bits(oracle._suffix[0])
+    assert oracle.resums >= 4  # the window was re-summed several times
+    assert oracle.holds > 50  # the deadband held alpha on many ticks
+    assert len(alphas) > 1000  # and alpha was computed on many others
+
+
+def test_object_translation_keeps_the_bits_of_the_zip_form():
+    rng = np.random.default_rng(64)
+    v_adm = signed_stream(rng, 2000, 0.2)
+    v_h = signed_stream(rng, 2000, 0.3)
+    alphas = [0.0, -0.0, 1.0, *rng.uniform(size=40).tolist()]
+    for i, (a, h) in enumerate(zip(v_adm, v_h)):
+        alpha = alphas[i % len(alphas)]
+        assert bits(object_translation(a, h, alpha)) == bits(object_translation_zip(a, h, alpha))
 
 
 # -- intention detection --------------------------------------------------

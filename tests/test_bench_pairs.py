@@ -1,7 +1,7 @@
 """The verdicts of tools/bench_pairs.py on hand-made pairs of runs."""
 
 import pytest
-from bench_pairs import compare, info_lines, verdicts
+from bench_pairs import compare, info_lines, runs_note, verdicts
 
 
 def verdict(parent, change, better="lower", bound=0.24):
@@ -50,3 +50,10 @@ def test_info_lines_print_each_sides_median():
         ["run_s", "parent", "2", "change", "2.2", "(+10.0%)", "info"],
         ["tick_p50_us", "parent", "110", "change", "99", "(-10.0%)", "info"],
     ]
+
+
+def test_runs_note_prints_each_sides_median_runs():
+    # A faster change fits more runs into the same seconds, and each run
+    # raises the next worker's peak RSS, so the peak_rss_mb line shows both.
+    note = runs_note({"parent": [52, 53, 51, 60], "change": [55, 58, 57]})
+    assert note.split() == ["runs/invocation", "parent", "52.5", "change", "57"]

@@ -310,3 +310,21 @@ def test_rejects_wrong_length_force():
     human = make_human([Hold(1.0)])
     with pytest.raises(ValueError):
         human.step(DT, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda script, human: script.sample(math.nan),
+        lambda script, human: script.target(math.nan),
+        lambda script, human: human.step(math.nan, np.zeros(3)),
+    ],
+    ids=["sample", "target", "human_step"],
+)
+def test_nan_time_is_named(entry):
+    # A nan t compares false with every segment's bounds; it used to fall
+    # through to a bare AssertionError("unreachable").
+    script = MotionScript([Hold(1.0), Translate([0.1, 0.0, 0.0], 1.0)], (0.0, 0.0, 1.0))
+    human = SimulatedHuman(HumanParams(), script, (0.5, 0.0, 1.0), DT)
+    with pytest.raises(ValueError, match=r"script has no target at t=nan"):
+        entry(script, human)

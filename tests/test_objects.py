@@ -4,7 +4,7 @@
 must be minus the displacement-gradient of this stored energy.
 """
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -298,3 +298,18 @@ def test_static_deflection_under_load():
     model = presets()["rigid_rod"].with_rest([0.5, 0.0, 0.0])
     on_ee, _ = wrench_at(model, [0, 0, 0], [0.501, 0, 0])
     assert np.linalg.norm(on_ee) == pytest.approx(10.0)
+
+
+def test_cached_rest_vector_follows_its_field():
+    # object_wrench reads the rest vector as a float triple formed once per
+    # model; a model made by with_rest or dataclasses.replace forms its own.
+    bag = presets()["peanut_bag"].with_rest([0.5, 0.0, 0.0])
+    for model in (bag.with_rest([0.0, 0.4, 0.0]), replace(bag, rest_vector=[0.0, 0.4, 0.0])):
+        assert model._rest == (0.0, 0.4, 0.0)
+        # 0.02 m of stretch along the new rest direction, at 5e3 N/m
+        on_ee, _ = wrench_at(model, [0, 0, 0], [0.0, 0.42, 0.0])
+        np.testing.assert_allclose(on_ee, [0.0, -100.0, 0.0], atol=1e-9)
+    # the cache is neither set, shown nor compared: only the fields are
+    cached = {f.name: f for f in fields(ObjectModel)}["_rest"]
+    assert (cached.init, cached.repr, cached.compare) == (False, False, False)
+    assert "_rest" not in repr(bag)

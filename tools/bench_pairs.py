@@ -21,13 +21,17 @@ quartiles, how many pairs the change won, and two verdicts:
     widely to tell, unless every change run beats every parent run.
 Beside them it prints each side's median of the informational metrics the
 benchmark stores under `info` (run_s, tick_p50_us, tick_p99_us), which carry
-no verdict.  It also prints how many runs of each side passed the
+no verdict.  The peak_rss_mb line also shows each side's median runs per
+invocation (`attempted` in the result file): a worker's peak RSS includes
+the benchmark's own at spawn time, which grows with each finished run, so a
+side that fits more runs into S seconds reads a higher peak RSS.  It also prints how many runs of each side passed the
 benchmark's outcome check and each side's mean and largest share of failed
 runs.  When any run failed its outcome check, or the change's mean
 fail_frac exceeds the parent's, no claim can stand: every claim verdict
 reads "fails", the script says why and exits 1.
 With --out, the pairs are stored in FILE under "pairs" as "W.seedN", in the
-layout of the BENCH_*.json files; an existing FILE keeps its other entries.
+layout of the BENCH_*.json files, each side's runs per invocation under
+"attempted"; an existing FILE keeps its other entries.
 The parent's commit is read from PARENT_DIR with git before any pair runs,
 so PARENT_DIR must be a git checkout (a `git clone`, not a `git archive`
 copy); when it is not, the script exits 1 and names the directory.
@@ -63,6 +67,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {name: m["value"] for name, m in last["metrics"].items()},
         "info": {name: result["info"][name]["value"] for name in INFO},
         "fail_frac": result["fail_frac"],
+        "attempted": result["attempted"],
         "correct": last["correct"],
         "environment": result["environment"],
     }
@@ -113,6 +118,12 @@ def info_lines(info: dict) -> list:
         rel = (c - p) / p if p else 0.0
         lines.append(f"  {name:12s} parent {p:.6g}  change {c:.6g}  ({rel:+.1%})  info")
     return lines
+
+
+def runs_note(attempted: dict) -> str:
+    """Each side's median runs per invocation, for the peak_rss_mb line."""
+    p, c = (float(np.median(attempted[side])) for side in SIDES)
+    return f"  runs/invocation parent {p:g} change {c:g}"
 
 
 def git_head(checkout: Path) -> str:
@@ -170,6 +181,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "first_in_pair": first,
         "fail_frac": {side: values(side, lambda r: r["fail_frac"]) for side in SIDES},
+        "attempted": {side: values(side, lambda r: r["attempted"]) for side in SIDES},
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
     }
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs:")
@@ -203,6 +215,7 @@ def main(argv=None) -> int:
             f"  change {c['median']:.6g}  ({rel:+.1%})  change wins {e['change_wins']}"
             f"/{args.pairs}  claim {'holds' if claim and not faults else 'fails'}"
             f"  bound {m['bound']:.0%} {bound_verdict}"
+            + (runs_note(entry["attempted"]) if name == "peak_rss_mb" else "")
         )
     entry["info"] = {
         name: {side: values(side, lambda r: r["info"][name]) for side in SIDES}
