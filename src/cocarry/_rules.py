@@ -11,12 +11,13 @@ A rule is FINITE, POSITIVE or NON_NEGATIVE, and each requires finite values.
 It holds for a number, every entry of an array or every value of a mapping;
 a None field is unset.  The scenario reader holds each number it reads to
 the rule of the field it fills (`field_rules`), so a file and a Python build
-refuse the same values.
+refuse the same values.  A class with shaped fields compares by value
+through `compared_by_bytes`.
 """
 
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, field
+from dataclasses import MISSING, field, fields
 from functools import cache
 
 import numpy as np
@@ -99,3 +100,39 @@ def check(obj, error=ValueError):
     freeze(obj)
     if found := problems(obj):
         raise error("; ".join(found))
+
+
+@cache
+def _compared(cls) -> tuple:
+    """(field name, has a shape) of each compared field of the dataclass `cls`."""
+    return tuple((f.name, bool(f.metadata.get("shape"))) for f in fields(cls) if f.compare)
+
+
+def _key(obj) -> tuple:
+    """The compared fields of the dataclass `obj`, each shaped one that is
+    set as the bytes of its array."""
+    key = []
+    for name, shaped in _compared(type(obj)):
+        value = getattr(obj, name)
+        key.append(value.tobytes() if shaped and value is not None else value)
+    return tuple(key)
+
+
+def _equal(a, b):
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    return _key(a) == _key(b)
+
+
+def _hash(obj) -> int:
+    return hash(_key(obj))
+
+
+def compared_by_bytes(cls):
+    """Decorate a frozen dataclass (outside `@dataclass`) so that `==`
+    compares its compared fields, each shaped field's array by its bytes
+    (so 0.0 and -0.0 differ), and `hash` hashes the same values; a value
+    that holds a read-only mapping stays unhashable."""
+    cls.__eq__ = _equal
+    cls.__hash__ = _hash
+    return cls

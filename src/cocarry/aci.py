@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, ruled
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, compared_by_bytes, ruled
 from .geometry import (
     Pose,
     quat_from_yaw,
@@ -45,6 +45,7 @@ class Mode(enum.Enum):
     TELEOP = "teleop"
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class AdmittanceParams:
     """Diagonal virtual mass and damping of the translational admittance."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import FINITE, check, ruled
+from ._rules import FINITE, check, compared_by_bytes, ruled
 
 _EPS = 1e-12
 
@@ -155,6 +155,7 @@ def wrap_angle(a: float) -> float:
     return float(np.pi - np.mod(np.pi - a, 2.0 * np.pi))
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class Pose:
     """Position plus unit-quaternion orientation of a frame in the world."""

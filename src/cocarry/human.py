@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, complaint, problems, ruled
-from ._rules import freeze, read_only
+from ._rules import compared_by_bytes, freeze, read_only
 from .geometry import quat_from_yaw
 
 # Standard normal draws taken from the generator at once for the measurement
@@ -72,6 +72,7 @@ class Hold:
     duration: float = ruled(POSITIVE)
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class Translate:
     offset: np.ndarray = ruled(FINITE, shape=3)
@@ -150,6 +151,18 @@ class MotionScript:
                 hyaw = seg.target
         self._starts = tuple(starts)
         self._end = (t, pos, tyaw, hyaw)
+
+    def _key(self) -> tuple:
+        return self.segments, self.hand0.tobytes(), self.torso_yaw0, self.hand_yaw0
+
+    def __eq__(self, other):
+        """Scripts compare by their segments and start, hand0 by its bytes."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def duration(self) -> float:

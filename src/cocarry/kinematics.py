@@ -3,6 +3,16 @@
 The base contributes three joints (x, y, yaw) and every arm joint is revolute
 with a fixed parent offset and a unit rotation axis, both given in the parent
 frame.  Chains are plain data so alternative arms can be loaded from config.
+
+A joint that turns about a signed coordinate axis (exactly +-x, +-y or +-z)
+is walked in two columns: its world axis is that column of the running
+rotation R (negated for a negative axis), the turn mixes the other two
+columns, and the third is scaled by the Rodrigues diagonal c + (1.0 - c).
+Every other axis takes the full Rodrigues product.  The two forms differ
+only where the full product adds a structurally zero term r * 0.0: a value
+that is exactly zero may carry the other sign (the zero-sign rule), in R,
+in the angular rows of J and in the EE quaternion, while every nonzero
+value keeps its bits.
 """
 
 import math
@@ -12,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from ._rules import NON_NEGATIVE, POSITIVE, check, ruled
+from ._rules import NON_NEGATIVE, POSITIVE, check, compared_by_bytes, ruled
 from .geometry import Pose, quat_from_matrix
 
 BASE_DOFS = 3
@@ -22,6 +32,7 @@ class KinematicsError(ValueError):
     pass
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class ArmJoint:
     """Revolute joint: rotation `axis` (unit, local frame) after a fixed `offset`."""
@@ -73,6 +84,9 @@ class KinematicModel:
         ))
         object.__setattr__(self, "_ee_p", tuple(self.ee_offset.position.tolist()))
         object.__setattr__(self, "_ee_R", _flat_or_none(self.ee_offset))
+        object.__setattr__(self, "_turns", tuple(_coordinate_turn(j.axis) for j in self.arm))
+        # J's 6 x m floats, row-major, packed in one call.
+        object.__setattr__(self, "_J", struct.Struct(f"{6 * self.n_joints}d"))
 
     @property
     def n_arm(self) -> int:
@@ -81,6 +95,16 @@ class KinematicModel:
     @property
     def n_joints(self) -> int:
         return BASE_DOFS + len(self.arm)
+
+
+def _coordinate_turn(axis: np.ndarray) -> tuple | None:
+    """(index, sign) of a joint axis that is exactly +-1.0 on one coordinate
+    axis and zero on the others, else None."""
+    values = axis.tolist()
+    for k, v in enumerate(values):
+        if abs(v) == 1.0 and values.count(0.0) == 2:
+            return k, v
+    return None
 
 
 def _check_q(model: KinematicModel, q: np.ndarray) -> np.ndarray:
@@ -116,6 +140,14 @@ def _chain(model: KinematicModel, q: np.ndarray):
     triples describing arm joint i in the world frame, R_ee is the EE
     rotation as a row-major 9-tuple and p_ee the EE position triple.  The
     walk runs on Python floats, with the running rotation in nine locals.
+
+    A joint about a signed coordinate axis (`_turns`) reads its world axis
+    as a column of R and turns R in two columns: for the axis z, with s
+    negated for -z, the columns (a, b) = (0, 1) become (a c + b s, b c - a s)
+    and column 2 is scaled by d = c + (1.0 - c), the Rodrigues diagonal (not
+    always 1.0); for x the columns are (1, 2) and for y (2, 0).  These are
+    the nonzero terms of the Rodrigues product: each value keeps its bits,
+    but one that is exactly zero may carry the other sign.
     """
     cos = np.cos(q[2:]).tolist()
     sin = np.sin(q[2:]).tolist()
@@ -125,7 +157,8 @@ def _chain(model: KinematicModel, q: np.ndarray):
     pz = 0.0
     origins = []
     axes = []
-    for ((ox, oy, oz), off_R, (x, y, z)), c, s in zip(model._links, cos[1:], sin[1:]):
+    links = zip(model._links, model._turns, cos[1:], sin[1:])
+    for ((ox, oy, oz), off_R, (x, y, z)), turn, c, s in links:
         px += r00 * ox + r01 * oy + r02 * oz
         py += r10 * ox + r11 * oy + r12 * oz
         pz += r20 * ox + r21 * oy + r22 * oz
@@ -133,6 +166,26 @@ def _chain(model: KinematicModel, q: np.ndarray):
         if off_R is not None:
             R = _mul3((r00, r01, r02, r10, r11, r12, r20, r21, r22), off_R)
             r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+        if turn is not None:
+            k, sign = turn
+            s *= sign
+            d = c + (1.0 - c)
+            if k == 2:
+                axes.append((r02 * sign, r12 * sign, r22 * sign))
+                r00, r01, r02 = r00 * c + r01 * s, r01 * c - r00 * s, r02 * d
+                r10, r11, r12 = r10 * c + r11 * s, r11 * c - r10 * s, r12 * d
+                r20, r21, r22 = r20 * c + r21 * s, r21 * c - r20 * s, r22 * d
+            elif k == 1:
+                axes.append((r01 * sign, r11 * sign, r21 * sign))
+                r00, r01, r02 = r00 * c - r02 * s, r01 * d, r02 * c + r00 * s
+                r10, r11, r12 = r10 * c - r12 * s, r11 * d, r12 * c + r10 * s
+                r20, r21, r22 = r20 * c - r22 * s, r21 * d, r22 * c + r20 * s
+            else:
+                axes.append((r00 * sign, r10 * sign, r20 * sign))
+                r00, r01, r02 = r00 * d, r01 * c + r02 * s, r02 * c - r01 * s
+                r10, r11, r12 = r10 * d, r11 * c + r12 * s, r12 * c - r11 * s
+                r20, r21, r22 = r20 * d, r21 * c + r22 * s, r22 * c - r21 * s
+            continue
         axes.append((
             r00 * x + r01 * y + r02 * z,
             r10 * x + r11 * y + r12 * z,
@@ -191,7 +244,12 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
     where the base happens to be.
     For a square Ja (a six-joint arm) it is taken as the equal |det Ja|.
     """
-    q = _check_q(model, q)
+    return _evaluate(model, _check_q(model, q))
+
+
+def _evaluate(model: KinematicModel, q: np.ndarray) -> ChainState:
+    """`chain_state` at a q the caller hands over: a float64 array of
+    `model.n_joints` entries, used without a copy and made read-only."""
     q.flags.writeable = False  # the chain's q cannot leave its pose and J
     origins, axes, R_ee, p_ee = _chain(model, q)
     ex, ey, ez = p_ee
@@ -207,11 +265,10 @@ def chain_state(model: KinematicModel, q: np.ndarray) -> ChainState:
         vy.append(zz * rx - zx * rz)
         vz.append(zx * ry - zy * rx)
     wx, wy, wz = zip(*axes)  # the angular rows
-    n = model.n_joints
-    rows = struct.pack(
-        f"{6 * n}d", *vx, *vy, *vz, 0.0, 0.0, 0.0, *wx, 0.0, 0.0, 0.0, *wy, 0.0, 0.0, 1.0, *wz
+    rows = model._J.pack(
+        *vx, *vy, *vz, 0.0, 0.0, 0.0, *wx, 0.0, 0.0, 0.0, *wy, 0.0, 0.0, 1.0, *wz
     )
-    J = np.frombuffer(rows).reshape(6, n)
+    J = np.frombuffer(rows).reshape(6, model.n_joints)
     Ja = J[:, BASE_DOFS:]
     if model.n_arm == 6:
         w = abs(_linalg.det(Ja))

@@ -19,10 +19,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._rules import FINITE, NON_NEGATIVE, check, ruled
+from ._rules import FINITE, NON_NEGATIVE, check, compared_by_bytes, ruled
 from .geometry import yaw_from_quat
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class ObjectModel:
     """Anisotropic spring-damper between the hand and the end effector.

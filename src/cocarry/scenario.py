@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, complaint, field_rules, ruled
+from ._rules import compared_by_bytes
 from .aci import AciParams, AdmittanceParams, Mode
 from .geometry import Pose
 from .human import (
@@ -42,6 +43,7 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid scenario configuration."""
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class Waypoint:
     offset: np.ndarray = ruled(FINITE, shape=3)
@@ -51,6 +53,7 @@ class Waypoint:
         check(self)
 
 
+@compared_by_bytes
 @dataclass(kw_only=True, frozen=True)
 class ScenarioConfig:
     """Everything a run needs; field names match the YAML schema."""

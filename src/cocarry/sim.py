@@ -40,7 +40,10 @@ from . import wbc as _wbc
 from .aci import AciController
 from .geometry import Pose, quat_from_yaw
 from .human import SimulatedHuman
-from .kinematics import chain_state
+# The simulation's chain evaluation is `kinematics.chain_state` without its
+# defensive copy of q: each q it is handed, the config's read-only q0 and
+# then each moving tick's new array, is its own.
+from .kinematics import _evaluate as chain_state
 from .objects import object_wrench
 from .scenario import ScenarioConfig
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, read_only, ruled
-from .geometry import pose_error
+from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, compared_by_bytes, read_only, ruled
+from .geometry import quat_multiply, quat_to_rotvec
 from .kinematics import BASE_DOFS, ChainState, KinematicModel, damping_factor
 
 
@@ -30,8 +30,11 @@ class WbcError(RuntimeError):
 
 # A reference as the bits of 13 doubles: x_d, then xdot_d.
 _REFERENCE = struct.Struct("13d")
+# The tracking objective b: 6 doubles, linear then angular.
+_TWIST = struct.Struct("6d")
 
 
+@compared_by_bytes
 @dataclass(frozen=True)
 class WbcParams:
     """Gains and weights; all weight matrices are diagonal and stored as vectors.
@@ -89,10 +92,22 @@ class WbcParams:
 def tracking_objective(pose, x_d, xdot_d, params: WbcParams) -> np.ndarray:
     """Reference twist b = xdot_d + K * (x_d minus the current pose), for
     poses of 7 floats and the reference twist xdot_d as 6 floats (linear,
-    then angular)."""
-    return np.array(
-        [v + k * e for v, k, e in zip(xdot_d, params._k_gain, pose_error(x_d, pose))]
-    )
+    then angular), as a read-only array.
+
+    Entry i is v_i + k_i * e_i, where e is `pose_error(x_d, pose)`: the
+    position entries x_d - x, then the rotation vector of q_d times the
+    conjugate of the current quaternion.  The six floats are formed one by
+    one and packed once.
+    """
+    px, py, pz, w, x, y, z = pose
+    dx, dy, dz, *q_d = x_d
+    ex, ey, ez = quat_to_rotvec(quat_multiply(q_d, (w, -x, -y, -z)))
+    v0, v1, v2, v3, v4, v5 = xdot_d
+    k0, k1, k2, k3, k4, k5 = params._k_gain
+    return np.frombuffer(_TWIST.pack(
+        v0 + k0 * (dx - px), v1 + k1 * (dy - py), v2 + k2 * (dz - pz),
+        v3 + k3 * ex, v4 + k4 * ey, v5 + k5 * ez,
+    ))  # fmt: skip
 
 
 def solve_tracking(

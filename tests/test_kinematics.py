@@ -101,9 +101,10 @@ def random_model(rng, n_arm):
 
 def test_fk_matches_matrix_oracle():
     rng = np.random.default_rng(31)
-    # The default arm, then a 7-joint arm whose joints turn about random
-    # unit axes: the inline Rodrigues matrices against scipy's.
-    for model in (default_model(), random_model(rng, 7)):
+    # The default arm, a 7-joint arm whose joints turn about random unit
+    # axes, and one with negative coordinate axes beside a tilted one: the
+    # two-column turns and the inline Rodrigues matrices against scipy's.
+    for model in (default_model(), random_model(rng, 7), mixed_axes_model()):
         for _ in range(200):
             q = random_q(rng, model)
             pose = forward_kinematics(model, q)
@@ -368,11 +369,24 @@ def _mul3(a, b):
     )
 
 
-def plain_chain_state(model, q):
+def coordinate_turn(axis):
+    """(index, sign) of an axis that is +-1.0 on one coordinate and zero on
+    the others, else None."""
+    size = [abs(v) for v in axis]
+    if sorted(size) != [0.0, 0.0, 1.0]:
+        return None
+    k = size.index(1.0)
+    return k, axis[k]
+
+
+def plain_chain_state(model, q, turns=True):
     """(pose, J, manipulability) from the chain walk in its plain form: each
-    rotation a 9-tuple multiplied through `_mul3`, J built by np.array from
-    six row lists.  The same products and sums in the same order as
-    `chain_state`, so the bits must agree."""
+    rotation a 9-tuple multiplied through `_mul3`, or, for a joint about a
+    signed coordinate axis k, columns (a, b) = (k + 1, k + 2) mod 3 turned
+    and column k scaled by c + (1.0 - c); J built by np.array from six row
+    lists.  The same products and sums in the same order as `chain_state`,
+    so the bits must agree.  With `turns` False every joint takes the
+    Rodrigues product."""
     cos, sin = np.cos(q[2:]).tolist(), np.sin(q[2:]).tolist()
     R = (cos[0], -sin[0], 0.0, sin[0], cos[0], 0.0, 0.0, 0.0, 1.0)
     p = [*q[:2].tolist(), 0.0]
@@ -382,6 +396,17 @@ def plain_chain_state(model, q):
         origins.append(p)
         if off_R is not None:
             R = _mul3(R, off_R)
+        turn = coordinate_turn((x, y, z)) if turns else None
+        if turn is not None:
+            k, sign = turn
+            a, b = (k + 1) % 3, (k + 2) % 3
+            s, d = sign * s, c + (1.0 - c)
+            axes.append([sign * R[3 * i + k] for i in range(3)])
+            R = list(R)
+            for i in range(3):
+                ra, rb, rk = R[3 * i + a], R[3 * i + b], R[3 * i + k]
+                R[3 * i + a], R[3 * i + b], R[3 * i + k] = ra * c + rb * s, rb * c - ra * s, rk * d
+            continue
         axes.append([R[3 * i] * x + R[3 * i + 1] * y + R[3 * i + 2] * z for i in range(3)])
         C = 1.0 - c
         R = _mul3(R, (
@@ -410,21 +435,77 @@ def plain_chain_state(model, q):
     return [*e, *quat_from_matrix(R)], J, w
 
 
+def mixed_axes_model():
+    """Seven joints about -z, -y, x, a tilted axis, -y behind a rotated
+    offset, z written with a -0.0 entry, and x."""
+    arm = [
+        ArmJoint(axis=[0.0, 0.0, -1.0], offset=Pose([0.2, 0.0, 0.6])),
+        ArmJoint(axis=[0.0, -1.0, 0.0], offset=Pose([0.0, 0.17, 0.0])),
+        ArmJoint(axis=[1.0, 0.0, 0.0], offset=Pose([0.45, 0.0, 0.0])),
+        ArmJoint(axis=[0.6, 0.0, 0.8], offset=Pose([0.35, 0.0, 0.15])),
+        ArmJoint(axis=[0.0, -1.0, 0.0], offset=Pose.from_xyz_rpy([0, 0, 0.12], [0.3, 0, 0])),
+        ArmJoint(axis=[-0.0, 0.0, 1.0], offset=Pose([0.0, 0.1, 0.0])),
+        ArmJoint(axis=[1.0, 0.0, 0.0], offset=Pose([0.0, 0.0, 0.09])),
+    ]
+    return KinematicModel(arm=arm, ee_offset=Pose([0.0, 0.0, 0.05]))
+
+
+def test_coordinate_axes_found_exactly():
+    # Only an axis that is exactly +-1.0 on one coordinate takes the
+    # two-column turn; a unit axis a rounding away from it keeps Rodrigues.
+    assert [t[0] if t else None for t in mixed_axes_model()._turns] == [2, 1, 0, None, 1, 2, 0]
+    assert [t[1] if t else None for t in mixed_axes_model()._turns] == [
+        -1.0, -1.0, 1.0, None, -1.0, 1.0, 1.0
+    ]
+    near = ArmJoint(axis=[0.0, 1e-9, 1.0])
+    assert KinematicModel(arm=[near] * 7)._turns == (None,) * 7
+
+
+def special_qs(n):
+    """q = 0, HOME's entries repeated to n, and the latter with -0.0 in
+    every other entry (the base yaw among them)."""
+    home = np.resize(HOME, n)
+    signed = home.copy()
+    signed[::2] = -0.0
+    return [np.zeros(n), home, signed, -np.zeros(n)]
+
+
 @pytest.mark.parametrize(
     "model",
-    [default_model(), rotated_offset_model(), random_model(np.random.default_rng(7), 7)],
-    ids=["default", "rotated_offsets", "seven_joints"],
+    [
+        default_model(),
+        rotated_offset_model(),
+        random_model(np.random.default_rng(7), 7),
+        mixed_axes_model(),
+    ],
+    ids=["default", "rotated_offsets", "seven_joints", "mixed_axes"],
 )
 def test_chain_state_bitwise_equals_plain_walk(model):
     # The digests cover only the default model; this holds every model kind,
-    # including the det(Ja Ja^T) branch of a seven-joint arm, to the bits.
+    # including the det(Ja Ja^T) branch of a seven-joint arm, to the bits,
+    # signed zeros included, at the exact zeros and signed zeros of q too.
     rng = np.random.default_rng(21)
-    for _ in range(200):
-        q = random_q(rng, model)
+    for q in special_qs(model.n_joints) + [random_q(rng, model) for _ in range(200)]:
         st = chain_state(model, q)
         pose, J, w = plain_chain_state(model, q)
         assert np.array(st.pose).tobytes() == np.array(pose).tobytes()
         assert st.jacobian.dtype == np.float64 and st.jacobian.shape == (6, model.n_joints)
         assert st.jacobian.flags.c_contiguous
         assert st.jacobian.tobytes() == J.tobytes()
+        assert struct.pack("d", st.manipulability) == struct.pack("d", w)
+
+
+@pytest.mark.parametrize(
+    "model", [default_model(), mixed_axes_model()], ids=["default", "mixed_axes"]
+)
+def test_coordinate_turn_differs_from_rodrigues_only_in_the_sign_of_zeros(model):
+    # The two-column turn drops the Rodrigues product's r * 0.0 terms: every
+    # value is equal, so every nonzero value keeps its bits, and only an
+    # exact zero may change its sign.
+    rng = np.random.default_rng(22)
+    for q in special_qs(model.n_joints) + [random_q(rng, model) for _ in range(200)]:
+        st = chain_state(model, q)
+        pose, J, w = plain_chain_state(model, q, turns=False)
+        assert st.pose == pose
+        assert (st.jacobian == J).all()
         assert struct.pack("d", st.manipulability) == struct.pack("d", w)

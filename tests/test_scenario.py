@@ -5,6 +5,7 @@ import importlib.resources
 import math
 import operator
 import re
+import struct
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, is_dataclass, replace
 
@@ -15,6 +16,7 @@ import yaml
 from cocarry import scenario
 from cocarry._rules import FINITE, field_rules
 from cocarry.aci import AciParams, AdmittanceParams, Mode
+from cocarry.geometry import Pose
 from cocarry.human import HumanParams, MotionScript
 from cocarry.kinematics import ArmJoint, KinematicModel, default_model
 from cocarry.objects import ObjectModel, presets
@@ -266,10 +268,37 @@ PACKAGED = sorted(
 )
 
 
+@pytest.mark.parametrize("name", PACKAGED)
+def test_two_loads_of_a_scenario_compare_equal(name):
+    # `==` on a config with an array field used to raise "The truth value
+    # of an array ... is ambiguous"; shaped fields compare by their bytes.
+    cfg, again = load_scenario(scenario_path(name)), load_scenario(scenario_path(name))
+    assert cfg == again and cfg is not again
+    assert cfg.model == again.model and hash(cfg.model) == hash(again.model)
+    assert cfg.script == again.script and hash(cfg.script) == hash(again.script)
+    assert cfg != replace(again, dt=2e-3)
+    assert cfg != replace(again, q0=again.q0 + 0.1)
+    assert cfg != replace(again, wbc=replace(again.wbc, k_gain=2.0 * again.wbc.k_gain))
+    assert cfg != replace(again, admittance=AdmittanceParams(mass=[6.0, 6.0, 7.0]))
+
+
+def test_shaped_fields_compare_by_their_bytes():
+    assert AdmittanceParams() == AdmittanceParams()
+    assert hash(AdmittanceParams()) == hash(AdmittanceParams())
+    assert ObjectModel() == ObjectModel() != ObjectModel(rest_vector=[0.0, 0.0, 1.0])
+    assert Pose([0.0, 0.0, 0.0]) != Pose([-0.0, 0.0, 0.0])  # -0.0 has other bytes
+    assert Pose([1.0, 2.0, 3.0]) != (1.0, 2.0, 3.0)
+    assert len({Waypoint([0.1, 0, 0]), Waypoint([0.1, 0, 0]), Waypoint([0.2, 0, 0])}) == 2
+    joint = ArmJoint(axis=[0.0, 1.0, 0.0], offset=Pose([0.0, 0.176, 0.0]))
+    assert joint == default_model().arm[1] and joint != default_model().arm[2]
+
+
 def changeable_parts(value, path: str, seen: set) -> list:
     """What can change in place under `value`, by path: a dataclass that is
-    not frozen, a writable array, or a list, dict or set."""
-    if id(value) in seen or isinstance(value, (str, int, float, enum.Enum, type(None))):
+    not frozen, a writable array, or a list, dict or set.  A `struct.Struct`
+    is a leaf: its format and size are read-only."""
+    leaves = (str, int, float, enum.Enum, type(None), struct.Struct)
+    if id(value) in seen or isinstance(value, leaves):
         return []
     seen.add(id(value))
     if isinstance(value, (list, dict, set)):

@@ -28,7 +28,8 @@ from cocarry.sim import (
     write_metrics,
     write_trace,
 )
-from reference_runs import PACKAGED
+from reference_runs import PACKAGED, RUNS
+from stress_runs import command_steps
 
 RIGID_Q0 = [0.0, 0.0, 0.0, 0.0, -0.65, 1.75, -0.2, 1.5707963, 0.0]
 HAND0 = [1.5426, 0.176, 0.9521]
@@ -487,6 +488,24 @@ def test_coupling_does_little_positive_work_on_the_hand(name, reference_run):
     power = -sum(trace[f"f{c}"] * trace[f"vh_{c}"] for c in "xyz")
     positive_work = float(np.maximum(power, 0.0).sum() * run.cfg.dt)
     assert positive_work <= WORK_ON_HAND_BOUND_J
+
+
+# The largest per-tick command steps on the reference runs are 0.0277 m/s
+# (xdot_d) and 0.0403 rad/s (qdot), both on bag_noise_seed3, where the
+# partner's velocity noise reaches the reference; the bounds are about twice
+# those.
+XDOT_STEP_BOUND = 0.055  # m/s, the norm of the linear step
+QDOT_STEP_BOUND = 0.08  # rad/s (m/s for base x and y), any one joint
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_command_steps_stay_small(name, reference_run):
+    # The controller stays continuous when it switches regime: no tick steps
+    # the reference twist or a joint velocity by more than a small bound.
+    run = reference_run(name)
+    xdot_step, qdot_step = command_steps(run.trace, run.cfg.q0, run.sim.ee0.position, run.cfg.dt)
+    assert xdot_step <= XDOT_STEP_BOUND
+    assert qdot_step <= QDOT_STEP_BOUND
 
 
 def test_rigid_admittance_completes_with_low_alpha():

@@ -57,6 +57,29 @@ def random_q(rng, model):
     return q
 
 
+def test_tracking_objective_keeps_the_bits_of_the_zip_form():
+    # b is formed one entry at a time and packed once; it must be bitwise the
+    # former list form over pose_error, signed zeros included.
+    model = default_model()
+    rng = np.random.default_rng(49)
+    for i in range(300):
+        params = default_params(model)
+        if i % 3 == 0:
+            params = replace(params, k_gain=rng.normal(size=6))
+        pose = chain_state(model, random_q(rng, model)).pose
+        x_d = [
+            *np.add(pose[:3], rng.normal(scale=0.1, size=3)).tolist(),
+            *quat_normalize(quat_multiply(quat_from_yaw(rng.normal(scale=0.2)), pose[3:])),
+        ]
+        xdot_d = rng.normal(scale=0.2, size=6).tolist()
+        if i % 5 == 0:
+            x_d, xdot_d = list(pose), [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+        zip_form = np.array(
+            [v + k * e for v, k, e in zip(xdot_d, params._k_gain, pose_error(x_d, pose))]
+        )
+        assert wbc.tracking_objective(pose, x_d, xdot_d, params).tobytes() == zip_form.tobytes()
+
+
 def test_params_defaults():
     model = default_model()
     p = default_params(model)
