@@ -105,15 +105,6 @@ def quat_to_rotvec(q) -> list:
     return [f * x, f * y, f * z]
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 def quat_from_matrix(rows) -> list:
     """Unit quaternion of the rotation matrix given row by row as 9 floats.
 
@@ -166,9 +157,6 @@ class Pose:
     def __post_init__(self):
         check(self)
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.orientation)
-
     def compose(self, other: "Pose") -> "Pose":
         """This pose followed by `other` expressed in this pose's frame."""
         return Pose(
@@ -182,20 +170,6 @@ class Pose:
 
     def yaw(self) -> float:
         return yaw_from_quat(self.orientation)
-
-    @classmethod
-    def from_xyz_rpy(cls, xyz=(0.0, 0.0, 0.0), rpy=(0.0, 0.0, 0.0)) -> "Pose":
-        roll, pitch, yaw = rpy
-        if not all(map(math.isfinite, (roll, pitch, yaw))):  # before np.cos warns
-            raise ValueError(f"rpy must be finite, got {[float(a) for a in rpy]}")
-        q = quat_multiply(
-            quat_from_yaw(yaw),
-            quat_multiply(
-                np.array([np.cos(pitch / 2), 0.0, np.sin(pitch / 2), 0.0]),
-                np.array([np.cos(roll / 2), np.sin(roll / 2), 0.0, 0.0]),
-            ),
-        )
-        return cls(xyz, quat_normalize(q))
 
 
 def pose_error(desired, current) -> list:

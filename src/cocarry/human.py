@@ -103,8 +103,11 @@ def _cubic(tau: float) -> tuple[float, float]:
 _ZERO3 = (0.0, 0.0, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScriptTarget:
+    """The script's target at one instant; per-tick state, so `==`
+    compares by identity."""
+
     position: np.ndarray
     velocity: np.ndarray
     torso_yaw: float

@@ -20,7 +20,6 @@ import yaml
 from ._rules import FINITE, NON_NEGATIVE, POSITIVE, check, complaint, field_rules, ruled
 from ._rules import compared_by_bytes
 from .aci import AciParams, AdmittanceParams, Mode
-from .geometry import Pose
 from .human import (
     NOISE_CHANNELS,
     HandYaw,
@@ -30,7 +29,7 @@ from .human import (
     TorsoYaw,
     Translate,
 )
-from .kinematics import ArmJoint, KinematicModel, default_model
+from .kinematics import KinematicModel, default_model
 from .objects import ObjectModel, presets
 from .wbc import WbcError, WbcParams
 
@@ -278,13 +277,6 @@ def _object(val, path, top):
     return _build(path, replace, kwargs.pop("base", None) or ObjectModel(), **kwargs)
 
 
-def _model(arm=None, **kwargs) -> KinematicModel:
-    """The block's own arm and tool offset, or else the default arm and tool."""
-    if arm is None and "ee_offset" in kwargs:
-        raise ValueError("ee_offset needs the arm it ends")
-    return default_model(**kwargs) if arm is None else KinematicModel(arm, **kwargs)
-
-
 def _wbc(val, path, top):
     kwargs = _fields(val, path, _WBC, top, {}, _WBC_RULES)
     if "model" not in top:
@@ -328,22 +320,7 @@ def _interval(val, path, top):
 
 # -- the schema: one declaration per YAML key -------------------------------
 
-_POSE = {"xyz": _vector(3), "rpy": _vector(3)}
-# xyz fills the offset's position, so it holds to that field's rule.
-_POSE_RULES = {"xyz": field_rules(Pose)["position"]}
-
-_JOINT = _block(
-    lambda axis, **xyz_rpy: ArmJoint(axis, Pose.from_xyz_rpy(**xyz_rpy)),
-    {"axis": _Key(_vector(3), absent=REQUIRED), **_POSE},
-    _POSE_RULES,
-)
-
-_MODEL = {
-    "arm": _list(_JOINT),
-    "ee_offset": _block(Pose.from_xyz_rpy, _POSE, _POSE_RULES),
-    "w_threshold": _number(),
-    "k_max": _number(),
-}
+_MODEL = {"w_threshold": _number(), "k_max": _number()}
 
 _WBC = {
     "q_def": _vector("joints"),
@@ -411,7 +388,7 @@ _SCENARIO = {
     "duration": _DURATION,
     "dt": _number(),
     "seed": _number(whole=True),
-    "model": _Key(_block(_model, _MODEL, field_rules(KinematicModel)), absent={}),
+    "model": _Key(_block(default_model, _MODEL, field_rules(KinematicModel)), absent={}),
     "q0": _vector("joints"),
     "wbc": _Key(_wbc, absent={}),
     "admittance": _Key(_block(AdmittanceParams, _ADMITTANCE), absent={}),

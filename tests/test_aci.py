@@ -18,6 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from cocarry.aci import (
     AciController,
@@ -635,7 +636,7 @@ def test_desired_rotation_pose_matches_matrix_oracle():
 
         def hom(p):
             T = np.eye(4)
-            T[:3, :3] = p.rotation_matrix()
+            T[:3, :3] = Rotation.from_quat(p.orientation, scalar_first=True).as_matrix()
             T[:3, 3] = p.position
             return T
 

@@ -13,7 +13,6 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from cocarry.geometry import (
-    Pose,
     quat_conjugate,
     quat_from_matrix,
     quat_multiply,
@@ -46,13 +45,17 @@ def fk_oracle(model, q):
         Rotation.from_rotvec([0, 0, q[2]]).as_matrix(), [q[0], q[1], 0.0]
     )
     for i, joint in enumerate(model.arm):
-        T = T @ tmat(joint.offset.rotation_matrix(), joint.offset.position)
+        T = T @ tmat(np.eye(3), joint.offset)
         T = T @ tmat(
             Rotation.from_rotvec(joint.axis * q[BASE_DOFS + i]).as_matrix(),
             np.zeros(3),
         )
-    T = T @ tmat(model.ee_offset.rotation_matrix(), model.ee_offset.position)
-    return T
+    return T @ tmat(np.eye(3), model.ee_offset)
+
+
+def rotation_matrix(pose):
+    """The rotation matrix of a Pose's (w, x, y, z) orientation, by scipy."""
+    return Rotation.from_quat(pose.orientation, scalar_first=True).as_matrix()
 
 
 def random_q(rng, model):
@@ -68,8 +71,8 @@ def test_fk_identity_config():
     # all offsets accumulate with no rotation anywhere
     expected = np.zeros(3)
     for joint in model.arm:
-        expected += joint.offset.position
-    expected += model.ee_offset.position
+        expected += joint.offset
+    expected += model.ee_offset
     np.testing.assert_allclose(pose.position, expected, atol=1e-15)
     np.testing.assert_allclose(pose.orientation, [1, 0, 0, 0], atol=1e-15)
 
@@ -83,34 +86,17 @@ def test_fk_pure_base_translation():
     np.testing.assert_allclose(p1 - p0, [1.0, 2.0, 0.0], atol=1e-15)
 
 
-def random_model(rng, n_arm):
-    """An arm of random unit joint axes behind random offset poses."""
-    arm = []
-    for _ in range(n_arm):
-        axis = rng.normal(size=3)
-        arm.append(
-            ArmJoint(
-                axis=axis / np.linalg.norm(axis),
-                offset=Pose.from_xyz_rpy(
-                    rng.uniform(-0.3, 0.3, size=3), rng.uniform(-np.pi, np.pi, size=3)
-                ),
-            )
-        )
-    return KinematicModel(arm=arm)
-
-
 def test_fk_matches_matrix_oracle():
     rng = np.random.default_rng(31)
-    # The default arm, a 7-joint arm whose joints turn about random unit
-    # axes, and one with negative coordinate axes beside a tilted one: the
-    # two-column turns and the inline Rodrigues matrices against scipy's.
-    for model in (default_model(), random_model(rng, 7), mixed_axes_model()):
+    # The default arm and one that turns about every signed axis: the
+    # two-column turns against scipy's rotations.
+    for model in (default_model(), signed_axes_model()):
         for _ in range(200):
             q = random_q(rng, model)
             pose = forward_kinematics(model, q)
             T = fk_oracle(model, q)
             np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-12)
-            np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-12)
+            np.testing.assert_allclose(rotation_matrix(pose), T[:3, :3], atol=1e-12)
 
 
 def test_jacobian_base_columns():
@@ -188,10 +174,10 @@ def test_chain_holds_a_read_only_copy_of_q():
 
 
 def test_manipulability_base_invariant():
-    # The six-joint arm's square Ja takes |det Ja|; a seven-joint arm keeps
-    # sqrt(det(Ja Ja^T)).  Both must equal the Gram form and ignore the base.
+    # The arm's square Ja takes |det Ja|, which must equal the Gram form
+    # sqrt(det(Ja Ja^T)) and ignore the base.
     rng = np.random.default_rng(36)
-    for model in (default_model(), random_model(rng, 7)):
+    for model in (default_model(), signed_axes_model()):
         for _ in range(50):
             q = random_q(rng, model)
             st = chain_state(model, q)
@@ -237,10 +223,14 @@ def test_dimension_mismatch_rejected():
 
 
 def test_model_validation():
-    with pytest.raises(KinematicsError):
-        ArmJoint(axis=[0.0, 0.0, 2.0])
-    with pytest.raises(KinematicsError):  # no redundancy with 3 arm joints
-        KinematicModel(arm=[ArmJoint(axis=[0, 0, 1.0]) for _ in range(3)])
+    # A joint turns about a signed coordinate axis, exactly: a longer, a
+    # tilted and a near-coordinate axis are refused, and so is NaN.
+    for axis in ([0.0, 0.0, 2.0], [0.6, 0.0, 0.8], [0.0, 1e-9, 1.0], [0.0, 0.0, math.nan]):
+        with pytest.raises(KinematicsError, match="unit vector along"):
+            ArmJoint(axis=axis)
+    for n in (3, 7):  # the arm has six joints
+        with pytest.raises(KinematicsError, match="6 joints"):
+            KinematicModel(arm=[ArmJoint(axis=[0, 0, 1.0]) for _ in range(n)])
     with pytest.raises(KinematicsError):
         default_model(w_threshold=0.0)
 
@@ -251,11 +241,11 @@ def test_model_cannot_change_under_its_cached_chain():
     # w_threshold set in place went unchecked.
     model = default_model()
     with pytest.raises(FrozenInstanceError):
-        model.ee_offset = Pose([0.0, 0.0, 0.5])
+        model.ee_offset = [0.0, 0.0, 0.5]
     with pytest.raises(FrozenInstanceError):
         model.w_threshold = math.nan
     assert isinstance(model.arm, tuple)
-    longer = replace(model, ee_offset=Pose([0.0, 0.0, 0.5]))
+    longer = replace(model, ee_offset=[0.0, 0.0, 0.5])
     np.testing.assert_allclose(
         chain_state(longer, np.zeros(9)).pose[:3], fk_oracle(longer, np.zeros(9))[:3, 3]
     )
@@ -269,7 +259,9 @@ def test_joint_cannot_change_under_its_model():
     # used to leave the chain at the old offset.
     model = default_model()
     with pytest.raises(FrozenInstanceError):
-        model.arm[2].offset = Pose([0.478, 0.5, 0.0])
+        model.arm[2].offset = [0.478, 0.5, 0.0]
+    with pytest.raises(ValueError):
+        model.arm[2].offset[1] = 0.5
     with pytest.raises(ValueError):
         model.arm[2].axis[0] = 1.0
     np.testing.assert_allclose(chain_state(model, np.zeros(9)).pose[:3], [1.038, 0.293, 1.0675])
@@ -283,81 +275,16 @@ def test_joint_cannot_change_under_its_model():
 @pytest.mark.parametrize(
     "build, names",
     [
-        (lambda v: KinematicModel(default_model().arm, ee_offset=Pose([0, v, 0.09])), "position"),
-        (
-            lambda v: KinematicModel(default_model().arm, ee_offset=Pose([0, 0, 0.09], [v, 0, 0, 0])),
-            "orientation",
-        ),
-        (lambda v: ArmJoint([0, 0, 1.0], Pose([v, 0, 0])), "position"),
-        (lambda v: ArmJoint([0, 0, 1.0], Pose([0, 0, 0], [1.0, 0, v, 0])), "orientation"),
+        (lambda v: KinematicModel(default_model().arm, ee_offset=[0, v, 0.09]), "ee_offset"),
+        (lambda v: ArmJoint([0, 0, 1.0], [v, 0, 0]), "offset"),
     ],
-    ids=["ee_position", "ee_quaternion", "joint_position", "joint_quaternion"],
+    ids=["ee_position", "joint_position"],
 )
 def test_non_finite_offsets_rejected_by_name(build, names, value):
     # A NaN tool offset used to build, and the simulation then failed in the
     # object's rest pose with a message that named neither.
     with pytest.raises(ValueError, match=f"{names} must be finite"):
         build(value)
-
-
-def rotated_offset_model():
-    """Six joints, two of them and the tool behind offsets with a fixed rotation."""
-    arm = [
-        ArmJoint(axis=[0, 0, 1.0], offset=Pose.from_xyz_rpy([0.1, 0, 0.3], [0.3, 0, 0])),
-        ArmJoint(axis=[0, 1.0, 0], offset=Pose.from_xyz_rpy([0.2, 0, 0], [0, 0.2, 0])),
-        ArmJoint(axis=[0, 1.0, 0], offset=Pose([0.2, 0, 0])),
-        ArmJoint(axis=[1.0, 0, 0], offset=Pose([0.1, 0.05, 0])),
-        ArmJoint(axis=[0, 0, 1.0], offset=Pose([0, 0, 0.1])),
-        ArmJoint(axis=[0, 1.0, 0], offset=Pose([0, 0.05, 0])),
-    ]
-    return KinematicModel(arm=arm, ee_offset=Pose.from_xyz_rpy([0, 0, 0.05], [0, 0, 0.7]))
-
-
-def test_non_identity_offset_rotation():
-    # a joint whose offset includes a fixed rotation must still match the oracle
-    model = rotated_offset_model()
-    rng = np.random.default_rng(38)
-    for _ in range(50):
-        q = random_q(rng, model)
-        pose = forward_kinematics(model, q)
-        T = fk_oracle(model, q)
-        np.testing.assert_allclose(pose.position, T[:3, 3], atol=1e-12)
-        np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-12)
-
-
-def negated_identity_model():
-    """The default model with two offsets at the orientation (-1, 0, 0, 0),
-    the identity rotation as the other unit quaternion."""
-    model = default_model()
-    turned = Pose([0.0, 0.176, 0.0], [-1.0, 0.0, 0.0, 0.0])
-    arm = (model.arm[0], replace(model.arm[1], offset=turned), *model.arm[2:])
-    return replace(model, arm=arm, ee_offset=Pose([0, 0, 0.0925], [-1.0, 0.0, 0.0, 0.0]))
-
-
-def links_by_matrix(model):
-    """`_links` and `_ee_R` as the rule that compares each offset's rotation
-    matrix with np.eye(3) gives them."""
-
-    def flat_or_none(pose):
-        R = pose.rotation_matrix()
-        return None if np.array_equal(R, np.eye(3)) else tuple(R.ravel().tolist())
-
-    links = tuple(
-        (tuple(j.offset.position.tolist()), flat_or_none(j.offset), tuple(j.axis.tolist()))
-        for j in model.arm
-    )
-    return links, flat_or_none(model.ee_offset)
-
-
-@pytest.mark.parametrize(
-    "model",
-    [default_model(), rotated_offset_model(), negated_identity_model()],
-    ids=["default", "rotated_offsets", "negated_identity"],
-)
-def test_identity_offsets_told_from_the_quaternion(model):
-    # The model skips an offset rotation whose quaternion has a zero vector
-    # part; the cache is the one the matrix comparison gives.
-    assert (model._links, model._ee_R) == links_by_matrix(model)
 
 
 def _mul3(a, b):
@@ -380,22 +307,22 @@ def coordinate_turn(axis):
 
 
 def plain_chain_state(model, q, turns=True):
-    """(pose, J, manipulability) from the chain walk in its plain form: each
-    rotation a 9-tuple multiplied through `_mul3`, or, for a joint about a
-    signed coordinate axis k, columns (a, b) = (k + 1, k + 2) mod 3 turned
-    and column k scaled by c + (1.0 - c); J built by np.array from six row
+    """(pose, J, manipulability) from the chain walk in its plain form, read
+    from the model's joints: for a joint about the signed coordinate axis k,
+    columns (a, b) = (k + 1, k + 2) mod 3 of the 9-tuple rotation turned and
+    column k scaled by c + (1.0 - c); J built by np.array from six row
     lists.  The same products and sums in the same order as `chain_state`,
     so the bits must agree.  With `turns` False every joint takes the
-    Rodrigues product."""
+    Rodrigues product, multiplied through `_mul3`."""
     cos, sin = np.cos(q[2:]).tolist(), np.sin(q[2:]).tolist()
     R = (cos[0], -sin[0], 0.0, sin[0], cos[0], 0.0, 0.0, 0.0, 1.0)
     p = [*q[:2].tolist(), 0.0]
     origins, axes = [], []
-    for ((ox, oy, oz), off_R, (x, y, z)), c, s in zip(model._links, cos[1:], sin[1:]):
+    for joint, c, s in zip(model.arm, cos[1:], sin[1:]):
+        ox, oy, oz = joint.offset.tolist()
+        x, y, z = joint.axis.tolist()
         p = [p[i] + (R[3 * i] * ox + R[3 * i + 1] * oy + R[3 * i + 2] * oz) for i in range(3)]
         origins.append(p)
-        if off_R is not None:
-            R = _mul3(R, off_R)
         turn = coordinate_turn((x, y, z)) if turns else None
         if turn is not None:
             k, sign = turn
@@ -414,10 +341,8 @@ def plain_chain_state(model, q, turns=True):
             y * x * C + z * s, c + y * y * C, y * z * C - x * s,
             z * x * C - y * s, z * y * C + x * s, c + z * z * C,
         ))  # fmt: skip
-    ox, oy, oz = model._ee_p
+    ox, oy, oz = model.ee_offset.tolist()
     e = [p[i] + (R[3 * i] * ox + R[3 * i + 1] * oy + R[3 * i + 2] * oz) for i in range(3)]
-    if model._ee_R is not None:
-        R = _mul3(R, model._ee_R)
     rows = ([1.0, 0.0, q[1] - e[1]], [0.0, 1.0, e[0] - q[0]], [0.0] * 3, [0.0] * 3, [0.0] * 3,
             [0.0, 0.0, 1.0])  # fmt: skip
     for z, o in zip(axes, origins):
@@ -428,37 +353,30 @@ def plain_chain_state(model, q, turns=True):
         for i in range(3):
             rows[3 + i].append(z[i])
     J = np.array(rows[0] + rows[1] + rows[2] + rows[3] + rows[4] + rows[5]).reshape(6, -1)
-    Ja = J[:, BASE_DOFS:]
-    if model.n_arm == 6:
-        return [*e, *quat_from_matrix(R)], J, abs(np.linalg.det(Ja))
-    w = math.sqrt(max(np.linalg.det(Ja.dot(Ja.T)), 0.0))
-    return [*e, *quat_from_matrix(R)], J, w
+    return [*e, *quat_from_matrix(R)], J, abs(np.linalg.det(J[:, BASE_DOFS:]))
 
 
-def mixed_axes_model():
-    """Seven joints about -z, -y, x, a tilted axis, -y behind a rotated
-    offset, z written with a -0.0 entry, and x."""
+def signed_axes_model():
+    """Six joints about -z, -y, x, -x, y and z written with a -0.0 entry,
+    each behind an offset with three nonzero entries, so that every sum of
+    an offset's three products is held to its order."""
     arm = [
-        ArmJoint(axis=[0.0, 0.0, -1.0], offset=Pose([0.2, 0.0, 0.6])),
-        ArmJoint(axis=[0.0, -1.0, 0.0], offset=Pose([0.0, 0.17, 0.0])),
-        ArmJoint(axis=[1.0, 0.0, 0.0], offset=Pose([0.45, 0.0, 0.0])),
-        ArmJoint(axis=[0.6, 0.0, 0.8], offset=Pose([0.35, 0.0, 0.15])),
-        ArmJoint(axis=[0.0, -1.0, 0.0], offset=Pose.from_xyz_rpy([0, 0, 0.12], [0.3, 0, 0])),
-        ArmJoint(axis=[-0.0, 0.0, 1.0], offset=Pose([0.0, 0.1, 0.0])),
-        ArmJoint(axis=[1.0, 0.0, 0.0], offset=Pose([0.0, 0.0, 0.09])),
+        ArmJoint(axis=[0.0, 0.0, -1.0], offset=[0.2, 0.03, 0.6]),
+        ArmJoint(axis=[0.0, -1.0, 0.0], offset=[0.02, 0.17, -0.04]),
+        ArmJoint(axis=[1.0, 0.0, 0.0], offset=[0.45, -0.03, 0.05]),
+        ArmJoint(axis=[-1.0, 0.0, 0.0], offset=[0.35, 0.07, 0.15]),
+        ArmJoint(axis=[0.0, 1.0, 0.0], offset=[-0.05, 0.04, 0.12]),
+        ArmJoint(axis=[-0.0, 0.0, 1.0], offset=[0.03, 0.1, 0.02]),
     ]
-    return KinematicModel(arm=arm, ee_offset=Pose([0.0, 0.0, 0.05]))
+    return KinematicModel(arm=arm, ee_offset=[0.01, -0.02, 0.05])
 
 
 def test_coordinate_axes_found_exactly():
-    # Only an axis that is exactly +-1.0 on one coordinate takes the
-    # two-column turn; a unit axis a rounding away from it keeps Rodrigues.
-    assert [t[0] if t else None for t in mixed_axes_model()._turns] == [2, 1, 0, None, 1, 2, 0]
-    assert [t[1] if t else None for t in mixed_axes_model()._turns] == [
-        -1.0, -1.0, 1.0, None, -1.0, 1.0, 1.0
-    ]
-    near = ArmJoint(axis=[0.0, 1e-9, 1.0])
-    assert KinematicModel(arm=[near] * 7)._turns == (None,) * 7
+    # Each joint turns about the coordinate axis k, with the sign of its
+    # nonzero entry; a -0.0 entry does not count.
+    turns = [turn for _, turn in signed_axes_model()._links]
+    assert turns == [(2, -1.0), (1, -1.0), (0, 1.0), (0, -1.0), (1, 1.0), (2, 1.0)]
+    assert [type(sign) for _, sign in turns] == [float] * 6
 
 
 def special_qs(n):
@@ -471,21 +389,14 @@ def special_qs(n):
 
 
 @pytest.mark.parametrize(
-    "model",
-    [
-        default_model(),
-        rotated_offset_model(),
-        random_model(np.random.default_rng(7), 7),
-        mixed_axes_model(),
-    ],
-    ids=["default", "rotated_offsets", "seven_joints", "mixed_axes"],
+    "model", [default_model(), signed_axes_model()], ids=["default", "signed_axes"]
 )
 def test_chain_state_bitwise_equals_plain_walk(model):
-    # The digests cover only the default model; this holds every model kind,
-    # including the det(Ja Ja^T) branch of a seven-joint arm, to the bits,
-    # signed zeros included, at the exact zeros and signed zeros of q too.
+    # The digests cover only the default model's runs; this holds the chain
+    # at every signed axis to the bits, signed zeros included, at the exact
+    # zeros and signed zeros of q too, and at many random q.
     rng = np.random.default_rng(21)
-    for q in special_qs(model.n_joints) + [random_q(rng, model) for _ in range(200)]:
+    for q in special_qs(model.n_joints) + [random_q(rng, model) for _ in range(500)]:
         st = chain_state(model, q)
         pose, J, w = plain_chain_state(model, q)
         assert np.array(st.pose).tobytes() == np.array(pose).tobytes()
@@ -496,7 +407,7 @@ def test_chain_state_bitwise_equals_plain_walk(model):
 
 
 @pytest.mark.parametrize(
-    "model", [default_model(), mixed_axes_model()], ids=["default", "mixed_axes"]
+    "model", [default_model(), signed_axes_model()], ids=["default", "signed_axes"]
 )
 def test_coordinate_turn_differs_from_rodrigues_only_in_the_sign_of_zeros(model):
     # The two-column turn drops the Rodrigues product's r * 0.0 terms: every
